@@ -7,36 +7,20 @@ missing files), 1 on runtime failures.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .core import write_raw_tensor
+from .core import write_json, write_raw_tensor
 from .formats import read_ppm, write_pgm, write_ppm
 from .geometry import field_to_tensor, illumination_field
-from .guided_sampling import build_guidance, generate_offsets, guided_warp, modulate_offsets
-from .illumination import estimate_illumination, illumination_factor, load_illumination
-from .pipeline import (
-    PipelineConfig,
-    StageError,
-    build_params,
-    encode_image,
-    eval_batch,
-    offset_magnitude,
-    population_factors,
-    resolve_t_star,
-    run_pipeline,
-)
+from .pipeline import PipelineConfig, StageError, build_params, encode_image, enhance_stage
+from .pipeline import eval_batch, igs_stage, illumination_map, offset_magnitude
+from .pipeline import population_factors, run_pipeline
 from .scene import SceneConfig, gen_scene, load_scene, save_scene
-from .selective import FactorPopulation, factor_histogram, otsu_threshold, selective_enhance
-
-
-def _write_json(obj: dict, path: Path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+from .selective import FactorPopulation, factor_histogram, otsu_threshold
 
 
 def _out_dir(args) -> Path:
@@ -46,11 +30,10 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_gen_scene(args) -> int:
-    with open(args.config, "r", encoding="ascii") as fh:
-        obj = json.load(fh)
+    cfg = SceneConfig.from_json_file(args.config)
     if args.seed is not None:
-        obj = {**obj, "seed": args.seed}
-    bundle = gen_scene(SceneConfig.from_dict(obj))
+        cfg = replace(cfg, seed=args.seed)
+    bundle = gen_scene(cfg)
     save_scene(bundle, _out_dir(args))
     print(f"scene written to {args.out}")
     return 0
@@ -58,22 +41,14 @@ def _cmd_gen_scene(args) -> int:
 
 def _cmd_enhance(args) -> int:
     pc = PipelineConfig.from_json_file(args.config, seed_override=args.seed)
+    # A standalone image takes its map from --illum, never from the config.
+    pc = replace(pc, illumination_file=Path(args.illum) if args.illum else None)
+    illum, t_star, lam, enhanced_img, enhanced = enhance_stage(pc, read_ppm(args.image))
     out = _out_dir(args)
-    image = read_ppm(args.image)
-    if args.illum:
-        illum = load_illumination(args.illum, pc.estimator.floor)
-    else:
-        illum = estimate_illumination(image, pc.estimator)
-    t_star = resolve_t_star(pc)
-    lam = illumination_factor(illum)
-    enhanced_img, enhanced = selective_enhance(image, illum, t_star)
     write_ppm(enhanced_img, out / "enhanced.ppm")
     write_pgm(illum, out / "illumination.pgm")
     write_raw_tensor(illum, out / "illumination.rt", dtype="f32")
-    _write_json(
-        {"lambda": lam, "t_star": t_star, "enhanced": enhanced},
-        out / "enhance_report.json",
-    )
+    write_json({"lambda": lam, "t_star": t_star, "enhanced": enhanced}, out / "enhance_report.json")
     print(f"lambda={lam:.6f} t_star={t_star:.6f} enhanced={enhanced}")
     return 0
 
@@ -83,7 +58,7 @@ def _cmd_threshold(args) -> int:
     pop = FactorPopulation(factors, bins=args.bins)
     report = otsu_threshold(pop)
     out = _out_dir(args)
-    _write_json(
+    write_json(
         {
             "t_star": report.t_star,
             "sigma_b2": report.sigma_b2,
@@ -97,27 +72,15 @@ def _cmd_threshold(args) -> int:
     return 0
 
 
-def _prepare_front(pc: PipelineConfig, scene_dir):
-    bundle = load_scene(scene_dir)
-    if pc.illumination_file is not None:
-        illum = load_illumination(pc.illumination_file, pc.estimator.floor)
-    else:
-        illum = estimate_illumination(bundle.image, pc.estimator)
-    enhanced_img, _ = selective_enhance(bundle.image, illum, resolve_t_star(pc))
-    return bundle, illum, enhanced_img
-
-
 def _cmd_igs(args) -> int:
     pc = PipelineConfig.from_json_file(args.config, seed_override=args.seed)
-    out = _out_dir(args)
-    bundle, illum, enhanced_img = _prepare_front(pc, args.scene)
+    bundle = load_scene(args.scene)
     params = build_params(pc, len(bundle.classes), bundle.bev.nz)
+    illum, _, _, enhanced_img, _ = enhance_stage(pc, bundle.image)
     f_img = encode_image(enhanced_img, params.enc1, params.enc2)
-    i_prime, g = build_guidance(illum, f_img.height, f_img.width, pc.estimator.floor)
-    dp, dw = generate_offsets(i_prime, params.igs_conv, pc.igs_k)
-    dp_mod = modulate_offsets(dp, g)
-    warped = guided_warp(f_img, dp_mod, dw, params.igs_point_weights)
-    write_pgm(g, out / "guidance.pgm")
+    _, guidance, dp_mod, warped = igs_stage(pc, params, illum, f_img)
+    out = _out_dir(args)
+    write_pgm(guidance, out / "guidance.pgm")
     write_pgm(offset_magnitude(dp_mod), out / "offset_mag.pgm")
     write_raw_tensor(warped, out / "f_warped.rt", dtype="f32")
     print(f"guided sampling artifacts written to {args.out}")
@@ -126,13 +89,11 @@ def _cmd_igs(args) -> int:
 
 def _cmd_illum_field(args) -> int:
     pc = PipelineConfig.from_json_file(args.config, seed_override=args.seed)
-    out = _out_dir(args)
     bundle = load_scene(args.scene)
-    if pc.illumination_file is not None:
-        illum = load_illumination(pc.illumination_file, pc.estimator.floor)
-    else:
-        illum = estimate_illumination(bundle.image, pc.estimator)
-    field = illumination_field(illum, bundle.camera, bundle.bev, pc.n_z)
+    field = illumination_field(
+        illumination_map(pc, bundle.image), bundle.camera, bundle.bev, pc.n_z
+    )
+    out = _out_dir(args)
     write_raw_tensor(field_to_tensor(field), out / "s_field.rt", dtype="f32")
     write_pgm(field, out / "s_field.pgm")
     print(f"illumination field written to {args.out}")
@@ -175,11 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True, out=True):
+    def common(p, config=True):
         if config:
             p.add_argument("--config", required=True, help="JSON config file")
-        if out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override")
 
     p = sub.add_parser("gen-scene", help="generate a synthetic night scene")
@@ -193,10 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_enhance)
 
     p = sub.add_parser("threshold", help="derive the enhancement threshold")
+    common(p, config=False)
     p.add_argument("--maps", required=True, help="directory of illumination maps")
     p.add_argument("--bins", type=int, default=256)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=_cmd_threshold)
 
     p = sub.add_parser("igs", help="dump guided-sampling intermediates")
@@ -230,7 +189,7 @@ def main(argv=None) -> int:
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - unexpected

@@ -1,4 +1,5 @@
-"""Dense tensor container, bilinear sampling, and numeric verification helpers.
+"""Dense tensor container, bilinear sampling, numeric verification helpers,
+and the table-driven JSON config converters.
 
 Everything downstream (images, illumination maps, feature maps, depth
 distributions, BEV rasters) is carried by the same immutable C x H x W
@@ -10,7 +11,9 @@ projection stages.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -209,6 +212,13 @@ def write_raw_tensor(t: Tensor3, path, dtype: str | None = None) -> None:
         fh.write(payload)
 
 
+def write_json(obj, path) -> None:
+    """Write `obj` as indented ASCII JSON plus a final newline."""
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 def read_raw_tensor(path) -> Tensor3:
     """Read the raw tensor format; preserves the on-disk precision in memory."""
     with open(path, "rb") as fh:
@@ -240,3 +250,73 @@ def read_raw_tensor(path) -> Tensor3:
             )
         arr = np.frombuffer(payload, dtype=dt).reshape(shape)
         return Tensor3(arr)
+
+
+# JSON scalar types a converter table may name in place of a converter.
+_JSON_SCALARS = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string"}
+
+
+def _convert(conv, value, path: str):
+    if conv not in _JSON_SCALARS:
+        return conv(value, path)
+    ok = type(value) is conv or conv is float and type(value) is int
+    if not ok or conv is float and not abs(value) <= sys.float_info.max:  # nan, inf, huge ints
+        raise ValueError(f"{path}: must be {_JSON_SCALARS[conv]}")
+    return conv(value)
+
+
+def json_path(base_dir, is_kind: Callable[[Path], bool], what: str) -> Callable:
+    """Converter for a path string, resolved against `base_dir`, that `is_kind` accepts."""
+
+    def convert(value, path: str) -> Path:
+        p = Path(base_dir) / _convert(str, value, path)  # an absolute path replaces base_dir
+        try:
+            if is_kind(p):
+                return p
+        except (OSError, ValueError):  # a name too long or holding NUL is missing too
+            pass
+        raise ValueError(f"{path}: {what} missing: {p}")
+
+    return convert
+
+
+def json_list(item, length: int | None = None) -> Callable:
+    """Converter for a JSON array (of `length` items, if given) into a tuple."""
+
+    def convert(value, path: str) -> tuple:
+        if type(value) is not list or length not in (None, len(value)):
+            raise ValueError(f"{path}: must be an array" + (f" of {length}" if length else ""))
+        return tuple(_convert(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return convert
+
+
+def json_block(table: dict, build: Callable = dict, required: bool = False) -> Callable:
+    """Converter for a JSON object into `build(**converted)` over the keys present.
+
+    `table` maps each key to a JSON scalar type or a converter `conv(value,
+    path)`, which gets the dotted key path (e.g. "lights[0].radius") and
+    raises only ValueError naming it. Unknown keys are rejected, null selects
+    the default, and with `required` every key needs a value. A ValueError
+    from `build` gets the block's path as prefix (the top level's is empty).
+    """
+
+    def convert(value, path: str):
+        if type(value) is not dict:
+            raise ValueError(f"{path or 'top level'}: must be a JSON object")
+        at = f"{path}." if path else ""
+        unknown = [key for key in value if key not in table]
+        if unknown:
+            raise ValueError(f"{at}{unknown[0]}: unknown key; known: {', '.join(table)}")
+        fields = {k: _convert(table[k], v, at + k) for k, v in value.items() if v is not None}
+        missing = [key for key in table if key not in fields] if required else []
+        if missing:
+            raise ValueError(f"{at}{missing[0]}: missing")
+        try:
+            return build(**fields)
+        except ValueError as exc:
+            if not path:
+                raise
+            raise ValueError(f"{path}: {exc}") from exc
+
+    return convert

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3
+from .core import Tensor3, json_block, json_list
 
 DEPTH_EPS = 1e-6
 
@@ -70,6 +70,8 @@ def _axis_cells(lo: float, hi: float, voxel: float, name: str) -> int:
     if span <= 0:
         raise ValueError(f"{name} range must be increasing")
     n = span / voxel
+    if not np.isfinite(n):
+        raise ValueError(f"{name} range {lo}..{hi} holds too many voxels of {voxel}")
     cells = int(round(n))
     if cells < 1 or abs(n - cells) > 1e-9 * max(1.0, abs(n)):
         raise ValueError(f"{name} range {lo}..{hi} is not divisible by voxel {voxel}")
@@ -117,17 +119,9 @@ class BevSpec:
         return self.z_range[0] + (np.arange(self.nz) + 0.5) * self.voxel
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "BevSpec":
-        kwargs = {}
-        for key in ("x_range", "y_range", "z_range"):
-            if key in obj:
-                pair = obj[key]
-                if len(pair) != 2:
-                    raise ValueError(f"{key} must be a [lo, hi] pair")
-                kwargs[key] = (float(pair[0]), float(pair[1]))
-        if "voxel" in obj:
-            kwargs["voxel"] = float(obj["voxel"])
-        return cls(**kwargs)
+    def from_dict(cls, obj: dict, path: str = "bev") -> "BevSpec":
+        """Parse the JSON form; errors name the key under `path`."""
+        return _BEV_BLOCK(obj, path)
 
     def to_dict(self) -> dict:
         return {
@@ -136,6 +130,12 @@ class BevSpec:
             "z_range": list(self.z_range),
             "voxel": self.voxel,
         }
+
+
+_RANGE = json_list(float, 2)
+_BEV_BLOCK = json_block(
+    {"x_range": _RANGE, "y_range": _RANGE, "z_range": _RANGE, "voxel": float}, BevSpec
+)
 
 
 def project_points(m: CameraMatrix, pts: np.ndarray):

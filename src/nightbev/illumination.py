@@ -39,13 +39,6 @@ def check_image(t: Tensor3) -> None:
         raise ValueError("image values must lie in [0, 1]")
 
 
-def check_illumination(t: Tensor3, floor: float = ILLUMINATION_FLOOR) -> None:
-    if t.channels != 1:
-        raise ValueError(f"illumination map must have 1 channel, got {t.channels}")
-    if t.data.min() < floor or t.data.max() > 1.0:
-        raise ValueError(f"illumination values must lie in [{floor}, 1]")
-
-
 def _blur_axis(arr: np.ndarray, kernel: int, axis: int) -> np.ndarray:
     if kernel == 1:
         return arr

@@ -12,18 +12,11 @@ class LossConfig:
     alpha: float = 10.0
     beta: float = 0.2
     gamma: float = 0.2
-    class_weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.class_weights is not None:
-            cw = np.array(self.class_weights, dtype=np.float64).ravel()
-            if (cw < 0).any() or not np.isfinite(cw).all():
-                raise ValueError("class weights must be finite and >= 0")
-            cw.flags.writeable = False
-            object.__setattr__(self, "class_weights", cw)
 
 
 def class_weights_from_labels(labels, n_cla: int) -> np.ndarray:
@@ -55,22 +48,26 @@ def _check_logits(logits: np.ndarray, labels: np.ndarray, weights: np.ndarray):
     return logits, labels.astype(np.int64), weights
 
 
-def weighted_ce(logits, labels, weights) -> float:
-    """Class-weighted cross-entropy summed over voxels (max-shift stabilized)."""
-    loss, _ = weighted_ce_grad(logits, labels, weights)
-    return loss
-
-
-def weighted_ce_grad(logits, labels, weights) -> tuple[float, np.ndarray]:
-    """Weighted cross-entropy plus its gradient with respect to the logits."""
+def _ce_terms(logits, labels, weights):
+    """Loss plus the max-shifted logits and log-sum-exp the gradient reuses."""
     logits, labels, weights = _check_logits(logits, labels, weights)
     n = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     picked = shifted[np.arange(n), labels]
     per_voxel = weights[labels] * (lse - picked)
-    loss = float(per_voxel.sum())
+    return float(per_voxel.sum()), shifted, lse, labels, weights
 
+
+def weighted_ce(logits, labels, weights) -> float:
+    """Class-weighted cross-entropy summed over voxels (max-shift stabilized)."""
+    return _ce_terms(logits, labels, weights)[0]
+
+
+def weighted_ce_grad(logits, labels, weights) -> tuple[float, np.ndarray]:
+    """Weighted cross-entropy plus its gradient with respect to the logits."""
+    loss, shifted, lse, labels, weights = _ce_terms(logits, labels, weights)
+    n = shifted.shape[0]
     softmax = np.exp(shifted - lse[:, None])
     grad = softmax
     grad[np.arange(n), labels] -= 1.0

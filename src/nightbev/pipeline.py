@@ -17,31 +17,16 @@ from typing import Callable
 
 import numpy as np
 
-from .bev import (
-    AttentionParams,
-    bev_pool,
-    depth_bin_centers,
-    depth_context_split,
-    refine_bev,
-    residual_query,
-)
-from .core import Tensor3, read_raw_tensor, write_raw_tensor
+from .bev import AttentionParams, bev_pool, depth_bin_centers, depth_context_split
+from .bev import refine_bev, residual_query
+from .core import Tensor3, read_raw_tensor, write_json, write_raw_tensor
+from .core import json_block, json_list, json_path
 from .formats import write_pgm, write_ppm
 from .geometry import field_to_tensor, illumination_field
-from .guided_sampling import (
-    ConvParams,
-    build_guidance,
-    conv2d_replicate,
-    generate_offsets,
-    guided_warp,
-    modulate_offsets,
-)
-from .illumination import (
-    EstimatorConfig,
-    estimate_illumination,
-    illumination_factor,
-    load_illumination,
-)
+from .guided_sampling import ConvParams, build_guidance, conv2d_replicate, generate_offsets
+from .guided_sampling import guided_warp, kernel_grid, modulate_offsets
+from .illumination import EstimatorConfig, estimate_illumination, illumination_factor
+from .illumination import load_illumination
 from .losses import LossConfig, class_weights_from_labels, total_loss, weighted_ce
 from .metrics import IoUReport, OccupancyGrid, miou, report_from_counts, write_iou_csv
 from .scene import SceneBundle, load_scene
@@ -61,29 +46,25 @@ class StageError(RuntimeError):
         self.__cause__ = cause
 
 
+# Raw tensor files each block's `source.files` must name, in load order.
+PARAM_FILES = {
+    "encoder": ("conv1_kernel", "conv1_bias", "conv2_kernel", "conv2_bias"),
+    "igs": ("kernel", "bias", "point_weights"),
+    "depth": ("kernel", "bias"),
+    "attention": ("offset_weights", "attn_weights"),
+    "head": ("weights", "bias"),
+}
+
+
 @dataclass(frozen=True)
 class ParamSource:
-    """Where a parameter block comes from: seeded generation or raw tensor files."""
+    """Where a parameter block comes from: seeded generation or raw tensor files.
+
+    Files take precedence; with neither set, the pipeline seed generates it.
+    """
 
     seed: int | None = None
     files: dict[str, Path] | None = None
-
-    @classmethod
-    def from_json(cls, obj, base_dir: Path) -> "ParamSource":
-        if obj is None:
-            return cls()
-        if "files" in obj:
-            files = {
-                str(k): (base_dir / v if not Path(v).is_absolute() else Path(v))
-                for k, v in obj["files"].items()
-            }
-            for name, path in files.items():
-                if not path.is_file():
-                    raise ValueError(f"parameter file '{name}' missing: {path}")
-            return cls(files=files)
-        if "seed" in obj:
-            return cls(seed=int(obj["seed"]))
-        raise ValueError("parameter source must carry 'seed' or 'files'")
 
 
 @dataclass(frozen=True)
@@ -97,6 +78,8 @@ class TStarSource:
             raise ValueError("t_star needs exactly one of 'fixed' or 'population_dir'")
         if self.fixed is not None and not 0.0 < self.fixed <= 1.0:
             raise ValueError(f"fixed t_star must lie in (0, 1], got {self.fixed}")
+        if self.bins < 1:
+            raise ValueError("bins must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -124,10 +107,18 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.n_z < 1:
             raise ValueError("n_z must be >= 1")
-        if self.igs_k < 1 or self.attn_k < 1:
-            raise ValueError("sampling point counts must be >= 1")
+        if self.attn_k < 1:
+            raise ValueError("attention.k_points must be >= 1")
+        try:
+            kernel_grid(self.igs_k)
+        except ValueError as exc:
+            raise ValueError(f"igs.k_points: {exc}") from exc
         if min(self.encoder_channels) < 1:
-            raise ValueError("encoder channels must be >= 1")
+            raise ValueError("encoder.channels must be >= 1")
+        if self.depth_c_ctx < 1 or self.depth_bins < 1:
+            raise ValueError("depth.c_ctx and depth.bins must be >= 1")
+        # One bin checks d_min < d_max without allocating depth_bins centres.
+        depth_bin_centers(self.depth_min, self.depth_max, 1)
 
     @classmethod
     def from_json_file(cls, path, seed_override: int | None = None) -> "PipelineConfig":
@@ -140,73 +131,46 @@ class PipelineConfig:
     def from_dict(
         cls, obj: dict, base_dir: Path = Path("."), seed_override: int | None = None
     ) -> "PipelineConfig":
-        kwargs: dict = {}
-        if "seed" in obj:
-            kwargs["seed"] = int(obj["seed"])
+        """Parse the JSON form; relative paths resolve against `base_dir`.
+
+        A bad key or value raises ValueError naming its dotted key path.
+        """
+        file = json_path(base_dir, Path.is_file, "file")
+        pop_dir = json_path(base_dir, Path.is_dir, "directory")
+        t_star = json_block({"fixed": float, "population_dir": pop_dir, "bins": int}, TStarSource)
+        # Blocks whose keys become the fields "<block>_<key>", both abbreviated by
+        # `short`; each also takes the "source" of its parameters.
+        nested = {
+            "encoder": {"channels": json_list(int, 2)},
+            "igs": {"k_points": int},
+            "depth": {"c_ctx": int, "bins": int, "d_min": float, "d_max": float},
+            "attention": {"k_points": int},
+            "head": {},
+        }
+        for name, table in nested.items():
+            files = json_block(dict.fromkeys(PARAM_FILES[name], file), required=True)
+            table["source"] = json_block({"seed": int, "files": files}, ParamSource)
+        short = {"attention": "attn", "k_points": "k", "d_min": "min", "d_max": "max"}
+        fields = json_block(
+            {
+                "seed": int,
+                "estimator": json_block(
+                    {"stages": int, "blur_kernel": int, "floor": float}, EstimatorConfig
+                ),
+                "illumination_file": file,
+                "t_star": lambda v, p: t_star({"fixed": v} if type(v) in (int, float) else v, p),
+                "n_z": int,
+                "loss": json_block(dict.fromkeys(("alpha", "beta", "gamma"), float), LossConfig),
+                "disable_idp": bool,
+                **{name: json_block(table) for name, table in nested.items()},
+            }
+        )(obj, "")
+        kwargs = {key: value for key, value in fields.items() if key not in nested}
+        for name in nested.keys() & fields.keys():
+            for key, value in fields[name].items():
+                kwargs[f"{short.get(name, name)}_{short.get(key, key)}"] = value
         if seed_override is not None:
             kwargs["seed"] = int(seed_override)
-        if "estimator" in obj:
-            kwargs["estimator"] = EstimatorConfig(**obj["estimator"])
-        if obj.get("illumination_file"):
-            p = Path(obj["illumination_file"])
-            p = p if p.is_absolute() else base_dir / p
-            if not p.is_file():
-                raise ValueError(f"illumination file missing: {p}")
-            kwargs["illumination_file"] = p
-        if "t_star" in obj:
-            ts = obj["t_star"]
-            if isinstance(ts, (int, float)):
-                kwargs["t_star"] = TStarSource(fixed=float(ts))
-            elif "fixed" in ts:
-                kwargs["t_star"] = TStarSource(fixed=float(ts["fixed"]))
-            else:
-                pop = Path(ts["population_dir"])
-                pop = pop if pop.is_absolute() else base_dir / pop
-                if not pop.is_dir():
-                    raise ValueError(f"population directory missing: {pop}")
-                kwargs["t_star"] = TStarSource(
-                    population_dir=pop, bins=int(ts.get("bins", 256))
-                )
-        if "encoder" in obj:
-            enc = obj["encoder"]
-            if "channels" in enc:
-                ch = enc["channels"]
-                if len(ch) != 2:
-                    raise ValueError("encoder channels must be a [c1, c2] pair")
-                kwargs["encoder_channels"] = (int(ch[0]), int(ch[1]))
-            kwargs["encoder_source"] = ParamSource.from_json(enc.get("source"), base_dir)
-        if "igs" in obj:
-            igs = obj["igs"]
-            if "k_points" in igs:
-                kwargs["igs_k"] = int(igs["k_points"])
-            kwargs["igs_source"] = ParamSource.from_json(igs.get("source"), base_dir)
-        if "depth" in obj:
-            dep = obj["depth"]
-            for src, dst in (
-                ("c_ctx", "depth_c_ctx"),
-                ("bins", "depth_bins"),
-            ):
-                if src in dep:
-                    kwargs[dst] = int(dep[src])
-            for src, dst in (("d_min", "depth_min"), ("d_max", "depth_max")):
-                if src in dep:
-                    kwargs[dst] = float(dep[src])
-            kwargs["depth_source"] = ParamSource.from_json(dep.get("source"), base_dir)
-        if "attention" in obj:
-            att = obj["attention"]
-            if "k_points" in att:
-                kwargs["attn_k"] = int(att["k_points"])
-            kwargs["attn_source"] = ParamSource.from_json(att.get("source"), base_dir)
-        if "head" in obj:
-            kwargs["head_source"] = ParamSource.from_json(
-                obj["head"].get("source"), base_dir
-            )
-        if "n_z" in obj:
-            kwargs["n_z"] = int(obj["n_z"])
-        if "loss" in obj:
-            kwargs["loss"] = LossConfig(**obj["loss"])
-        if "disable_idp" in obj:
-            kwargs["disable_idp"] = bool(obj["disable_idp"])
         return cls(**kwargs)
 
 
@@ -250,13 +214,18 @@ def _load_matrix(path, rows: int, cols: int, what: str) -> np.ndarray:
     return t.data[0].astype(np.float64)
 
 
+def _files(src: ParamSource, block: str) -> list[Path]:
+    return [src.files[name] for name in PARAM_FILES[block]]
+
+
 def build_params(pc: PipelineConfig, n_cla: int, grid_z: int) -> ResolvedParams:
     """Load or deterministically generate every parameter block."""
     c1, c2 = pc.encoder_channels
     src = pc.encoder_source
     if src.files is not None:
-        enc1 = ConvParams.load(src.files["conv1_kernel"], src.files["conv1_bias"])
-        enc2 = ConvParams.load(src.files["conv2_kernel"], src.files["conv2_bias"])
+        k1, b1, k2, b2 = _files(src, "encoder")
+        enc1 = ConvParams.load(k1, b1)
+        enc2 = ConvParams.load(k2, b2)
         if enc1.in_channels != 3 or enc1.out_channels != c1 or enc2.in_channels != c1:
             raise ValueError("encoder parameter shapes disagree with the config")
         c2 = enc2.out_channels
@@ -267,8 +236,9 @@ def build_params(pc: PipelineConfig, n_cla: int, grid_z: int) -> ResolvedParams:
 
     src = pc.igs_source
     if src.files is not None:
-        igs_conv = ConvParams.load(src.files["kernel"], src.files["bias"])
-        point_w = _load_vector(src.files["point_weights"], pc.igs_k, "point weights")
+        kernel, bias, points = _files(src, "igs")
+        igs_conv = ConvParams.load(kernel, bias)
+        point_w = _load_vector(points, pc.igs_k, "point weights")
     else:
         rng = _rng(pc, src, 2)
         igs_conv = _gen_conv(rng, 3 * pc.igs_k, 1, 3)
@@ -276,13 +246,13 @@ def build_params(pc: PipelineConfig, n_cla: int, grid_z: int) -> ResolvedParams:
 
     src = pc.depth_source
     if src.files is not None:
-        depth_conv = ConvParams.load(src.files["kernel"], src.files["bias"])
+        depth_conv = ConvParams.load(*_files(src, "depth"))
     else:
         depth_conv = _gen_conv(_rng(pc, src, 3), pc.depth_c_ctx + pc.depth_bins, c2, 1)
 
     src = pc.attn_source
     if src.files is not None:
-        attn = AttentionParams.load(src.files["offset_weights"], src.files["attn_weights"])
+        attn = AttentionParams.load(*_files(src, "attention"))
     else:
         rng = _rng(pc, src, 4)
         attn = AttentionParams(
@@ -293,8 +263,9 @@ def build_params(pc: PipelineConfig, n_cla: int, grid_z: int) -> ResolvedParams:
     src = pc.head_source
     head_out = grid_z * n_cla
     if src.files is not None:
-        head_w = _load_matrix(src.files["weights"], head_out, pc.depth_c_ctx, "head weights")
-        head_b = _load_vector(src.files["bias"], head_out, "head bias")
+        weights, bias = _files(src, "head")
+        head_w = _load_matrix(weights, head_out, pc.depth_c_ctx, "head weights")
+        head_b = _load_vector(bias, head_out, "head bias")
     else:
         rng = _rng(pc, src, 5)
         head_w = rng.normal(0.0, 1.0 / np.sqrt(pc.depth_c_ctx), size=(head_out, pc.depth_c_ctx))
@@ -342,6 +313,35 @@ def encode_image(x: Tensor3, enc1: ConvParams, enc2: ConvParams) -> Tensor3:
     """Two 3x3 convolutions, each followed by stride-2 average pooling."""
     f1 = _avg_pool2(conv2d_replicate(x, enc1))
     return _avg_pool2(conv2d_replicate(f1, enc2))
+
+
+def illumination_map(pc: PipelineConfig, image: Tensor3) -> Tensor3:
+    """The map every later stage reads: `pc.illumination_file`, else estimated."""
+    if pc.illumination_file is not None:
+        return load_illumination(pc.illumination_file, pc.estimator.floor)
+    return estimate_illumination(image, pc.estimator)
+
+
+def enhance_stage(
+    pc: PipelineConfig, image: Tensor3
+) -> tuple[Tensor3, float, float, Tensor3, bool]:
+    """Illumination map, t*, factor lambda, selectively enhanced image, branch flag."""
+    illum = illumination_map(pc, image)
+    t_star = resolve_t_star(pc)
+    lam = illumination_factor(illum)
+    enhanced_img, flag = selective_enhance(image, illum, t_star)
+    return illum, t_star, lam, enhanced_img, flag
+
+
+def igs_stage(
+    pc: PipelineConfig, params: ResolvedParams, illum: Tensor3, f_img: Tensor3
+) -> tuple[Tensor3, Tensor3, Tensor3, Tensor3]:
+    """Illumination-guided sampling: I', guidance, modulated offsets, warped feature."""
+    i_prime, g = build_guidance(illum, f_img.height, f_img.width, pc.estimator.floor)
+    dp, dw = generate_offsets(i_prime, params.igs_conv, pc.igs_k)
+    dp_mod = modulate_offsets(dp, g)
+    warped = guided_warp(f_img, dp_mod, dw, params.igs_point_weights)
+    return i_prime, g, dp_mod, warped
 
 
 @dataclass
@@ -433,17 +433,9 @@ def run_pipeline(
     stages = _Stages()
 
     # Selective enhancement.
-    def _enhance():
-        if pc.illumination_file is not None:
-            illum = load_illumination(pc.illumination_file, pc.estimator.floor)
-        else:
-            illum = estimate_illumination(bundle.image, pc.estimator)
-        t_star = resolve_t_star(pc)
-        lam = illumination_factor(illum)
-        enhanced_img, flag = selective_enhance(bundle.image, illum, t_star)
-        return illum, t_star, lam, enhanced_img, flag
-
-    illum, t_star, lam, enhanced_img, enhanced = stages.run("enhance", _enhance)
+    illum, t_star, lam, enhanced_img, enhanced = stages.run(
+        "enhance", enhance_stage, pc, bundle.image
+    )
     write_ppm(enhanced_img, out / "enhanced.ppm")
     manifest.append("enhanced.ppm")
     if dump_intermediates:
@@ -456,16 +448,9 @@ def run_pipeline(
         dump_tensor(f_img, "f_img.rt")
 
     # Illumination-guided deformable sampling.
-    def _guided():
-        i_prime, g = build_guidance(
-            illum, f_img.height, f_img.width, pc.estimator.floor
-        )
-        dp, dw = generate_offsets(i_prime, params.igs_conv, pc.igs_k)
-        dp_mod = modulate_offsets(dp, g)
-        warped = guided_warp(f_img, dp_mod, dw, params.igs_point_weights)
-        return i_prime, g, dp_mod, warped
-
-    i_prime, guidance, dp_mod, f_warped = stages.run("guided_sampling", _guided)
+    i_prime, guidance, dp_mod, f_warped = stages.run(
+        "guided_sampling", igs_stage, pc, params, illum, f_img
+    )
     if dump_intermediates:
         dump_tensor(i_prime, "i_prime.rt")
         dump_tensor(guidance, "guidance.rt")
@@ -560,9 +545,7 @@ def run_pipeline(
         timings=stages.timings,
         manifest=manifest,
     )
-    with open(out / REPORT_FILE, "w", encoding="ascii") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(report.to_dict(), out / REPORT_FILE)
     return report
 
 
@@ -601,14 +584,6 @@ def eval_batch(scene_dirs, pc: PipelineConfig, out_dir) -> IoUReport:
 
     aggregate = report_from_counts(inter, union, class_names)
     write_iou_csv(aggregate, out / "aggregate.csv")
-    with open(out / "eval.json", "w", encoding="ascii") as fh:
-        json.dump(
-            {
-                "scenes": [{"dir": d, "miou": m} for d, m in rows],
-                "aggregate_miou": aggregate.miou,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    scenes = [{"dir": d, "miou": m} for d, m in rows]
+    write_json({"scenes": scenes, "aggregate_miou": aggregate.miou}, out / "eval.json")
     return aggregate

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Tensor3, read_raw_tensor, write_raw_tensor
+from .core import Tensor3, json_block, json_list, read_raw_tensor, write_json, write_raw_tensor
 from .formats import read_ppm, write_pgm, write_ppm
 from .geometry import BevSpec, CameraMatrix
 from .illumination import ILLUMINATION_FLOOR
@@ -105,31 +105,29 @@ class SceneConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SceneConfig":
-        kwargs: dict = {}
-        for key in ("seed", "height", "width", "random_boxes"):
-            if key in obj:
-                kwargs[key] = int(obj[key])
-        if "bev" in obj:
-            kwargs["bev"] = BevSpec.from_dict(obj["bev"])
-        if "classes" in obj:
-            kwargs["classes"] = tuple(str(n) for n in obj["classes"])
-        if "boxes" in obj:
-            kwargs["boxes"] = tuple(
-                Box(tuple(b["center"]), tuple(b["size"]), int(b["cls"]))
-                for b in obj["boxes"]
-            )
-        if "lights" in obj:
-            kwargs["lights"] = tuple(
-                Light(
-                    float(l["u"]), float(l["v"]),
-                    float(l["intensity"]), float(l["radius"]),
-                )
-                for l in obj["lights"]
-            )
-        for key in ("ambient", "camera_height", "focal"):
-            if key in obj and obj[key] is not None:
-                kwargs[key] = float(obj[key])
-        return cls(**kwargs)
+        """Parse the JSON form; unknown keys and bad values raise ValueError."""
+        return _SCENE_BLOCK(obj, "")
+
+
+_XYZ = json_list(float, 3)
+_BOX = json_block({"center": _XYZ, "size": _XYZ, "cls": int}, Box, required=True)
+_LIGHT = json_block(dict.fromkeys(("u", "v", "intensity", "radius"), float), Light, required=True)
+_SCENE_BLOCK = json_block(
+    {
+        "seed": int,
+        "height": int,
+        "width": int,
+        "bev": BevSpec.from_dict,
+        "classes": json_list(str),
+        "boxes": json_list(_BOX),
+        "random_boxes": int,
+        "lights": json_list(_LIGHT),
+        "ambient": float,
+        "camera_height": float,
+        "focal": float,
+    },
+    SceneConfig,
+)
 
 
 @dataclass(frozen=True)
@@ -290,9 +288,7 @@ def save_scene(bundle: SceneBundle, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_ppm(bundle.image, out / "image.ppm")
-    with open(out / "camera.json", "w", encoding="ascii") as fh:
-        json.dump({"matrix": bundle.camera.to_list()}, fh, indent=2)
-        fh.write("\n")
+    write_json({"matrix": bundle.camera.to_list()}, out / "camera.json")
     grid = bundle.occupancy.labels.transpose(2, 0, 1).astype(np.float64)
     write_raw_tensor(Tensor3(grid), out / "occupancy_gt.rt", dtype="f32")
     write_raw_tensor(bundle.illumination_gt, out / "illumination_gt.rt", dtype="f32")
@@ -310,9 +306,7 @@ def save_scene(bundle: SceneBundle, out_dir) -> dict:
             "illumination_preview": "illumination_gt.pgm",
         },
     }
-    with open(out / SCENE_FILE, "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(manifest, out / SCENE_FILE)
     return manifest
 
 

@@ -242,3 +242,23 @@ class TestEntryPoint:
         assert proc.returncode == 0
         for sub in ("gen-scene", "enhance", "threshold", "igs", "illum-field", "pipeline", "eval"):
             assert sub in proc.stdout
+
+
+class TestSubcommandsMatchPipeline:
+    def test_outputs_equal_pipeline_intermediates(self, tmp_path, pipeline_config, scene):
+        full = tmp_path / "full"
+        common = ["--config", str(pipeline_config), "--out"]
+        dump = ["--scene", str(scene), "--dump-intermediates"]
+        assert main(["pipeline", *common, str(full), *dump]) == 0
+        runs = {
+            "enhance": (
+                ["--image", str(scene / "image.ppm")],
+                ("enhanced.ppm", "illumination.pgm", "illumination.rt"),
+            ),
+            "igs": (["--scene", str(scene)], ("guidance.pgm", "offset_mag.pgm", "f_warped.rt")),
+            "illum-field": (["--scene", str(scene)], ("s_field.rt", "s_field.pgm")),
+        }
+        for cmd, (extra, files) in runs.items():
+            assert main([cmd, *common, str(tmp_path / cmd), *extra]) == 0
+            for name in files:
+                assert (tmp_path / cmd / name).read_bytes() == (full / name).read_bytes(), name

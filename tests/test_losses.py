@@ -132,3 +132,12 @@ class TestTotalLoss:
     def test_rejects_non_finite_terms(self):
         with pytest.raises(ValueError, match="finite"):
             total_loss(float("inf"), 0.0, 0.0)
+
+
+def test_loss_only_path_equals_gradient_path_exactly():
+    rng = np.random.default_rng(7)
+    for n_vox, n_cla in ((1, 2), (37, 4), (500, 9)):
+        logits = rng.normal(0.0, 5.0, size=(n_vox, n_cla))
+        labels = rng.integers(0, n_cla, size=n_vox)
+        weights = rng.uniform(0.0, 3.0, size=n_cla)
+        assert weighted_ce(logits, labels, weights) == weighted_ce_grad(logits, labels, weights)[0]
