@@ -190,7 +190,9 @@ def residual_query(
     Each cell center is lifted to n_z heights and projected into the image;
     in-view references gather K bilinear samples of the context feature at
     query-predicted offsets, combined with softmax attention and summed over
-    heights. Invalid or out-of-view references contribute zero.
+    heights. References behind the camera or outside the feature map are
+    skipped: nothing is sampled for them, and a cell with none in view
+    reads +0.0.
     """
     nx, ny = spec.nx, spec.ny
     if (q.height, q.width) != (nx, ny):
@@ -217,19 +219,27 @@ def residual_query(
         & (iv <= f_ctx.height - 1)
     )
 
+    out = np.zeros((f_ctx.channels, nx * ny), dtype=np.float64)
+    cell, height = np.nonzero(in_view)  # in-view references, (cell, height) order
+    if cell.size == 0:
+        return Tensor3(out.reshape(f_ctx.channels, nx, ny))
+
+    # Offsets and attention come from one product over the whole grid: on a
+    # column subset BLAS and the softmax sum may pick another summation
+    # order, which changes the last bit.
     q_flat = q.data.reshape(q.channels, nx * ny).astype(np.float64, copy=False)
     off = params.offset_weights @ q_flat  # (2K, cells)
-    logits = params.attn_weights @ q_flat  # (K, cells)
-    attn = _softmax(logits, axis=0)
+    attn = _softmax(params.attn_weights @ q_flat, axis=0)  # (K, cells)
 
-    du = off[0::2]  # (K, cells)
-    dv = off[1::2]
-    us = u[:, :, None] + du.T[:, None, :]  # (cells, n_z, K)
-    vs = v[:, :, None] + dv.T[:, None, :]
-    sampled = bilinear_sample_many(f_ctx, us, vs)  # (C, cells, n_z, K)
-
-    gate = in_view.astype(np.float64)
-    out = np.einsum("cxjk,kx,xj->cx", sampled, attn, gate)
+    us = u[cell, height][:, None] + off[0::2, cell].T  # (refs, K)
+    vs = v[cell, height][:, None] + off[1::2, cell].T
+    terms = bilinear_sample_many(f_ctx, us, vs) * attn[:, cell].T  # (C, refs, K)
+    # bincount adds each cell's terms one by one in (height, point) order,
+    # so every cell gets the same bits as a sum over all n_z * K terms in
+    # which the skipped ones were exact zeros.
+    flat_cell = np.repeat(cell, k_points)
+    for c in range(f_ctx.channels):
+        out[c] = np.bincount(flat_cell, weights=terms[c].ravel(), minlength=nx * ny)
     return Tensor3(out.reshape(f_ctx.channels, nx, ny))
 
 

@@ -45,11 +45,12 @@ class CameraMatrix:
 
     @classmethod
     def from_json_file(cls, path) -> "CameraMatrix":
+        """Read `{"matrix": [12 numbers, row-major]}`; errors name the file and key."""
         with open(path, "r", encoding="ascii") as fh:
-            obj = json.load(fh)
-        if not isinstance(obj, dict) or "matrix" not in obj:
-            raise ValueError("camera file must be a JSON object with a 'matrix' key")
-        return cls.from_list(obj["matrix"])
+            try:
+                return _CAMERA_BLOCK(json.load(fh), "")
+            except ValueError as exc:  # bad JSON too
+                raise ValueError(f"{path}: {exc}") from exc
 
     def to_list(self) -> list[float]:
         return [float(v) for v in self.matrix.ravel()]
@@ -132,6 +133,9 @@ class BevSpec:
         }
 
 
+_CAMERA_BLOCK = json_block(
+    {"matrix": json_list(float, 12)}, lambda matrix: CameraMatrix.from_list(matrix), required=True
+)
 _RANGE = json_list(float, 2)
 _BEV_BLOCK = json_block(
     {"x_range": _RANGE, "y_range": _RANGE, "z_range": _RANGE, "voxel": float}, BevSpec

@@ -14,7 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Tensor3, json_block, json_list, read_raw_tensor, write_json, write_raw_tensor
+from .core import (
+    Tensor3,
+    json_block,
+    json_list,
+    json_path,
+    read_raw_tensor,
+    write_json,
+    write_raw_tensor,
+)
 from .formats import read_ppm, write_pgm, write_ppm
 from .geometry import BevSpec, CameraMatrix
 from .illumination import ILLUMINATION_FLOOR
@@ -311,23 +319,47 @@ def save_scene(bundle: SceneBundle, out_dir) -> dict:
 
 
 def load_scene(scene_dir) -> SceneBundle:
-    """Load a scene directory written by `save_scene`."""
+    """Load a scene directory written by `save_scene`.
+
+    scene.json parses strictly: a missing, unknown or mistyped key, or a
+    named file that does not exist, raises ValueError naming the manifest and
+    the dotted key path (e.g. `files.camera: missing`).
+    """
     root = Path(scene_dir)
+    file = json_path(root, Path.is_file, "file")
+    read = dict.fromkeys(("image", "camera", "occupancy", "illumination"), file)
+    manifest_block = json_block(
+        {
+            "height": int,
+            "width": int,
+            "bev": BevSpec.from_dict,
+            "classes": json_list(str),
+            "files": json_block({**read, "illumination_preview": str}, required=True),
+        },
+        required=True,
+    )
     with open(root / SCENE_FILE, "r", encoding="ascii") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = manifest_block(json.load(fh), "")
+        except ValueError as exc:  # bad JSON too
+            raise ValueError(f"{root / SCENE_FILE}: {exc}") from exc
     files = manifest["files"]
-    image = read_ppm(root / files["image"])
-    camera = CameraMatrix.from_json_file(root / files["camera"])
-    spec = BevSpec.from_dict(manifest["bev"])
-    classes = tuple(str(n) for n in manifest["classes"])
-    grid_t = read_raw_tensor(root / files["occupancy"])
+    image = read_ppm(files["image"])
+    if (image.height, image.width) != (manifest["height"], manifest["width"]):
+        raise ValueError(
+            f"{root / SCENE_FILE}: height x width {manifest['height']}x{manifest['width']}"
+            f" does not match the {image.height}x{image.width} image"
+        )
+    camera = CameraMatrix.from_json_file(files["camera"])
+    classes = manifest["classes"]
+    grid_t = read_raw_tensor(files["occupancy"])
     labels = np.rint(grid_t.data.astype(np.float64)).astype(np.int64).transpose(1, 2, 0)
-    illumination = read_raw_tensor(root / files["illumination"])
+    illumination = read_raw_tensor(files["illumination"])
     return SceneBundle(
         image=image,
         camera=camera,
         occupancy=OccupancyGrid(labels, classes),
         illumination_gt=Tensor3(illumination.data.astype(np.float64)),
-        bev=spec,
+        bev=manifest["bev"],
         classes=classes,
     )

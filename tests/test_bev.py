@@ -3,7 +3,10 @@ and illumination-weighted refinement."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+import nightbev.bev
 from nightbev.bev import (
     AttentionParams,
     DepthContext,
@@ -13,8 +16,8 @@ from nightbev.bev import (
     refine_bev,
     residual_query,
 )
-from nightbev.core import PixelCoord, Tensor3, bilinear_sample
-from nightbev.geometry import BevSpec, CameraMatrix, sample_heights
+from nightbev.core import PixelCoord, Tensor3, bilinear_sample, bilinear_sample_many
+from nightbev.geometry import BevSpec, CameraMatrix, project_points, sample_heights
 from nightbev.guided_sampling import ConvParams
 
 
@@ -249,6 +252,170 @@ class TestResidualQuery:
                 2,
                 zero_attention(2, 2),
             )
+
+
+def dense_residual_query(q, f_ctx, m, spec, n_z, params):
+    """Reference: sample every (cell, height, point) and gate out-of-view terms to zero.
+
+    Returns the residual (C, nx, ny) and the (cells, n_z) in-view gate.
+    """
+    nx, ny = spec.nx, spec.ny
+    heights = sample_heights(spec, n_z)
+    gx, gy, gz = np.meshgrid(spec.x_centers(), spec.y_centers(), heights, indexing="ij")
+    pts = np.stack([gx, gy, gz], axis=-1).reshape(nx * ny, n_z, 3)
+    u, v, _, valid = project_points(m, pts)
+    iu = np.floor(u)
+    iv = np.floor(v)
+    in_view = (
+        valid
+        & (iu >= 0)
+        & (iu <= f_ctx.width - 1)
+        & (iv >= 0)
+        & (iv <= f_ctx.height - 1)
+    )
+
+    q_flat = q.data.reshape(q.channels, nx * ny).astype(np.float64, copy=False)
+    off = params.offset_weights @ q_flat  # (2K, cells)
+    logits = params.attn_weights @ q_flat  # (K, cells)
+    shifted = logits - logits.max(axis=0, keepdims=True)
+    e = np.exp(shifted)
+    attn = e / e.sum(axis=0, keepdims=True)
+
+    du = off[0::2]  # (K, cells)
+    dv = off[1::2]
+    us = u[:, :, None] + du.T[:, None, :]  # (cells, n_z, K)
+    vs = v[:, :, None] + dv.T[:, None, :]
+    sampled = bilinear_sample_many(f_ctx, us, vs)  # (C, cells, n_z, K)
+
+    gate = in_view.astype(np.float64)
+    out = np.einsum("cxjk,kx,xj->cx", sampled, attn, gate)
+    return out.reshape(f_ctx.channels, nx, ny), in_view
+
+
+def overhead_camera(spec: BevSpec, h: int, w: int, f_scale=1.0, du=0.0, dv=0.0):
+    """A camera above the grid looking down; at f_scale 1 it puts every
+    reference of the grid inside an h x w feature map."""
+    xc, yc = np.mean(spec.x_range), np.mean(spec.y_range)
+    top = spec.z_range[1] + 5.0
+    half_x = (spec.x_range[1] - spec.x_range[0]) / 2
+    half_y = (spec.y_range[1] - spec.y_range[0]) / 2
+    f = 0.9 * min(w / (2 * half_x), h / (2 * half_y)) * (top - spec.z_range[1]) * f_scale
+    cu, cv = w / 2 + du, h / 2 + dv
+    return CameraMatrix(
+        [
+            [f, 0.0, -cu, -f * xc + cu * top],
+            [0.0, -f, -cv, f * yc + cv * top],
+            [0.0, 0.0, -1.0, top],
+        ]
+    )
+
+
+def residual_case(seed, cells, n_z, k_points, channels, hw, camera, offset_scale=1.0):
+    rng = np.random.default_rng(seed)
+    spec = BevSpec(
+        x_range=(-1.0, -1.0 + 0.5 * cells[0]),
+        y_range=(2.0, 2.0 + 0.5 * cells[1]),
+        z_range=(-1.0, 2.0),
+        voxel=0.5,
+    )
+    q_c, f_c = channels
+    q = Tensor3(rng.normal(size=(q_c, spec.nx, spec.ny)))
+    f_ctx = Tensor3(rng.normal(size=(f_c, *hw)))
+    params = AttentionParams(
+        offset_scale * rng.normal(size=(2 * k_points, q_c)),
+        rng.normal(size=(k_points, q_c)) * rng.uniform(0.0, 4.0),
+    )
+    return q, f_ctx, camera(spec, *hw), spec, n_z, params
+
+
+def assert_matches_dense(q, f_ctx, m, spec, n_z, params):
+    """Bit equality with the reference; cells with no in-view reference read +0.0."""
+    out = residual_query(q, f_ctx, m, spec, n_z, params).data
+    expected, in_view = dense_residual_query(q, f_ctx, m, spec, n_z, params)
+    assert out.tobytes() == expected.tobytes()
+    dark = ~in_view.any(axis=1).reshape(spec.nx, spec.ny)
+    assert (out[:, dark] == 0.0).all() and not np.signbit(out[:, dark]).any()
+    return in_view
+
+
+class TestResidualQueryOracle:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        cells=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        n_z=st.integers(1, 6),
+        k_points=st.integers(1, 10),
+        channels=st.tuples(st.integers(1, 9), st.integers(1, 5)),
+        hw=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        f_scale=st.floats(0.2, 6.0),
+        shift=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+        tilt=st.floats(-0.3, 0.3),
+        offset_scale=st.sampled_from([0.0, 0.3, 3.0, 1e3]),
+    )
+    @example(0, (4, 4), 3, 4, (3, 2), (6, 8), 1.0, (0.0, 0.0), 0.0, 1.0)
+    def test_bytes_equal_dense_reference(
+        self, seed, cells, n_z, k_points, channels, hw, f_scale, shift, tilt, offset_scale
+    ):
+        def camera(spec, h, w):
+            m = overhead_camera(spec, h, w, f_scale, *shift).matrix.copy()
+            m[2, 0] = tilt  # leans the image plane: depth varies across the grid
+            return CameraMatrix(m)
+
+        assert_matches_dense(
+            *residual_case(seed, cells, n_z, k_points, channels, hw, camera, offset_scale)
+        )
+
+    def test_no_reference_in_view(self):
+        def looking_up(spec, h, w):
+            m = overhead_camera(spec, h, w).matrix.copy()
+            m[2] = [0.0, 0.0, 1.0, -10.0]  # depth z - 10 < 0 for every height
+            return CameraMatrix(m)
+
+        case = residual_case(5, (5, 4), 4, 4, (3, 2), (6, 6), looking_up)
+        assert not assert_matches_dense(*case).any()
+        out = residual_query(*case).data
+        assert out.tobytes() == np.zeros_like(out).tobytes()
+
+    def test_every_reference_in_view(self):
+        case = residual_case(7, (6, 5), 5, 4, (3, 3), (9, 12), overhead_camera)
+        assert assert_matches_dense(*case).all()
+
+    def test_offsets_push_samples_off_the_map(self):
+        case = residual_case(9, (6, 5), 4, 4, (3, 2), (5, 7), overhead_camera, 1e4)
+        assert assert_matches_dense(*case).all()
+        # Every sample misses the map, so the in-view references add zeros.
+        np.testing.assert_array_equal(residual_query(*case).data, 0.0)
+
+
+class TestResidualQueryWork:
+    @pytest.fixture
+    def sampled_points(self, monkeypatch):
+        calls = []
+
+        def counting(f, u, v):
+            calls.append(np.broadcast(np.asarray(u), np.asarray(v)).size)
+            return bilinear_sample_many(f, u, v)
+
+        monkeypatch.setattr(nightbev.bev, "bilinear_sample_many", counting)
+        return calls
+
+    def test_samples_only_in_view_references(self, sampled_points):
+        # A camera fitted to the centre 4 x 4 cells sees only part of the grid.
+        def centre_camera(spec, h, w):
+            centre = BevSpec(x_range=(0.0, 2.0), y_range=(3.0, 5.0), z_range=(-1.0, 2.0), voxel=0.5)
+            return overhead_camera(centre, h, w)
+
+        case = residual_case(11, (10, 10), 4, 3, (2, 2), (6, 6), centre_camera)
+        residual_query(*case)
+        _, in_view = dense_residual_query(*case)
+        assert 0 < in_view.sum() < in_view.size
+        assert 0 < sum(sampled_points) <= case[-1].k_points * int(in_view.sum())
+
+    def test_no_call_without_in_view_reference(self, sampled_points):
+        spec = BevSpec(x_range=(0, 2), y_range=(-3, -1), z_range=(0, 2), voxel=1.0)
+        q = Tensor3(np.random.default_rng(29).normal(size=(2, spec.nx, spec.ny)))
+        residual_query(q, Tensor3.full(2, 6, 6, 0.5), column_camera(), spec, 4, zero_attention(4, 2))
+        assert sampled_points == []
 
 
 class TestRefineBev:

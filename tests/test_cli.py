@@ -262,3 +262,46 @@ class TestSubcommandsMatchPipeline:
             assert main([cmd, *common, str(tmp_path / cmd), *extra]) == 0
             for name in files:
                 assert (tmp_path / cmd / name).read_bytes() == (full / name).read_bytes(), name
+
+
+def _set(obj, dotted, value):
+    *parents, key = dotted.split(".")
+    for p in parents:
+        obj = obj[p]
+    if value is None:
+        del obj[key]
+    else:
+        obj[key] = value
+
+
+# (file in the scene directory, dotted key, new value or None to delete, text the error names)
+SCENE_FILE_PROBES = [
+    ("camera.json", "matrix", {"a": 1}, "camera.json: matrix: must be an array of 12"),
+    ("camera.json", "matrix", [1.0] * 11, "matrix: must be an array of 12"),
+    ("camera.json", "matrix", None, "matrix: missing"),
+    ("camera.json", "focal", 2.0, "focal: unknown key"),
+    ("scene.json", "classes", "ab", "classes: must be an array"),
+    ("scene.json", "files", None, "scene.json: files: missing"),
+    ("scene.json", "files.camera", None, "files.camera: missing"),
+    ("scene.json", "files.image", "nope.ppm", "files.image: file missing"),
+    ("scene.json", "bev.voxell", 0.4, "bev.voxell: unknown key"),
+    ("scene.json", "height", 63, "does not match the 64x96 image"),
+]
+
+
+class TestSceneFiles:
+    @pytest.mark.parametrize(
+        "name,key,value,where", SCENE_FILE_PROBES, ids=[w for *_, w in SCENE_FILE_PROBES]
+    )
+    def test_bad_scene_file_exits_2_naming_the_key(
+        self, tmp_path, capsys, pipeline_config, scene, name, key, value, where
+    ):
+        obj = json.loads((scene / name).read_text())
+        _set(obj, key, value)
+        (scene / name).write_text(json.dumps(obj))
+        out = tmp_path / "out"
+        code = main(["pipeline", "--config", str(pipeline_config), "--scene", str(scene), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert where in err and "internal error" not in err
+        assert not out.exists()
