@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Tensor3, bilinear_sample_many, read_raw_tensor
-from .geometry import BevSpec, CameraMatrix, project_points, sample_heights
+from .geometry import BevSpec, CameraMatrix, column_pixels, pixel_centers
 from .guided_sampling import ConvParams, conv2d_replicate
 
 DEPTH_SUM_TOL = 1e-6
@@ -140,17 +140,8 @@ def bev_pool(dc: DepthContext, m: CameraMatrix, spec: BevSpec) -> Tensor3:
     a_inv = np.linalg.inv(m.matrix[:, :3])
     t = m.matrix[:, 3]
 
-    us = np.arange(w, dtype=np.float64) + 0.5
-    vs = np.arange(h, dtype=np.float64) + 0.5
-    uv1 = np.stack(
-        [
-            np.broadcast_to(us[None, :], (h, w)),
-            np.broadcast_to(vs[:, None], (h, w)),
-            np.ones((h, w)),
-        ],
-        axis=0,
-    )  # (3, h, w)
     d = dc.bin_centers
+    uv1 = pixel_centers(h, w)
     rhs = d[:, None, None, None] * uv1[None] - t[None, :, None, None]  # (D, 3, h, w)
     pts = np.einsum("ij,bjhw->bihw", a_inv, rhs)
 
@@ -202,22 +193,8 @@ def residual_query(
             f"attention expects {params.query_channels} query channels, got {q.channels}"
         )
     k_points = params.k_points
-    heights = sample_heights(spec, n_z)
-
-    xs = spec.x_centers()
-    ys = spec.y_centers()
-    gx, gy, gz = np.meshgrid(xs, ys, heights, indexing="ij")
-    pts = np.stack([gx, gy, gz], axis=-1).reshape(nx * ny, n_z, 3)
-    u, v, _, valid = project_points(m, pts)
-    iu = np.floor(u)
-    iv = np.floor(v)
-    in_view = (
-        valid
-        & (iu >= 0)
-        & (iu <= f_ctx.width - 1)
-        & (iv >= 0)
-        & (iv <= f_ctx.height - 1)
-    )
+    u, v, _, _, in_view = column_pixels(m, spec, n_z, f_ctx.height, f_ctx.width)
+    u, v, in_view = (a.reshape(nx * ny, n_z) for a in (u, v, in_view))
 
     out = np.zeros((f_ctx.channels, nx * ny), dtype=np.float64)
     cell, height = np.nonzero(in_view)  # in-view references, (cell, height) order

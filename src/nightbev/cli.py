@@ -103,9 +103,7 @@ def _cmd_illum_field(args) -> int:
 def _cmd_pipeline(args) -> int:
     pc = PipelineConfig.from_json_file(args.config, seed_override=args.seed)
     bundle = load_scene(args.scene)
-    report = run_pipeline(
-        pc, bundle, _out_dir(args), dump_intermediates=args.dump_intermediates
-    )
+    report = run_pipeline(pc, bundle, args.out, dump_intermediates=args.dump_intermediates)
     print(
         f"enhanced={report.enhanced} lambda={report.lam:.4f} "
         f"total_loss={report.total:.4f} ce_per_voxel={report.ce_per_voxel:.4f} "

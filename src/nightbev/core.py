@@ -11,10 +11,11 @@ projection stages.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -80,39 +81,43 @@ class Tensor3:
         return cls(np.full((channels, height, width), float(value)))
 
 
+def _bilinear_corners(f: Tensor3, x0, y0) -> Iterator[np.ndarray]:
+    """The four (C, *coords) corner values around floored positions (x0, y0).
+
+    Pixel centers sit at integer coordinates; corners come one at a time in
+    the order (x0, y0), (x0 + 1, y0), (x0, y0 + 1), (x0 + 1, y0 + 1). The
+    map is padded once with a one-pixel zero border and every corner index
+    is clipped into it, so a corner off the map reads +0.0.
+    """
+    data = f.data.astype(np.float64, copy=False)
+    c, h, w = data.shape
+    padded = np.pad(data, ((0, 0), (1, 1), (1, 1))).reshape(c, -1)
+    cols = [np.clip(x0 + d, -1, w).astype(np.int64) + 1 for d in (0, 1)]
+    rows = [(np.clip(y0 + d, -1, h).astype(np.int64) + 1) * (w + 2) for d in (0, 1)]
+    for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        yield np.take(padded, rows[dy] + cols[dx], axis=1)
+
+
 def bilinear_sample_many(f: Tensor3, u, v) -> np.ndarray:
     """Bilinear interpolation at many continuous positions at once.
 
     `u`/`v` are broadcast-compatible arrays of column/row coordinates; the
     result has shape (C, *coords). Pixel centers sit at integer coordinates;
-    positions outside [0, W-1] x [0, H-1] read virtual zero pixels.
+    positions outside [0, W-1] x [0, H-1] read virtual zero pixels, and a
+    non-finite position reads 0.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    u, v = np.broadcast_arrays(u, v)
-    data = f.data.astype(np.float64, copy=False)
-    c, h, w = data.shape
-
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64))
+    # A non-finite position moves two pixels off the map, where every corner reads 0.
+    u = np.where(np.isfinite(u), u, -2.0)
+    v = np.where(np.isfinite(v), v, -2.0)
     x0 = np.floor(u)
     y0 = np.floor(v)
-    wx = u - x0
-    wy = v - y0
-    x0i = x0.astype(np.int64)
-    y0i = y0.astype(np.int64)
-
-    out = np.zeros((c,) + u.shape, dtype=np.float64)
-    corners = (
-        (0, 0, (1.0 - wx) * (1.0 - wy)),
-        (1, 0, wx * (1.0 - wy)),
-        (0, 1, (1.0 - wx) * wy),
-        (1, 1, wx * wy),
-    )
-    for dx, dy, wgt in corners:
-        xi = x0i + dx
-        yi = y0i + dy
-        m = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-        if m.any():
-            out[:, m] += wgt[m] * data[:, yi[m], xi[m]]
+    wx, wy = u - x0, v - y0
+    ax, ay = 1.0 - wx, 1.0 - wy
+    # Summing into +0.0 keeps a -0.0 corner term from surfacing as -0.0.
+    out = np.zeros((f.channels,) + u.shape, dtype=np.float64)
+    for wgt, corner in zip((ax * ay, wx * ay, ax * wy, wx * wy), _bilinear_corners(f, x0, y0)):
+        out += wgt * corner
     return out
 
 
@@ -132,22 +137,11 @@ def bilinear_sample_grad(
     """
     u = float(at[0])
     v = float(at[1])
-    data = f.data.astype(np.float64, copy=False)
-    c, h, w = data.shape
-    x0 = int(np.floor(u))
-    y0 = int(np.floor(v))
+    x0 = math.floor(u)
+    y0 = math.floor(v)
     wx = u - x0
     wy = v - y0
-
-    def pix(xi: int, yi: int) -> np.ndarray:
-        if 0 <= xi < w and 0 <= yi < h:
-            return data[:, yi, xi]
-        return np.zeros(c, dtype=np.float64)
-
-    f00 = pix(x0, y0)
-    f10 = pix(x0 + 1, y0)
-    f01 = pix(x0, y0 + 1)
-    f11 = pix(x0 + 1, y0 + 1)
+    f00, f10, f01, f11 = _bilinear_corners(f, float(x0), float(y0))
 
     value = (
         (1.0 - wx) * (1.0 - wy) * f00

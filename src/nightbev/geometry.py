@@ -175,6 +175,35 @@ def sample_heights(spec: BevSpec, n_z: int) -> np.ndarray:
     return lo + (np.arange(1, n_z + 1, dtype=np.float64) - 0.5) * step
 
 
+def pixel_centers(height: int, width: int) -> np.ndarray:
+    """Homogeneous (3, height, width) grid of pixel centers (u + 0.5, v + 0.5, 1).
+
+    Pixel (row v, column u) covers [u, u + 1) x [v, v + 1); its ray passes
+    through the middle of that square.
+    """
+    v, u = np.mgrid[0:height, 0:width] + 0.5
+    return np.stack([u, v, np.ones_like(u)])
+
+
+def column_pixels(m: CameraMatrix, spec: BevSpec, n_z: int, height: int, width: int):
+    """Project every BEV cell center, lifted to n_z heights, into a height x width map.
+
+    Returns (u, v, iu, iv, in_map), each of shape (X, Y, n_z): the projected
+    position, its floor (float; the pixel index where `in_map` holds) and
+    whether the sample lies in front of the camera and its floored pixel
+    inside the map (pixel i covers [i, i + 1)).
+    """
+    pts = np.empty((spec.nx, spec.ny, n_z, 3))
+    pts[..., 0] = spec.x_centers()[:, None, None]
+    pts[..., 1] = spec.y_centers()[None, :, None]
+    pts[..., 2] = sample_heights(spec, n_z)
+    u, v, _, valid = project_points(m, pts)
+    iu = np.floor(u)
+    iv = np.floor(v)
+    in_map = valid & (iu >= 0) & (iu <= width - 1) & (iv >= 0) & (iv <= height - 1)
+    return u, v, iu, iv, in_map
+
+
 def illumination_field(
     i: Tensor3, m: CameraMatrix, spec: BevSpec, n_z: int = 8
 ) -> np.ndarray:
@@ -187,21 +216,9 @@ def illumination_field(
     """
     if i.channels != 1:
         raise ValueError(f"illumination map must have 1 channel, got {i.channels}")
-    heights = sample_heights(spec, n_z)
-    xs = spec.x_centers()
-    ys = spec.y_centers()
-    gx, gy, gz = np.meshgrid(xs, ys, heights, indexing="ij")
-    pts = np.stack([gx, gy, gz], axis=-1)  # (X, Y, n_z, 3)
-    u, v, _, valid = project_points(m, pts)
-
-    iu = np.floor(u).astype(np.int64)
-    iv = np.floor(v).astype(np.int64)
-    in_image = (
-        valid & (iu >= 0) & (iu <= i.width - 1) & (iv >= 0) & (iv <= i.height - 1)
-    )
-    values = np.zeros_like(u)
-    if in_image.any():
-        values[in_image] = i.data[0, iv[in_image], iu[in_image]]
+    _, _, iu, iv, in_image = column_pixels(m, spec, n_z, i.height, i.width)
+    values = np.zeros(in_image.shape)
+    values[in_image] = i.data[0, iv[in_image].astype(np.int64), iu[in_image].astype(np.int64)]
     counts = in_image.sum(axis=-1)
     sums = values.sum(axis=-1)
     return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)

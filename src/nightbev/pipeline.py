@@ -309,6 +309,9 @@ def _avg_pool2(t: Tensor3) -> Tensor3:
     return Tensor3(d.mean(axis=(2, 4)))
 
 
+ENCODER_STRIDE = 4  # encode_image pools twice by 2
+
+
 def encode_image(x: Tensor3, enc1: ConvParams, enc2: ConvParams) -> Tensor3:
     """Two 3x3 convolutions, each followed by stride-2 average pooling."""
     f1 = _avg_pool2(conv2d_replicate(x, enc1))
@@ -412,6 +415,15 @@ def run_pipeline(
     aux_geo_hook: AuxLossHook | None = None,
 ) -> RunReport:
     """Execute the full pipeline on one scene and write artifacts to out_dir."""
+    n_cla = len(bundle.classes)
+    if n_cla < 2:
+        raise ValueError("pipeline needs at least 2 classes for the prediction head")
+    h, w = bundle.image.height, bundle.image.width
+    if h % ENCODER_STRIDE or w % ENCODER_STRIDE:
+        raise ValueError(f"image {h}x{w}: height and width must be divisible by {ENCODER_STRIDE}")
+    spec = bundle.bev
+    grid_z = spec.nz
+    params = build_params(pc, n_cla, grid_z)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest: list[str] = []
@@ -424,12 +436,6 @@ def run_pipeline(
         write_pgm(data, out / name)
         manifest.append(name)
 
-    n_cla = len(bundle.classes)
-    if n_cla < 2:
-        raise ValueError("pipeline needs at least 2 classes for the prediction head")
-    spec = bundle.bev
-    grid_z = spec.nz
-    params = build_params(pc, n_cla, grid_z)
     stages = _Stages()
 
     # Selective enhancement.

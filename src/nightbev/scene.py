@@ -24,7 +24,7 @@ from .core import (
     write_raw_tensor,
 )
 from .formats import read_ppm, write_pgm, write_ppm
-from .geometry import BevSpec, CameraMatrix
+from .geometry import BevSpec, CameraMatrix, pixel_centers
 from .illumination import ILLUMINATION_FLOOR
 from .metrics import OccupancyGrid
 
@@ -199,13 +199,7 @@ def _raycast_classes(
     a_inv = np.linalg.inv(m[:, :3])
     center = -a_inv @ m[:, 3]
 
-    us, vs = np.meshgrid(
-        np.arange(w, dtype=np.float64) + 0.5,
-        np.arange(h, dtype=np.float64) + 0.5,
-        indexing="xy",
-    )
-    pix = np.stack([us, vs, np.ones_like(us)], axis=0)
-    dirs = np.einsum("ij,jhw->ihw", a_inv, pix)  # world-space ray directions
+    dirs = np.einsum("ij,jhw->ihw", a_inv, pixel_centers(h, w))  # world-space ray directions
 
     best_t = np.full((h, w), np.inf)
     classes = np.zeros((h, w), dtype=np.int64)
@@ -323,7 +317,10 @@ def load_scene(scene_dir) -> SceneBundle:
 
     scene.json parses strictly: a missing, unknown or mistyped key, or a
     named file that does not exist, raises ValueError naming the manifest and
-    the dotted key path (e.g. `files.camera: missing`).
+    the dotted key path (e.g. `files.camera: missing`). The occupancy grid
+    must be nz x nx x ny of the manifest's `bev` and hold integer labels of
+    its classes, and the illumination must be 1 x height x width; otherwise
+    the ValueError names the file.
     """
     root = Path(scene_dir)
     file = json_path(root, Path.is_file, "file")
@@ -352,14 +349,30 @@ def load_scene(scene_dir) -> SceneBundle:
         )
     camera = CameraMatrix.from_json_file(files["camera"])
     classes = manifest["classes"]
-    grid_t = read_raw_tensor(files["occupancy"])
-    labels = np.rint(grid_t.data.astype(np.float64)).astype(np.int64).transpose(1, 2, 0)
-    illumination = read_raw_tensor(files["illumination"])
+    bev = manifest["bev"]
+    grid = _read_grid(files["occupancy"], (bev.nz, bev.nx, bev.ny), "occupancy")
+    if not ((grid >= 0) & (grid < len(classes)) & (grid == np.rint(grid))).all():
+        raise ValueError(f"{files['occupancy']}: labels must be integers in [0, {len(classes)})")
+    illumination = _read_grid(
+        files["illumination"], (1, image.height, image.width), "illumination"
+    )
     return SceneBundle(
         image=image,
         camera=camera,
-        occupancy=OccupancyGrid(labels, classes),
-        illumination_gt=Tensor3(illumination.data.astype(np.float64)),
-        bev=manifest["bev"],
+        occupancy=OccupancyGrid(grid.astype(np.int64).transpose(1, 2, 0), classes),
+        illumination_gt=Tensor3(illumination),
+        bev=bev,
         classes=classes,
     )
+
+
+def _read_grid(path, shape: tuple[int, int, int], what: str) -> np.ndarray:
+    """A raw tensor file's values as float64 of the given shape; errors name the file."""
+    try:
+        data = read_raw_tensor(path).data.astype(np.float64)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if data.shape != shape:
+        want, got = ("x".join(map(str, s)) for s in (shape, data.shape))
+        raise ValueError(f"{path}: {what} must be {want}, got {got}")
+    return data

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from nightbev.cli import main
-from nightbev.core import Tensor3, write_raw_tensor
+from nightbev.core import Tensor3, read_raw_tensor, write_raw_tensor
 
 
 @pytest.fixture
@@ -304,4 +304,68 @@ class TestSceneFiles:
         err = capsys.readouterr().err
         assert code == 2
         assert where in err and "internal error" not in err
+        assert not out.exists()
+
+
+def _relabel(value):
+    def edit(data):
+        data = data.copy()
+        data[0, 0, 0] = value
+        return data
+
+    return edit
+
+
+OCC, ILLUM = "occupancy_gt.rt", "illumination_gt.rt"
+# (probe id, grid file, edit of its values, text the error names)
+SCENE_GRID_PROBES = [
+    ("few-heights", OCC, lambda d: d[:4], f"{OCC}: occupancy must be 8x20x20, got 4x20x20"),
+    ("narrow", OCC, lambda d: d[:, :, :10], "occupancy must be 8x20x20, got 8x20x10"),
+    ("fraction", OCC, _relabel(1.4), f"{OCC}: labels must be integers in [0, 4)"),
+    ("negative", OCC, _relabel(-1.0), "labels must be integers in [0, 4)"),
+    ("no-such-class", OCC, _relabel(4.0), "labels must be integers in [0, 4)"),
+    ("small-map", ILLUM, lambda d: d[:, :4, :4], f"{ILLUM}: illumination must be 1x64x96, got 1x4x4"),
+    ("three-channels", ILLUM, lambda d: d.repeat(3, axis=0), "must be 1x64x96, got 3x64x96"),
+]
+
+
+class TestSceneGrids:
+    @pytest.mark.parametrize(
+        "name,edit,where", [p[1:] for p in SCENE_GRID_PROBES], ids=[p[0] for p in SCENE_GRID_PROBES]
+    )
+    def test_bad_grid_exits_2_naming_the_file(
+        self, tmp_path, capsys, pipeline_config, scene, name, edit, where
+    ):
+        path = scene / name
+        write_raw_tensor(Tensor3(edit(read_raw_tensor(path).data)), path, dtype="f32")
+        out = tmp_path / "out"
+        code = main(["pipeline", "--config", str(pipeline_config), "--scene", str(scene), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert where in err and "internal error" not in err
+        assert not out.exists()
+
+    def test_unreadable_grid_names_the_file(self, tmp_path, capsys, pipeline_config, scene):
+        (scene / "occupancy_gt.rt").write_bytes(b"not a tensor")
+        out = tmp_path / "out"
+        code = main(["pipeline", "--config", str(pipeline_config), "--scene", str(scene), "--out", str(out)])
+        assert code == 2
+        assert "occupancy_gt.rt: malformed raw tensor header" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestEncoderStride:
+    def test_size_not_divisible_by_4_exits_2_before_any_output(
+        self, tmp_path, capsys, scene_config, pipeline_config
+    ):
+        cfg = json.loads(scene_config.read_text())
+        cfg.update(height=62, width=94, lights=[{"u": 40, "v": 30, "intensity": 3.0, "radius": 12.0}])
+        scene_config.write_text(json.dumps(cfg))
+        scene = tmp_path / "odd"
+        assert main(["gen-scene", "--config", str(scene_config), "--out", str(scene)]) == 0
+        out = tmp_path / "out"
+        code = main(["pipeline", "--config", str(pipeline_config), "--scene", str(scene), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "image 62x94: height and width must be divisible by 4" in err
         assert not out.exists()
