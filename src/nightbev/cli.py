@@ -122,7 +122,7 @@ def _cmd_eval(args) -> int:
     )
     if (scenes_root / "scene.json").is_file():
         scene_dirs = [scenes_root]
-    aggregate = eval_batch(scene_dirs, pc, _out_dir(args))
+    aggregate = eval_batch(scene_dirs, pc, args.out)
     print(f"aggregate miou={aggregate.miou:.4f} over {len(scene_dirs)} scene(s)")
     return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -29,7 +29,7 @@ from .illumination import EstimatorConfig, estimate_illumination, illumination_f
 from .illumination import load_illumination
 from .losses import LossConfig, class_weights_from_labels, total_loss, weighted_ce
 from .metrics import IoUReport, OccupancyGrid, miou, report_from_counts, write_iou_csv
-from .scene import SceneBundle, load_scene
+from .scene import SceneBundle, load_scene, read_manifest
 from .selective import FactorPopulation, otsu_threshold, selective_enhance
 
 AuxLossHook = Callable[[np.ndarray, np.ndarray], float]
@@ -291,6 +291,13 @@ def resolve_t_star(pc: PipelineConfig) -> float:
     return report.t_star
 
 
+def _with_fixed_t_star(pc: PipelineConfig) -> PipelineConfig:
+    """`pc` with t* resolved to a fixed value; `pc` itself when it is fixed already."""
+    if pc.t_star.fixed is not None:
+        return pc
+    return replace(pc, t_star=TStarSource(fixed=resolve_t_star(pc)))
+
+
 def population_factors(maps_dir) -> list[float]:
     """Illumination factors of every map file in a directory, sorted by name."""
     root = Path(maps_dir)
@@ -310,6 +317,16 @@ def _avg_pool2(t: Tensor3) -> Tensor3:
 
 
 ENCODER_STRIDE = 4  # encode_image pools twice by 2
+
+
+def _check_scene(classes: tuple[str, ...], height: int, width: int) -> None:
+    """Refuse a scene the pipeline cannot run, before any stage or output."""
+    if len(classes) < 2:
+        raise ValueError("pipeline needs at least 2 classes for the prediction head")
+    if height % ENCODER_STRIDE or width % ENCODER_STRIDE:
+        raise ValueError(
+            f"image {height}x{width}: height and width must be divisible by {ENCODER_STRIDE}"
+        )
 
 
 def encode_image(x: Tensor3, enc1: ConvParams, enc2: ConvParams) -> Tensor3:
@@ -414,13 +431,14 @@ def run_pipeline(
     aux_sem_hook: AuxLossHook | None = None,
     aux_geo_hook: AuxLossHook | None = None,
 ) -> RunReport:
-    """Execute the full pipeline on one scene and write artifacts to out_dir."""
+    """Execute the full pipeline on one scene and write artifacts to out_dir.
+
+    The scene is checked, t* resolved and the parameters built before the
+    output directory is created, so these failures leave nothing behind.
+    """
+    _check_scene(bundle.classes, bundle.image.height, bundle.image.width)
+    pc = _with_fixed_t_star(pc)
     n_cla = len(bundle.classes)
-    if n_cla < 2:
-        raise ValueError("pipeline needs at least 2 classes for the prediction head")
-    h, w = bundle.image.height, bundle.image.width
-    if h % ENCODER_STRIDE or w % ENCODER_STRIDE:
-        raise ValueError(f"image {h}x{w}: height and width must be divisible by {ENCODER_STRIDE}")
     spec = bundle.bev
     grid_z = spec.nz
     params = build_params(pc, n_cla, grid_z)
@@ -564,24 +582,32 @@ def offset_magnitude(dp_mod: Tensor3) -> np.ndarray:
 
 
 def eval_batch(scene_dirs, pc: PipelineConfig, out_dir) -> IoUReport:
-    """Run the pipeline over scenes and micro-average IoU counts across them."""
+    """Run the pipeline over scenes and micro-average IoU counts across them.
+
+    Every scene manifest is checked and t* resolved once, before the first
+    scene runs, so a bad scene or map population fails with nothing written.
+    """
     dirs = [Path(d) for d in scene_dirs]
     if not dirs:
         raise ValueError("eval needs at least one scene")
+    manifests = [read_manifest(d) for d in dirs]
+    class_names = manifests[0]["classes"]
+    for scene_dir, manifest in zip(dirs, manifests):
+        try:
+            if manifest["classes"] != class_names:
+                raise ValueError("uses a different class table")
+            _check_scene(class_names, manifest["height"], manifest["width"])
+        except ValueError as exc:
+            raise ValueError(f"scene {scene_dir}: {exc}") from exc
+    pc = _with_fixed_t_star(pc)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     inter = None
     union = None
-    class_names: tuple[str, ...] | None = None
     rows = []
     for idx, scene_dir in enumerate(dirs):
-        bundle = load_scene(scene_dir)
-        if class_names is None:
-            class_names = bundle.classes
-        elif class_names != bundle.classes:
-            raise ValueError(f"scene {scene_dir} uses a different class table")
-        report = run_pipeline(pc, bundle, out / f"scene_{idx:03d}")
+        report = run_pipeline(pc, load_scene(scene_dir), out / f"scene_{idx:03d}")
         counts_i = np.array(report.iou.intersections, dtype=np.int64)
         counts_u = np.array(report.iou.unions, dtype=np.int64)
         inter = counts_i if inter is None else inter + counts_i

@@ -312,15 +312,12 @@ def save_scene(bundle: SceneBundle, out_dir) -> dict:
     return manifest
 
 
-def load_scene(scene_dir) -> SceneBundle:
-    """Load a scene directory written by `save_scene`.
+def read_manifest(scene_dir) -> dict:
+    """Parse a scene directory's scene.json, resolving the files it names.
 
-    scene.json parses strictly: a missing, unknown or mistyped key, or a
-    named file that does not exist, raises ValueError naming the manifest and
-    the dotted key path (e.g. `files.camera: missing`). The occupancy grid
-    must be nz x nx x ny of the manifest's `bev` and hold integer labels of
-    its classes, and the illumination must be 1 x height x width; otherwise
-    the ValueError names the file.
+    Parsing is strict: a missing, unknown or mistyped key, or a named file
+    that does not exist, raises ValueError naming the manifest and the
+    dotted key path (e.g. `files.camera: missing`).
     """
     root = Path(scene_dir)
     file = json_path(root, Path.is_file, "file")
@@ -337,14 +334,26 @@ def load_scene(scene_dir) -> SceneBundle:
     )
     with open(root / SCENE_FILE, "r", encoding="ascii") as fh:
         try:
-            manifest = manifest_block(json.load(fh), "")
+            return manifest_block(json.load(fh), "")
         except ValueError as exc:  # bad JSON too
             raise ValueError(f"{root / SCENE_FILE}: {exc}") from exc
+
+
+def load_scene(scene_dir) -> SceneBundle:
+    """Load a scene directory written by `save_scene`.
+
+    scene.json parses through `read_manifest`. The image must be the
+    manifest's height x width, the occupancy grid must be nz x nx x ny of its
+    `bev` and hold integer labels of its classes, and the illumination must
+    be 1 x height x width; otherwise the ValueError names the file.
+    """
+    manifest = read_manifest(scene_dir)
     files = manifest["files"]
     image = read_ppm(files["image"])
     if (image.height, image.width) != (manifest["height"], manifest["width"]):
         raise ValueError(
-            f"{root / SCENE_FILE}: height x width {manifest['height']}x{manifest['width']}"
+            f"{Path(scene_dir, SCENE_FILE)}: height x width"
+            f" {manifest['height']}x{manifest['width']}"
             f" does not match the {image.height}x{image.width} image"
         )
     camera = CameraMatrix.from_json_file(files["camera"])

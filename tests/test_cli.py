@@ -369,3 +369,53 @@ class TestEncoderStride:
         assert code == 2
         assert "image 62x94: height and width must be divisible by 4" in err
         assert not out.exists()
+
+
+class TestFailBeforeOutput:
+    """Batch and population errors exit 2 before any output directory exists."""
+
+    def _gen(self, tmp_path, scene_config, name, **changes):
+        cfg = json.loads(scene_config.read_text())
+        cfg.update(changes)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "scenes" / name
+        assert main(["gen-scene", "--config", str(path), "--out", str(out)]) == 0
+        return out
+
+    def _config(self, tmp_path, t_star):
+        path = tmp_path / "pc.json"
+        path.write_text(json.dumps({"seed": 0, "t_star": t_star}))
+        return path
+
+    @pytest.mark.parametrize(
+        "second,where",
+        [
+            ({"height": 62, "width": 94}, "image 62x94: height and width must be divisible by 4"),
+            ({"classes": ["free", "car", "tree"]}, "uses a different class table"),
+        ],
+        ids=["mixed_size", "class_table"],
+    )
+    def test_bad_later_scene(self, tmp_path, capsys, scene_config, second, where):
+        self._gen(tmp_path, scene_config, "s0")
+        bad = self._gen(tmp_path, scene_config, "s1", **second)
+        out = tmp_path / "eval"
+        cfg = self._config(tmp_path, 0.45)
+        code = main(["eval", "--config", str(cfg), "--scenes", str(tmp_path / "scenes"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"scene {bad}: {where}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "pipeline"])
+    def test_empty_population(self, tmp_path, capsys, scene_config, command):
+        scene = self._gen(tmp_path, scene_config, "s0")
+        (tmp_path / "maps").mkdir()
+        cfg = self._config(tmp_path, {"population_dir": "maps"})
+        where = ["--scenes", str(tmp_path / "scenes")] if command == "eval" else ["--scene", str(scene)]
+        out = tmp_path / "out"
+        code = main([command, "--config", str(cfg), *where, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "no illumination maps" in err
+        assert not out.exists()

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import nightbev.pipeline
 from nightbev.core import Tensor3, read_raw_tensor, write_raw_tensor
 from nightbev.formats import write_pgm
 from nightbev.pipeline import (
@@ -346,3 +347,63 @@ class TestEvalBatch:
     def test_empty_scene_list_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least one"):
             eval_batch([], PipelineConfig(), tmp_path / "eval")
+
+    def test_single_class_rejected_before_any_scene(self, tmp_path):
+        dirs = [scene_dir(tmp_path, "a", classes=("free",), random_boxes=0)]
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            eval_batch(dirs, PipelineConfig(), tmp_path / "eval")
+        assert not (tmp_path / "eval").exists()
+
+
+def population(tmp_path, levels=(0.1, 0.12, 0.3, 0.82, 0.85)):
+    """A map directory of flat 64x96 maps, alternating .rt and .pgm files."""
+    maps = tmp_path / "maps"
+    maps.mkdir()
+    for idx, value in enumerate(levels):
+        if idx % 2:
+            write_pgm(np.full((64, 96), value), maps / f"m{idx}.pgm")
+        else:
+            write_raw_tensor(Tensor3.full(1, 64, 96, value), maps / f"m{idx}.rt", dtype="f32")
+    return PipelineConfig.from_dict({"t_star": {"population_dir": "maps"}}, base_dir=tmp_path)
+
+
+def batch_dirs(tmp_path, n=3):
+    """Dark and bright scenes alternating, so both enhancement branches run."""
+    bright = dict(lights=(Light(48.0, 32.0, 4.0, 200.0),), ambient=1.0)
+    return [
+        scene_dir(tmp_path, f"s{idx}", seed=idx, **(bright if idx % 2 else {}))
+        for idx in range(n)
+    ]
+
+
+class TestEvalBatchPopulation:
+    def test_population_read_once_per_batch(self, tmp_path, monkeypatch):
+        pc = population(tmp_path)
+        calls = []
+        real = nightbev.pipeline.load_illumination
+
+        def counting(path, *args):
+            calls.append(path)
+            return real(path, *args)
+
+        monkeypatch.setattr(nightbev.pipeline, "load_illumination", counting)
+        eval_batch(batch_dirs(tmp_path), pc, tmp_path / "eval")
+        assert sorted(p.name for p in calls) == sorted(p.name for p in (tmp_path / "maps").iterdir())
+
+    def test_scene_outputs_equal_single_runs(self, tmp_path):
+        pc = population(tmp_path)
+        dirs = batch_dirs(tmp_path)
+        eval_batch(dirs, pc, tmp_path / "eval")
+        branches = set()
+        for idx, sdir in enumerate(dirs):
+            report = run_pipeline(pc, load_scene(sdir), tmp_path / f"single{idx}")
+            branches.add(report.enhanced)
+            batch, single = tmp_path / "eval" / f"scene_{idx:03d}", tmp_path / f"single{idx}"
+            names = sorted(p.name for p in single.iterdir())
+            assert sorted(p.name for p in batch.iterdir()) == names
+            for name in names:
+                a, b = (batch / name).read_bytes(), (single / name).read_bytes()
+                if name == "report.json":
+                    a, b = ({**json.loads(x), "timings": None} for x in (a, b))
+                assert a == b, (idx, name)
+        assert branches == {True, False}
