@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3, bilinear_sample_many, read_raw_tensor
+from .core import Tensor3, bilinear_sample_many
 from .geometry import BevSpec, CameraMatrix, column_pixels, pixel_centers
 from .guided_sampling import ConvParams, conv2d_replicate
 
@@ -117,15 +117,6 @@ class AttentionParams:
     @property
     def query_channels(self) -> int:
         return self.attn_weights.shape[1]
-
-    @classmethod
-    def load(cls, offset_path, attn_path) -> "AttentionParams":
-        """Load from raw tensor files shaped [1, rows, cols]."""
-        ot = read_raw_tensor(offset_path)
-        at = read_raw_tensor(attn_path)
-        if ot.channels != 1 or at.channels != 1:
-            raise ValueError("attention weight files must be [1, rows, cols]")
-        return cls(ot.data[0].astype(np.float64), at.data[0].astype(np.float64))
 
 
 def bev_pool(dc: DepthContext, m: CameraMatrix, spec: BevSpec) -> Tensor3:

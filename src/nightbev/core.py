@@ -221,18 +221,18 @@ def read_raw_tensor(path) -> Tensor3:
             raise ValueError("malformed raw tensor header (no newline)")
         try:
             header = json.loads(line.decode("ascii"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
             raise ValueError(f"malformed raw tensor header: {exc}") from exc
         if not isinstance(header, dict) or "dtype" not in header or "shape" not in header:
             raise ValueError("raw tensor header must carry 'dtype' and 'shape'")
         tag = header["dtype"]
-        if tag not in RAW_DTYPES:
+        if type(tag) is not str or tag not in RAW_DTYPES:
             raise ValueError(f"unsupported raw tensor dtype {tag!r}")
         shape = header["shape"]
         if (
-            not isinstance(shape, list)
+            type(shape) is not list
             or len(shape) != 3
-            or not all(isinstance(s, int) and s > 0 for s in shape)
+            or not all(type(s) is int and s > 0 for s in shape)
         ):
             raise ValueError(f"bad raw tensor shape {shape!r}")
         dt = RAW_DTYPES[tag]

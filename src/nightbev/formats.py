@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .core import Tensor3
@@ -43,26 +45,27 @@ def _read_header(fh, magic: bytes) -> tuple[int, int]:
     return width, height
 
 
+def _read_pnm(path, magic: bytes, channels: int) -> Tensor3:
+    """A binary PNM's channels x H x W values in [0,1]."""
+    with open(path, "rb") as fh:
+        width, height = _read_header(fh, magic)
+        size = width * height * channels
+        # Compare with the file first, so a header alone never sizes a read.
+        if os.fstat(fh.fileno()).st_size - fh.tell() < size:
+            raise ValueError(f"truncated {magic.decode()} payload")
+        payload = fh.read(size)
+    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
+    return Tensor3(arr.transpose(2, 0, 1).astype(np.float64) / 255.0)
+
+
 def read_pgm(path) -> Tensor3:
     """Read a binary PGM into a 1 x H x W tensor with values in [0,1]."""
-    with open(path, "rb") as fh:
-        width, height = _read_header(fh, b"P5")
-        payload = fh.read(width * height)
-        if len(payload) != width * height:
-            raise ValueError("truncated PGM payload")
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return Tensor3(arr[None].astype(np.float64) / 255.0)
+    return _read_pnm(path, b"P5", 1)
 
 
 def read_ppm(path) -> Tensor3:
     """Read a binary PPM into a 3 x H x W tensor with values in [0,1]."""
-    with open(path, "rb") as fh:
-        width, height = _read_header(fh, b"P6")
-        payload = fh.read(width * height * 3)
-        if len(payload) != width * height * 3:
-            raise ValueError("truncated PPM payload")
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return Tensor3(arr.transpose(2, 0, 1).astype(np.float64) / 255.0)
+    return _read_pnm(path, b"P6", 3)
 
 
 def _to_bytes(plane: np.ndarray) -> np.ndarray:

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3, bilinear_sample_many, read_raw_tensor
+from .core import Tensor3, bilinear_sample_many
 from .illumination import ILLUMINATION_FLOOR
 
 
 @dataclass(frozen=True)
 class ConvParams:
-    """Loadable convolution weights: kernel (out, in, k, k) plus bias (out,)."""
+    """Convolution weights: kernel (out, in, k, k) plus bias (out,)."""
 
     kernel: np.ndarray
     bias: np.ndarray
@@ -53,22 +53,6 @@ class ConvParams:
     @property
     def kernel_size(self) -> int:
         return self.kernel.shape[2]
-
-    @classmethod
-    def load(cls, kernel_path, bias_path) -> "ConvParams":
-        """Load from raw tensor files: kernel [out, in*k, k], bias [out, 1, 1]."""
-        kt = read_raw_tensor(kernel_path)
-        bt = read_raw_tensor(bias_path)
-        k = kt.width
-        if kt.height % k != 0:
-            raise ValueError(
-                f"kernel file height {kt.height} not divisible by kernel size {k}"
-            )
-        in_ch = kt.height // k
-        kernel = kt.data.astype(np.float64).reshape(kt.channels, in_ch, k, k)
-        if (bt.height, bt.width) != (1, 1):
-            raise ValueError(f"bias file must be [out, 1, 1], got {bt.shape}")
-        return cls(kernel, bt.data.astype(np.float64).ravel())
 
 
 def conv2d_replicate(x: Tensor3, params: ConvParams) -> Tensor3:

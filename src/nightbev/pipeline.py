@@ -13,7 +13,7 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,16 +44,6 @@ class StageError(RuntimeError):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.__cause__ = cause
-
-
-# Raw tensor files each block's `source.files` must name, in load order.
-PARAM_FILES = {
-    "encoder": ("conv1_kernel", "conv1_bias", "conv2_kernel", "conv2_bias"),
-    "igs": ("kernel", "bias", "point_weights"),
-    "depth": ("kernel", "bias"),
-    "attention": ("offset_weights", "attn_weights"),
-    "head": ("weights", "bias"),
-}
 
 
 @dataclass(frozen=True)
@@ -147,9 +137,10 @@ class PipelineConfig:
             "attention": {"k_points": int},
             "head": {},
         }
-        for name, table in nested.items():
-            files = json_block(dict.fromkeys(PARAM_FILES[name], file), required=True)
-            table["source"] = json_block({"seed": int, "files": files}, ParamSource)
+        # Only the tensor names are read here, so the default config sizes the table.
+        for name, (_, params) in _param_table(cls(), 2, 1).items():
+            files = json_block(dict.fromkeys((p.name for p in params), file), required=True)
+            nested[name]["source"] = json_block({"seed": int, "files": files}, ParamSource)
         short = {"attention": "attn", "k_points": "k", "d_min": "min", "d_max": "max"}
         fields = json_block(
             {
@@ -186,100 +177,78 @@ class ResolvedParams:
     head_bias: np.ndarray
 
 
-def _rng(pc: PipelineConfig, source: ParamSource, block: int) -> np.random.Generator:
-    if source.seed is not None:
-        return np.random.default_rng(np.random.SeedSequence([source.seed]))
-    return np.random.default_rng(np.random.SeedSequence([pc.seed, block]))
+class _Param(NamedTuple):
+    """One parameter tensor: its `files` name, file layout [C, H, W], shape in
+    memory, and the mean and std of the normal it is generated from."""
+
+    name: str
+    layout: tuple[int, int, int]
+    shape: tuple[int, ...]
+    mean: float
+    std: float
 
 
-def _gen_conv(rng: np.random.Generator, out_c: int, in_c: int, k: int) -> ConvParams:
-    fan_in = in_c * k * k
-    kernel = rng.normal(0.0, 0.5 / np.sqrt(fan_in), size=(out_c, in_c, k, k))
-    bias = rng.normal(0.0, 0.1, size=out_c)
-    return ConvParams(kernel, bias)
+def _conv(prefix: str, out_c: int, in_c: int, k: int) -> list[_Param]:
+    """A conv kernel stored as [out, in*k, k] and its bias stored as [out, 1, 1]."""
+    std = 0.5 / np.sqrt(in_c * k * k)
+    return [
+        _Param(prefix + "kernel", (out_c, in_c * k, k), (out_c, in_c, k, k), 0.0, std),
+        _Param(prefix + "bias", (out_c, 1, 1), (out_c,), 0.0, 0.1),
+    ]
 
 
-def _load_vector(path, n: int, what: str) -> np.ndarray:
-    t = read_raw_tensor(path)
-    vec = t.data.astype(np.float64).ravel()
-    if vec.size != n:
-        raise ValueError(f"{what} must hold {n} values, got {vec.size}")
-    return vec
+def _param_table(
+    pc: PipelineConfig, n_cla: int, grid_z: int
+) -> dict[str, tuple[ParamSource, list[_Param]]]:
+    """Every block's source and tensors, in load and draw order, sized by the config."""
+    c1, c2 = pc.encoder_channels
+    k, c_ctx, head_out = pc.attn_k, pc.depth_c_ctx, grid_z * n_cla
+    points = _Param("point_weights", (1, 1, pc.igs_k), (pc.igs_k,), 1.0 / pc.igs_k, 0.5 / pc.igs_k)
+    return {
+        "encoder": (pc.encoder_source, _conv("conv1_", c1, 3, 3) + _conv("conv2_", c2, c1, 3)),
+        "igs": (pc.igs_source, _conv("", 3 * pc.igs_k, 1, 3) + [points]),
+        "depth": (pc.depth_source, _conv("", c_ctx + pc.depth_bins, c2, 1)),
+        "attention": (pc.attn_source, [
+            _Param("offset_weights", (1, 2 * k, c_ctx), (2 * k, c_ctx), 0.0, 0.5),
+            _Param("attn_weights", (1, k, c_ctx), (k, c_ctx), 0.0, 0.5),
+        ]),
+        "head": (pc.head_source, [
+            _Param("weights", (1, head_out, c_ctx), (head_out, c_ctx), 0.0, 1.0 / np.sqrt(c_ctx)),
+            _Param("bias", (head_out, 1, 1), (head_out,), 0.0, 0.1),
+        ]),
+    }
 
 
-def _load_matrix(path, rows: int, cols: int, what: str) -> np.ndarray:
-    t = read_raw_tensor(path)
-    if t.channels != 1 or (t.height, t.width) != (rows, cols):
-        raise ValueError(f"{what} must be [1, {rows}, {cols}], got {t.shape}")
-    return t.data[0].astype(np.float64)
-
-
-def _files(src: ParamSource, block: str) -> list[Path]:
-    return [src.files[name] for name in PARAM_FILES[block]]
+def _load_param(block: str, param: _Param, path: Path) -> np.ndarray:
+    """A raw tensor file of exactly the declared layout, reshaped to float64."""
+    where = f"{block}.source.files.{param.name}: {path}"
+    try:
+        t = read_raw_tensor(path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    if t.shape != param.layout:
+        raise ValueError(f"{where}: must be {list(param.layout)}, got {list(t.shape)}")
+    return t.data.astype(np.float64).reshape(param.shape)
 
 
 def build_params(pc: PipelineConfig, n_cla: int, grid_z: int) -> ResolvedParams:
-    """Load or deterministically generate every parameter block."""
-    c1, c2 = pc.encoder_channels
-    src = pc.encoder_source
-    if src.files is not None:
-        k1, b1, k2, b2 = _files(src, "encoder")
-        enc1 = ConvParams.load(k1, b1)
-        enc2 = ConvParams.load(k2, b2)
-        if enc1.in_channels != 3 or enc1.out_channels != c1 or enc2.in_channels != c1:
-            raise ValueError("encoder parameter shapes disagree with the config")
-        c2 = enc2.out_channels
-    else:
-        rng = _rng(pc, src, 1)
-        enc1 = _gen_conv(rng, c1, 3, 3)
-        enc2 = _gen_conv(rng, c2, c1, 3)
+    """Load or deterministically generate every parameter block.
 
-    src = pc.igs_source
-    if src.files is not None:
-        kernel, bias, points = _files(src, "igs")
-        igs_conv = ConvParams.load(kernel, bias)
-        point_w = _load_vector(points, pc.igs_k, "point weights")
-    else:
-        rng = _rng(pc, src, 2)
-        igs_conv = _gen_conv(rng, 3 * pc.igs_k, 1, 3)
-        point_w = 1.0 / pc.igs_k + rng.normal(0.0, 0.5 / pc.igs_k, size=pc.igs_k)
-
-    src = pc.depth_source
-    if src.files is not None:
-        depth_conv = ConvParams.load(*_files(src, "depth"))
-    else:
-        depth_conv = _gen_conv(_rng(pc, src, 3), pc.depth_c_ctx + pc.depth_bins, c2, 1)
-
-    src = pc.attn_source
-    if src.files is not None:
-        attn = AttentionParams.load(*_files(src, "attention"))
-    else:
-        rng = _rng(pc, src, 4)
-        attn = AttentionParams(
-            rng.normal(0.0, 0.5, size=(2 * pc.attn_k, pc.depth_c_ctx)),
-            rng.normal(0.0, 0.5, size=(pc.attn_k, pc.depth_c_ctx)),
-        )
-
-    src = pc.head_source
-    head_out = grid_z * n_cla
-    if src.files is not None:
-        weights, bias = _files(src, "head")
-        head_w = _load_matrix(weights, head_out, pc.depth_c_ctx, "head weights")
-        head_b = _load_vector(bias, head_out, "head bias")
-    else:
-        rng = _rng(pc, src, 5)
-        head_w = rng.normal(0.0, 1.0 / np.sqrt(pc.depth_c_ctx), size=(head_out, pc.depth_c_ctx))
-        head_b = rng.normal(0.0, 0.1, size=head_out)
-    return ResolvedParams(
-        enc1=enc1,
-        enc2=enc2,
-        igs_conv=igs_conv,
-        igs_point_weights=point_w,
-        depth_conv=depth_conv,
-        attn=attn,
-        head_weights=head_w,
-        head_bias=head_b,
-    )
+    A block with `files` loads each tensor `_param_table` declares; a
+    generated one draws them in table order from `[source.seed]`, else from
+    `[pc.seed, block index]` with blocks counted from 1.
+    """
+    blocks = []
+    for index, (block, (src, params)) in enumerate(_param_table(pc, n_cla, grid_z).items(), 1):
+        if src.files is not None:
+            blocks.append([_load_param(block, p, src.files[p.name]) for p in params])
+        else:
+            seed = [src.seed] if src.seed is not None else [pc.seed, index]
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            blocks.append([rng.normal(p.mean, p.std, size=p.shape) for p in params])
+    enc, igs, depth, attn, head = blocks
+    convs = ConvParams(*enc[:2]), ConvParams(*enc[2:]), ConvParams(*igs[:2])
+    return ResolvedParams(*convs, igs[2], ConvParams(*depth), AttentionParams(*attn), *head)
 
 
 def resolve_t_star(pc: PipelineConfig) -> float:
@@ -319,7 +288,20 @@ def _avg_pool2(t: Tensor3) -> Tensor3:
 ENCODER_STRIDE = 4  # encode_image pools twice by 2
 
 
-def _check_scene(classes: tuple[str, ...], height: int, width: int) -> None:
+def _injected_size(pc: PipelineConfig) -> tuple[int, int] | None:
+    """Height and width of `pc.illumination_file`, if one is set."""
+    if pc.illumination_file is None:
+        return None
+    try:
+        t = load_illumination(pc.illumination_file, pc.estimator.floor)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"illumination_file: {pc.illumination_file}: {exc}") from exc
+    return t.height, t.width
+
+
+def _check_scene(
+    classes: tuple[str, ...], height: int, width: int, injected: tuple[int, int] | None
+) -> None:
     """Refuse a scene the pipeline cannot run, before any stage or output."""
     if len(classes) < 2:
         raise ValueError("pipeline needs at least 2 classes for the prediction head")
@@ -327,6 +309,9 @@ def _check_scene(classes: tuple[str, ...], height: int, width: int) -> None:
         raise ValueError(
             f"image {height}x{width}: height and width must be divisible by {ENCODER_STRIDE}"
         )
+    if injected not in (None, (height, width)):
+        h, w = injected
+        raise ValueError(f"illumination_file is {h}x{w}, image is {height}x{width}")
 
 
 def encode_image(x: Tensor3, enc1: ConvParams, enc2: ConvParams) -> Tensor3:
@@ -433,10 +418,11 @@ def run_pipeline(
 ) -> RunReport:
     """Execute the full pipeline on one scene and write artifacts to out_dir.
 
-    The scene is checked, t* resolved and the parameters built before the
-    output directory is created, so these failures leave nothing behind.
+    The scene and injected map are checked, t* resolved and the parameters
+    built before the output directory is created, so these failures leave
+    nothing behind.
     """
-    _check_scene(bundle.classes, bundle.image.height, bundle.image.width)
+    _check_scene(bundle.classes, bundle.image.height, bundle.image.width, _injected_size(pc))
     pc = _with_fixed_t_star(pc)
     n_cla = len(bundle.classes)
     spec = bundle.bev
@@ -584,19 +570,25 @@ def offset_magnitude(dp_mod: Tensor3) -> np.ndarray:
 def eval_batch(scene_dirs, pc: PipelineConfig, out_dir) -> IoUReport:
     """Run the pipeline over scenes and micro-average IoU counts across them.
 
-    Every scene manifest is checked and t* resolved once, before the first
-    scene runs, so a bad scene or map population fails with nothing written.
+    Every scene manifest is checked, the parameters built for each distinct
+    grid height and t* resolved once, before the first scene runs, so a bad
+    scene, parameter file or map population fails with nothing written.
     """
     dirs = [Path(d) for d in scene_dirs]
     if not dirs:
         raise ValueError("eval needs at least one scene")
     manifests = [read_manifest(d) for d in dirs]
     class_names = manifests[0]["classes"]
+    injected = _injected_size(pc)
+    built_nz = set()
     for scene_dir, manifest in zip(dirs, manifests):
         try:
             if manifest["classes"] != class_names:
                 raise ValueError("uses a different class table")
-            _check_scene(class_names, manifest["height"], manifest["width"])
+            _check_scene(class_names, manifest["height"], manifest["width"], injected)
+            if manifest["bev"].nz not in built_nz:
+                build_params(pc, len(class_names), manifest["bev"].nz)
+                built_nz.add(manifest["bev"].nz)
         except ValueError as exc:
             raise ValueError(f"scene {scene_dir}: {exc}") from exc
     pc = _with_fixed_t_star(pc)

@@ -4,10 +4,14 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import nightbev.pipeline
 from nightbev.cli import main
 from nightbev.core import Tensor3, read_raw_tensor, write_raw_tensor
+from nightbev.pipeline import PipelineConfig, build_params
+from nightbev.scene import load_scene
 
 
 @pytest.fixture
@@ -181,13 +185,13 @@ class TestPipelineCommand:
             assert (out / name).is_file()
         assert report["grid_dims"] == [20, 20, 8]
 
-    def test_stage_failure_returns_1(self, tmp_path, scene):
-        small = tmp_path / "small.rt"
-        write_raw_tensor(Tensor3.full(1, 4, 4, 0.5), small, dtype="f32")
-        cfg = tmp_path / "pc_bad.json"
-        cfg.write_text(json.dumps({"illumination_file": str(small)}))
+    def test_stage_failure_returns_1(self, tmp_path, monkeypatch, pipeline_config, scene):
+        def broken(*args):
+            raise ValueError("broken refine")
+
+        monkeypatch.setattr(nightbev.pipeline, "refine_bev", broken)
         code = main(
-            ["pipeline", "--config", str(cfg), "--scene", str(scene), "--out", str(tmp_path / "o")]
+            ["pipeline", "--config", str(pipeline_config), "--scene", str(scene), "--out", str(tmp_path / "o")]
         )
         assert code == 1
 
@@ -408,6 +412,24 @@ class TestFailBeforeOutput:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "pipeline"])
+    def test_injected_map_of_another_size(self, tmp_path, capsys, scene_config, command):
+        self._gen(tmp_path, scene_config, "s0")
+        bad = self._gen(tmp_path, scene_config, "s1", height=48, width=64)
+        map_path = tmp_path / "map.rt"  # fits s0 only
+        write_raw_tensor(Tensor3.full(1, 64, 96, 0.5), map_path, dtype="f32")
+        cfg = tmp_path / "pc.json"
+        cfg.write_text(json.dumps({"illumination_file": str(map_path)}))
+        where = ["--scenes", str(tmp_path / "scenes")] if command == "eval" else ["--scene", str(bad)]
+        out = tmp_path / "out"
+        code = main([command, "--config", str(cfg), *where, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "illumination_file is 64x96, image is 48x64" in err
+        if command == "eval":
+            assert f"scene {bad}: " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "pipeline"])
     def test_empty_population(self, tmp_path, capsys, scene_config, command):
         scene = self._gen(tmp_path, scene_config, "s0")
         (tmp_path / "maps").mkdir()
@@ -418,4 +440,100 @@ class TestFailBeforeOutput:
         err = capsys.readouterr().err
         assert code == 2
         assert "no illumination maps" in err
+        assert not out.exists()
+
+
+def _param_files(params):
+    """Every tensor of a ResolvedParams in its file layout, by block and name."""
+
+    def conv(cp, prefix=""):
+        k = cp.kernel
+        return {
+            f"{prefix}kernel": k.reshape(k.shape[0], k.shape[1] * k.shape[2], k.shape[3]),
+            f"{prefix}bias": cp.bias.reshape(-1, 1, 1),
+        }
+
+    return {
+        "encoder": {**conv(params.enc1, "conv1_"), **conv(params.enc2, "conv2_")},
+        "igs": {**conv(params.igs_conv), "point_weights": params.igs_point_weights.reshape(1, 1, -1)},
+        "depth": conv(params.depth_conv),
+        "attention": {
+            "offset_weights": params.attn.offset_weights[None],
+            "attn_weights": params.attn.attn_weights[None],
+        },
+        "head": {"weights": params.head_weights[None], "bias": params.head_bias.reshape(-1, 1, 1)},
+    }
+
+
+def _write_block(tmp_path, block, arrays):
+    """Write one block's files; return the pipeline config that loads them."""
+    files = {}
+    for name, data in arrays.items():
+        files[name] = str(tmp_path / f"{block}_{name}.rt")
+        write_raw_tensor(Tensor3(data), files[name], dtype="f64")
+    path = tmp_path / "pc_files.json"
+    path.write_text(json.dumps({"seed": 0, block: {"source": {"files": files}}}))
+    return path
+
+
+# (probe id, block, file name -> wrong file layout, the file the error names).
+# Every other file of the block keeps the layout the default config needs.
+PARAM_PROBES = [
+    ("igs_kernel", "igs", {"kernel": (24, 3, 3)}, "kernel"),
+    ("depth_kernel", "depth", {"kernel": (24, 4, 1)}, "kernel"),
+    ("attention_c", "attention", {"offset_weights": (1, 8, 6), "attn_weights": (1, 4, 6)}, "offset_weights"),
+    ("attention_k", "attention", {"offset_weights": (1, 6, 8), "attn_weights": (1, 3, 8)}, "offset_weights"),
+    ("encoder_conv2_out", "encoder", {"conv2_kernel": (6, 24, 3), "conv2_bias": (6, 1, 1)}, "conv2_kernel"),
+    ("point_weights_3x3x1", "igs", {"point_weights": (3, 3, 1)}, "point_weights"),
+]
+
+
+class TestParameterFiles:
+    """A parameter file must hold exactly the layout the config and scene need."""
+
+    @pytest.fixture
+    def seeded(self, scene):
+        bundle = load_scene(scene)
+        return _param_files(build_params(PipelineConfig(), len(bundle.classes), bundle.bev.nz))
+
+    @pytest.mark.parametrize(
+        "block,wrong,name", [p[1:] for p in PARAM_PROBES], ids=[p[0] for p in PARAM_PROBES]
+    )
+    def test_wrong_layout_exits_2_before_output(
+        self, tmp_path, capsys, scene, seeded, block, wrong, name
+    ):
+        arrays = {**seeded[block], **{n: np.full(shape, 0.01) for n, shape in wrong.items()}}
+        cfg = _write_block(tmp_path, block, arrays)
+        out = tmp_path / "out"
+        code = main(["pipeline", "--config", str(cfg), "--scene", str(scene), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{block}.source.files.{name}: {tmp_path / f'{block}_{name}.rt'}: must be" in err
+        assert not out.exists()
+
+    def test_reader_error_names_the_key(self, tmp_path, capsys, scene, seeded):
+        cfg = _write_block(tmp_path, "head", seeded["head"])
+        (tmp_path / "head_bias.rt").write_bytes(b"not a tensor")
+        out = tmp_path / "out"
+        code = main(["pipeline", "--config", str(cfg), "--scene", str(scene), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "head.source.files.bias: " in err and "malformed raw tensor header" in err
+        assert not out.exists()
+
+    def test_head_file_fitting_only_the_first_scene(self, tmp_path, capsys, scene_config, seeded):
+        cfg = json.loads(scene_config.read_text())
+        scenes = tmp_path / "scenes"
+        low = {"x_range": [0.0, 8.0], "y_range": [-4.0, 4.0], "z_range": [-1.0, 1.4], "voxel": 0.4}
+        for name, extra in (("s0", {}), ("s1", {"bev": low})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**cfg, **extra}))
+            assert main(["gen-scene", "--config", str(path), "--out", str(scenes / name)]) == 0
+        pc = _write_block(tmp_path, "head", seeded["head"])  # fits n_z 8, not s1's 6
+        out = tmp_path / "eval"
+        code = main(["eval", "--config", str(pc), "--scenes", str(scenes), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"scene {scenes / 's1'}: head.source.files.weights: " in err
+        assert "must be [1, 24, 8], got [1, 32, 8]" in err
         assert not out.exists()

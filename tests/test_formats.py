@@ -1,9 +1,13 @@
-"""PGM/PPM codec round trips and header validation."""
+"""PGM/PPM codec round trips and header validation, and the readers' errors."""
+
+import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nightbev.core import Tensor3
+from nightbev.core import Tensor3, read_raw_tensor
 from nightbev.formats import read_pgm, read_ppm, write_pgm, write_ppm
 
 
@@ -83,3 +87,59 @@ class TestPpm:
     def test_wrong_channel_count_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="3 channels"):
             write_ppm(Tensor3.zeros(1, 2, 2), tmp_path / "i.ppm")
+
+
+READERS = {"raw": read_raw_tensor, "pgm": read_pgm, "ppm": read_ppm}
+# Any JSON value a raw tensor header field may be replaced with.
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(["", "f32", "f16", "3"])
+JSON_VALUES = SCALARS | st.lists(SCALARS, max_size=4) | st.dictionaries(st.sampled_from(["shape", "x"]), SCALARS)
+
+
+@pytest.fixture(scope="module")
+def probe(tmp_path_factory):
+    return tmp_path_factory.mktemp("readers") / "probe"
+
+
+def read_or_value_error(reader, path, data: bytes) -> None:
+    """Read `data` from a file: the reader returns a tensor or raises ValueError."""
+    path.write_bytes(data)
+    try:
+        reader(path)
+    except ValueError:
+        pass
+
+
+class TestReadersRaiseOnlyValueError:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        reader=st.sampled_from(sorted(READERS)),
+        prefix=st.sampled_from([b"", b"P5", b"P6", b"P6 2 2 255\n", b'{"dtype":"f32","shape":']),
+        data=st.binary(max_size=200),
+    )
+    @example("raw", b"", b"[" * 3000 + b"\n")  # nested deeper than the JSON parser recurses
+    def test_arbitrary_bytes(self, probe, reader, prefix, data):
+        read_or_value_error(READERS[reader], probe, prefix + data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from(["dtype", "shape", 0, 2]), value=JSON_VALUES)
+    @example("dtype", [])
+    def test_raw_header_with_one_field_mutated(self, probe, field, value):
+        header = {"dtype": "f32", "shape": [1, 2, 3]}
+        if isinstance(field, int):
+            header["shape"][field] = value
+        else:
+            header[field] = value
+        read_or_value_error(read_raw_tensor, probe, json.dumps(header).encode() + b"\n" + bytes(24))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        magic=st.sampled_from([b"P5", b"P6"]),
+        field=st.integers(0, 3),
+        token=st.binary(min_size=1, max_size=24) | st.integers().map(lambda i: str(i).encode()),
+    )
+    @example(b"P6", 1, str(10**12).encode())  # far more pixels than the file holds
+    def test_pnm_header_with_one_field_mutated(self, probe, magic, field, token):
+        tokens = [magic, b"3", b"2", b"255"]
+        tokens[field] = token
+        reader, channels = (read_pgm, 1) if magic == b"P5" else (read_ppm, 3)
+        read_or_value_error(reader, probe, b" ".join(tokens) + b"\n" + bytes(3 * 2 * channels))

@@ -34,20 +34,6 @@ class TestConvParams:
         with pytest.raises(ValueError, match="bias"):
             ConvParams(np.zeros((2, 1, 3, 3)), np.zeros(3))
 
-    def test_load_reshapes_kernel_file(self, tmp_path):
-        from nightbev.core import write_raw_tensor
-
-        kernel = np.arange(2 * 3 * 3 * 3, dtype=np.float64).reshape(2, 3, 3, 3)
-        write_raw_tensor(
-            Tensor3(kernel.reshape(2, 9, 3)), tmp_path / "k.rt", dtype="f64"
-        )
-        write_raw_tensor(
-            Tensor3(np.array([1.0, 2.0]).reshape(2, 1, 1)), tmp_path / "b.rt", dtype="f64"
-        )
-        params = ConvParams.load(tmp_path / "k.rt", tmp_path / "b.rt")
-        np.testing.assert_array_equal(params.kernel, kernel)
-        np.testing.assert_array_equal(params.bias, [1.0, 2.0])
-
 
 class TestConv2dReplicate:
     def test_matches_brute_force(self):

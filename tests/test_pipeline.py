@@ -9,8 +9,10 @@ import nightbev.pipeline
 from nightbev.core import Tensor3, read_raw_tensor, write_raw_tensor
 from nightbev.formats import write_pgm
 from nightbev.pipeline import (
+    ParamSource,
     PipelineConfig,
     StageError,
+    build_params,
     eval_batch,
     resolve_t_star,
     run_pipeline,
@@ -197,13 +199,22 @@ class TestRunPipeline:
         assert report.aux_geo == 2.0
         assert report.total == pytest.approx(10.0 * report.ce + 0.2 + 0.4)
 
-    def test_stage_error_carries_stage_name(self, tmp_path):
-        sdir = scene_dir(tmp_path)
+    def test_stage_error_carries_stage_name(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ValueError("broken refine")
+
+        monkeypatch.setattr(nightbev.pipeline, "refine_bev", broken)
+        with pytest.raises(StageError, match="stage 'refine' failed: broken refine") as info:
+            run_pipeline(PipelineConfig(), load_scene(scene_dir(tmp_path)), tmp_path / "out")
+        assert info.value.stage == "refine"
+
+    def test_injected_map_size_checked_before_output(self, tmp_path):
         bad_map = tmp_path / "small.rt"
         write_raw_tensor(Tensor3.full(1, 4, 4, 0.5), bad_map, dtype="f32")
         pc = PipelineConfig(illumination_file=bad_map)
-        with pytest.raises(StageError, match="enhance"):
-            run_pipeline(pc, load_scene(sdir), tmp_path / "out")
+        with pytest.raises(ValueError, match="illumination_file is 4x4, image is 64x96"):
+            run_pipeline(pc, load_scene(scene_dir(tmp_path)), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_loadable_parameter_files(self, tmp_path):
         # A full file-backed parameter set must reproduce the seeded run
@@ -307,6 +318,25 @@ class TestRunPipeline:
         assert (tmp_path / "seeded" / "occupancy_pred.rt").read_bytes() == (
             tmp_path / "files" / "occupancy_pred.rt"
         ).read_bytes()
+
+
+class TestBuildParams:
+    def test_load_reshapes_kernel_file(self, tmp_path):
+        kernel = np.arange(2 * 3 * 3 * 3, dtype=np.float64).reshape(2, 3, 3, 3)
+        files = {
+            "conv1_kernel": Tensor3(kernel.reshape(2, 9, 3)),
+            "conv1_bias": Tensor3(np.array([1.0, 2.0]).reshape(2, 1, 1)),
+            "conv2_kernel": Tensor3.zeros(1, 2 * 3, 3),
+            "conv2_bias": Tensor3.zeros(1, 1, 1),
+        }
+        for name, t in files.items():
+            write_raw_tensor(t, tmp_path / f"{name}.rt", dtype="f64")
+        source = ParamSource(files={name: tmp_path / f"{name}.rt" for name in files})
+        pc = PipelineConfig(encoder_channels=(2, 1), encoder_source=source)
+        params = build_params(pc, 2, 1)
+        np.testing.assert_array_equal(params.enc1.kernel, kernel)
+        np.testing.assert_array_equal(params.enc1.bias, [1.0, 2.0])
+        assert params.enc2.kernel.shape == (1, 2, 3, 3)
 
 
 class TestEvalBatch:
