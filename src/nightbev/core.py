@@ -213,6 +213,16 @@ def write_json(obj, path) -> None:
         fh.write("\n")
 
 
+def read_json(path):
+    """Parse an ASCII JSON file; undecodable or malformed JSON and nesting
+    deeper than the parser recurses raise ValueError naming the file."""
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad ASCII or JSON, or nested too deep
+            raise ValueError(f"{path}: {exc}") from exc
+
+
 def read_raw_tensor(path) -> Tensor3:
     """Read the raw tensor format; preserves the on-disk precision in memory."""
     with open(path, "rb") as fh:

@@ -8,12 +8,11 @@ zero, which downstream refinement treats as "no correction".
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3, json_block, json_list
+from .core import Tensor3, json_block, json_list, read_json
 
 DEPTH_EPS = 1e-6
 
@@ -46,11 +45,11 @@ class CameraMatrix:
     @classmethod
     def from_json_file(cls, path) -> "CameraMatrix":
         """Read `{"matrix": [12 numbers, row-major]}`; errors name the file and key."""
-        with open(path, "r", encoding="ascii") as fh:
-            try:
-                return _CAMERA_BLOCK(json.load(fh), "")
-            except ValueError as exc:  # bad JSON too
-                raise ValueError(f"{path}: {exc}") from exc
+        obj = read_json(path)
+        try:
+            return _CAMERA_BLOCK(obj, "")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     def to_list(self) -> list[float]:
         return [float(v) for v in self.matrix.ravel()]

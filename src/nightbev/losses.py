@@ -27,48 +27,101 @@ def class_weights_from_labels(labels, n_cla: int) -> np.ndarray:
         raise ValueError("labels must be non-empty")
     if flat.min() < 0 or flat.max() >= n_cla:
         raise ValueError(f"labels must lie in [0, {n_cla})")
-    counts = np.bincount(flat.astype(np.int64), minlength=n_cla)
+    counts = np.bincount(flat.astype(np.int64, copy=False), minlength=n_cla)
     return flat.size / (counts + 1.0)
 
 
 def _check_logits(logits: np.ndarray, labels: np.ndarray, weights: np.ndarray):
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels).ravel()
+    labels = np.asarray(labels)
     weights = np.asarray(weights, dtype=np.float64).ravel()
-    if logits.ndim != 2 or logits.shape[1] < 2:
-        raise ValueError("logits must be (n_vox, n_cla) with n_cla >= 2")
-    if labels.shape != (logits.shape[0],):
-        raise ValueError(
-            f"{labels.shape[0] if labels.ndim else 0} labels for {logits.shape[0]} voxels"
-        )
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
+    if logits.ndim < 2 or logits.shape[-1] < 2:
+        raise ValueError("logits must be (..., n_cla) with n_cla >= 2")
+    if labels.shape != logits.shape[:-1]:
+        raise ValueError(f"labels of shape {labels.shape} for logits of shape {logits.shape}")
+    if labels.min() < 0 or labels.max() >= logits.shape[-1]:
         raise ValueError("label id out of range")
-    if weights.shape != (logits.shape[1],):
-        raise ValueError(f"need {logits.shape[1]} class weights, got {weights.shape}")
-    return logits, labels.astype(np.int64), weights
+    if weights.shape != (logits.shape[-1],):
+        raise ValueError(f"need {logits.shape[-1]} class weights, got {weights.shape}")
+    return logits, labels.astype(np.intp, copy=False), weights
+
+
+def _class_sum(term, start: int, n: int) -> np.ndarray:
+    """Sum of `term(k, out)` over classes start..start+n-1 in numpy's pairwise order.
+
+    This is the order in which `a.sum(axis=1)` adds a contiguous row of n
+    values: one by one below 8, eight interleaved accumulators up to 128,
+    and above that two halves split at a multiple of 8. numpy also starts
+    each row from +0.0, which changes only a sum of -0.0; the exp terms
+    summed here are never -0.0. `term(k, out)` writes class k's plane into
+    `out`, or into a new array when `out` is None, and returns it.
+    """
+    if n < 8:
+        acc, tmp = term(start, None), None
+        for k in range(start + 1, start + n):
+            tmp = term(k, tmp)
+            acc += tmp
+        return acc
+    if n <= 128:
+        r, tmp = [term(start + j, None) for j in range(8)], None
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            for j in range(8):
+                tmp = term(start + i + j, tmp)
+                r[j] += tmp
+        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for k in range(start + tail, start + n):
+            tmp = term(k, tmp)
+            acc += tmp
+        return acc
+    half = n // 2 - (n // 2) % 8
+    return _class_sum(term, start, half) + _class_sum(term, start + half, n - half)
 
 
 def _ce_terms(logits, labels, weights):
-    """Loss plus the max-shifted logits and log-sum-exp the gradient reuses."""
+    """Loss plus the per-voxel max and log-sum-exp the gradient reuses.
+
+    Every per-voxel array is computed one class plane `logits[..., k]` at a
+    time, in the memory layout of those planes; the per-voxel terms are then
+    summed once in C order of the leading axes.
+    """
     logits, labels, weights = _check_logits(logits, labels, weights)
-    n = logits.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(n), labels]
-    per_voxel = weights[labels] * (lse - picked)
-    return float(per_voxel.sum()), shifted, lse, labels, weights
+    planes = [logits[..., k] for k in range(logits.shape[-1])]
+    peak = np.copy(planes[0], order="K")
+    for plane in planes[1:]:
+        np.maximum(peak, plane, out=peak)
+
+    def exp_shifted(k, out):
+        out = np.subtract(planes[k], peak, out=out)
+        return np.exp(out, out=out)
+
+    lse = _class_sum(exp_shifted, 0, len(planes))
+    np.log(lse, out=lse)
+    layout = np.empty_like(peak, dtype=np.intp)  # labels in the planes' layout
+    layout[...] = labels
+    picked = np.take_along_axis(logits, layout[..., None], axis=-1)[..., 0]
+    picked -= peak
+    per_voxel = weights[layout]
+    per_voxel *= np.subtract(lse, picked, out=picked)
+    return float(per_voxel.ravel(order="C").sum()), peak, lse, labels, weights
 
 
 def weighted_ce(logits, labels, weights) -> float:
-    """Class-weighted cross-entropy summed over voxels (max-shift stabilized)."""
+    """Class-weighted cross-entropy summed over voxels (max-shift stabilized).
+
+    `logits` is (..., n_cla), any strides, and `labels` holds the class id of
+    each voxel, shape (...); voxels are summed in C order of the leading axes.
+    """
     return _ce_terms(logits, labels, weights)[0]
 
 
 def weighted_ce_grad(logits, labels, weights) -> tuple[float, np.ndarray]:
-    """Weighted cross-entropy plus its gradient with respect to the logits."""
-    loss, shifted, lse, labels, weights = _ce_terms(logits, labels, weights)
-    n = shifted.shape[0]
-    softmax = np.exp(shifted - lse[:, None])
+    """Weighted cross-entropy of (n_vox, n_cla) logits plus its gradient."""
+    if np.ndim(logits) != 2:
+        raise ValueError("weighted_ce_grad needs (n_vox, n_cla) logits")
+    loss, peak, lse, labels, weights = _ce_terms(logits, labels, weights)
+    n = peak.shape[0]
+    softmax = np.exp((np.asarray(logits, dtype=np.float64) - peak[:, None]) - lse[:, None])
     grad = softmax
     grad[np.arange(n), labels] -= 1.0
     grad *= weights[labels][:, None]

@@ -21,7 +21,7 @@ class OccupancyGrid:
     class_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        arr = np.array(self.labels)
+        arr = np.asarray(self.labels)
         if arr.ndim != 3:
             raise ValueError(f"occupancy labels must be 3D, got {arr.ndim} dims")
         if not np.issubdtype(arr.dtype, np.integer):
@@ -29,9 +29,9 @@ class OccupancyGrid:
         names = tuple(str(n) for n in self.class_names)
         if not names:
             raise ValueError("class table must be non-empty")
+        arr = np.array(arr, dtype=np.int64, order="C")  # the grid's own copy
         if arr.size and (arr.min() < 0 or arr.max() >= len(names)):
             raise ValueError(f"labels must lie in [0, {len(names)})")
-        arr = np.ascontiguousarray(arr.astype(np.int64))
         arr.flags.writeable = False
         object.__setattr__(self, "labels", arr)
         object.__setattr__(self, "class_names", names)
@@ -58,11 +58,12 @@ def class_counts(pred: OccupancyGrid, gt: OccupancyGrid) -> tuple[np.ndarray, np
     if pred.class_names != gt.class_names:
         raise ValueError("grids carry different class tables")
     n = len(gt.class_names)
-    p = pred.labels.ravel()
-    g = gt.labels.ravel()
-    inter = np.bincount(p[p == g], minlength=n)
-    union = np.bincount(p, minlength=n) + np.bincount(g, minlength=n) - inter
-    return inter.astype(np.int64), union.astype(np.int64)
+    pairs = pred.labels.ravel() * n
+    pairs += gt.labels.ravel()
+    confusion = np.bincount(pairs, minlength=n * n).reshape(n, n).astype(np.int64, copy=False)
+    inter = confusion.diagonal().copy()  # confusion is [pred, gt]
+    union = confusion.sum(axis=1) + confusion.sum(axis=0) - inter
+    return inter, union
 
 
 def report_from_counts(

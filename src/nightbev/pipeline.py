@@ -9,7 +9,6 @@ zero.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from .bev import AttentionParams, bev_pool, depth_bin_centers, depth_context_split
 from .bev import refine_bev, residual_query
-from .core import Tensor3, read_raw_tensor, write_json, write_raw_tensor
+from .core import Tensor3, read_json, read_raw_tensor, write_json, write_raw_tensor
 from .core import json_block, json_list, json_path
 from .formats import write_pgm, write_ppm
 from .geometry import field_to_tensor, illumination_field
@@ -32,6 +31,8 @@ from .metrics import IoUReport, OccupancyGrid, miou, report_from_counts, write_i
 from .scene import SceneBundle, load_scene, read_manifest
 from .selective import FactorPopulation, otsu_threshold, selective_enhance
 
+# An auxiliary loss term: called with the (X, Y, Z, n_cla) logits view and the
+# (X, Y, Z) ground-truth labels that `weighted_ce` receives.
 AuxLossHook = Callable[[np.ndarray, np.ndarray], float]
 
 REPORT_FILE = "report.json"
@@ -113,9 +114,7 @@ class PipelineConfig:
     @classmethod
     def from_json_file(cls, path, seed_override: int | None = None) -> "PipelineConfig":
         path = Path(path)
-        with open(path, "r", encoding="ascii") as fh:
-            obj = json.load(fh)
-        return cls.from_dict(obj, base_dir=path.parent, seed_override=seed_override)
+        return cls.from_dict(read_json(path), base_dir=path.parent, seed_override=seed_override)
 
     @classmethod
     def from_dict(
@@ -349,6 +348,26 @@ def igs_stage(
     return i_prime, g, dp_mod, warped
 
 
+def _class_argmax(zgrid: np.ndarray) -> np.ndarray:
+    """`zgrid.argmax(axis=1)`, as one pass per class over the (Z, X, Y) planes.
+
+    Class k takes over where it beats the running max, or is NaN where that
+    is not, so the first maximum and the first NaN win, as in `argmax`. Every
+    earlier label is below k, so `maximum(labels, k * wins)` sets exactly those.
+    """
+    best = zgrid[:, 0].copy()
+    labels = np.zeros(best.shape, dtype=np.min_scalar_type(zgrid.shape[1] - 1))
+    wins = np.empty(best.shape, dtype=bool)
+    for k in range(1, zgrid.shape[1]):
+        plane = zgrid[:, k]
+        np.less_equal(plane, best, out=wins)
+        np.logical_not(wins, out=wins)  # greater, or one of the two is NaN
+        wins &= best == best
+        np.maximum(labels, np.multiply(wins, k, dtype=labels.dtype), out=labels)
+        np.maximum(best, plane, out=best)
+    return labels
+
+
 @dataclass
 class RunReport:
     lam: float
@@ -517,10 +536,10 @@ def run_pipeline(
         logits = np.einsum("oc,cxy->oxy", params.head_weights, f_bev.data)
         logits += params.head_bias[:, None, None]
         zgrid = logits.reshape(grid_z, n_cla, spec.nx, spec.ny)
-        labels = zgrid.argmax(axis=1).transpose(1, 2, 0)  # (X, Y, Z)
-        vox = zgrid.transpose(2, 3, 0, 1).reshape(-1, n_cla)  # (X*Y*Z, n_cla)
-        return OccupancyGrid(labels, bundle.classes), vox, logits
+        labels = _class_argmax(zgrid).transpose(1, 2, 0)  # (X, Y, Z)
+        return OccupancyGrid(labels, bundle.classes), zgrid.transpose(2, 3, 0, 1), logits
 
+    # vox_logits is an (X, Y, Z, n_cla) view of the head's (Z, n_cla, X, Y) logits.
     pred, vox_logits, head_logits = stages.run("head", _head)
     dump_tensor(Tensor3(pred.labels.transpose(2, 0, 1).astype(np.float64)), "occupancy_pred.rt")
     if dump_intermediates:
@@ -528,11 +547,11 @@ def run_pipeline(
 
     # Losses against the ground truth grid.
     def _loss():
-        gt_flat = bundle.occupancy.labels.reshape(-1)
+        gt = bundle.occupancy.labels
         weights = class_weights_from_labels(bundle.occupancy, n_cla)
-        ce = weighted_ce(vox_logits, gt_flat, weights)
-        a_sem = aux_sem_hook(vox_logits, gt_flat) if aux_sem_hook else 0.0
-        a_geo = aux_geo_hook(vox_logits, gt_flat) if aux_geo_hook else 0.0
+        ce = weighted_ce(vox_logits, gt, weights)
+        a_sem = aux_sem_hook(vox_logits, gt) if aux_sem_hook else 0.0
+        a_geo = aux_geo_hook(vox_logits, gt) if aux_geo_hook else 0.0
         return ce, a_sem, a_geo, total_loss(ce, a_sem, a_geo, pc.loss)
 
     ce, aux_sem, aux_geo, total = stages.run("loss", _loss)
@@ -546,7 +565,7 @@ def run_pipeline(
         enhanced=enhanced,
         t_star=t_star,
         ce=ce,
-        ce_per_voxel=ce / vox_logits.shape[0],
+        ce_per_voxel=ce / (spec.nx * spec.ny * grid_z),
         aux_sem=aux_sem,
         aux_geo=aux_geo,
         total=total,

@@ -8,7 +8,6 @@ and low ambient genuinely underexposes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,6 +18,7 @@ from .core import (
     json_block,
     json_list,
     json_path,
+    read_json,
     read_raw_tensor,
     write_json,
     write_raw_tensor,
@@ -107,9 +107,7 @@ class SceneConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "SceneConfig":
-        with open(path, "r", encoding="ascii") as fh:
-            obj = json.load(fh)
-        return cls.from_dict(obj)
+        return cls.from_dict(read_json(path))
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SceneConfig":
@@ -332,11 +330,11 @@ def read_manifest(scene_dir) -> dict:
         },
         required=True,
     )
-    with open(root / SCENE_FILE, "r", encoding="ascii") as fh:
-        try:
-            return manifest_block(json.load(fh), "")
-        except ValueError as exc:  # bad JSON too
-            raise ValueError(f"{root / SCENE_FILE}: {exc}") from exc
+    obj = read_json(root / SCENE_FILE)
+    try:
+        return manifest_block(obj, "")
+    except ValueError as exc:
+        raise ValueError(f"{root / SCENE_FILE}: {exc}") from exc
 
 
 def load_scene(scene_dir) -> SceneBundle:

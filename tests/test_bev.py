@@ -3,7 +3,7 @@ and illumination-weighted refinement."""
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import nightbev.bev
@@ -168,6 +168,59 @@ class TestBevPool:
                         expected += 1.0 / bins
         assert q.data.sum() == expected
         assert expected > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        hw=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        bins=st.sampled_from([1, 2, 4, 8]),
+        yaw=st.floats(-3.0, 3.0),
+        pitch=st.floats(-1.2, 1.2),
+        focal=st.floats(0.5, 8.0),
+        voxel=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+        cells=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    )
+    def test_mass_conservation_over_random_cameras(
+        self, seed, hw, bins, yaw, pitch, focal, voxel, cells
+    ):
+        # Depth masses are multiples of 1/8, so every sum of them is exact in
+        # either order; the kept mass is recounted point by point with solve.
+        rng = np.random.default_rng(seed)
+        h, w = hw
+        mass = np.stack([rng.multinomial(8, np.full(bins, 1.0 / bins)) for _ in range(h * w)])
+        depth = Tensor3((mass.T / 8.0).reshape(bins, h, w))
+        dc = make_dc(Tensor3(np.ones((1, h, w))), depth, d_min=0.5, d_max=8.5)
+        cy, sy, cp, sp = np.cos(yaw), np.sin(yaw), np.cos(pitch), np.sin(pitch)
+        rot = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]]) @ np.array(
+            [[1.0, 0.0, 0.0], [0.0, cp, -sp], [0.0, sp, cp]]
+        )
+        k = np.array([[focal, 0.0, w / 2], [0.0, focal, h / 2], [0.0, 0.0, 1.0]])
+        cam = CameraMatrix(np.hstack([k @ rot, k @ rng.uniform(-2.0, 2.0, size=(3, 1))]))
+        a, t = cam.matrix[:, :3], cam.matrix[:, 3]
+        pts = {
+            (b, v, u): np.linalg.solve(a, dc.bin_centers[b] * np.array([u + 0.5, v + 0.5, 1.0]) - t)
+            for b in range(bins)
+            for v in range(h)
+            for u in range(w)
+        }
+        # A grid on voxel multiples around one lifted point, so some mass lands.
+        centre = list(pts.values())[rng.integers(len(pts))]
+        lo = [np.floor(centre[i] / voxel - rng.integers(0, cells[i])) * voxel for i in (0, 1)]
+        spec = BevSpec(
+            x_range=(lo[0], lo[0] + cells[0] * voxel),
+            y_range=(lo[1], lo[1] + cells[1] * voxel),
+            z_range=(0.0, voxel),
+            voxel=voxel,
+        )
+        expected = 0.0
+        for (b, v, u), pt in pts.items():
+            edges = [pt[0] - spec.x_range[0], spec.x_range[1] - pt[0]]
+            edges += [pt[1] - spec.y_range[0], spec.y_range[1] - pt[1]]
+            assume(min(abs(e) for e in edges) > 1e-9)  # no point on the grid's edge
+            if min(edges) > 0:
+                expected += depth.data[b, v, u]
+        q = bev_pool(dc, cam, spec)
+        assert q.data.sum() == expected
 
     def test_linearity_in_context(self):
         rng = np.random.default_rng(19)
@@ -434,6 +487,25 @@ class TestRefineBev:
         q_res = Tensor3(rng.normal(size=(3, 4, 5)))
         out = refine_bev(q, q_res, np.zeros((4, 5)))
         assert out.data.tobytes() == q.data.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6)),
+        zero_frac=st.floats(0.0, 1.0),
+    )
+    def test_query_kept_bitwise_wherever_the_field_is_zero(self, seed, shape, zero_frac):
+        rng = np.random.default_rng(seed)
+        special = np.array([0.0, -0.0, 5e-324, 1e300, -1e300])
+        q, q_res = (rng.normal(size=shape) for _ in range(2))
+        for arr in (q, q_res):
+            mask = rng.random(shape) < 0.3
+            arr[mask] = rng.choice(special, size=int(mask.sum()))
+        s = rng.uniform(0.0, 1.0, size=shape[1:])
+        s[rng.random(shape[1:]) < zero_frac] = rng.choice([0.0, -0.0])
+        out = refine_bev(Tensor3(q), Tensor3(q_res), s)
+        zero = np.broadcast_to(s == 0.0, shape)
+        assert out.data[zero].tobytes() == q[zero].tobytes()
 
     def test_unit_field_adds_residual(self):
         rng = np.random.default_rng(41)

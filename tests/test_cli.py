@@ -311,6 +311,34 @@ class TestSceneFiles:
         assert not out.exists()
 
 
+class TestDeeplyNestedJson:
+    """JSON nested deeper than the parser recurses exits 2 and names the file."""
+
+    @pytest.mark.parametrize(
+        "command,name",
+        [
+            ("pipeline", "pipeline.json"),
+            ("gen-scene", "scene_cfg.json"),
+            ("pipeline", "scene/scene.json"),
+            ("pipeline", "scene/camera.json"),
+        ],
+        ids=["pipeline_config", "scene_config", "scene_manifest", "camera"],
+    )
+    def test_exits_2_naming_the_file(
+        self, tmp_path, capsys, pipeline_config, scene_config, scene, command, name
+    ):
+        (tmp_path / name).write_text("[" * 100_000)
+        out = tmp_path / "out"
+        config = pipeline_config if command == "pipeline" else scene_config
+        where = ["--scene", str(scene)] if command == "pipeline" else []
+        code = main([command, "--config", str(config), *where, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{tmp_path / name}: " in err and "recursion" in err
+        assert "internal error" not in err
+        assert not out.exists()
+
+
 def _relabel(value):
     def edit(data):
         data = data.copy()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nightbev.core import finite_diff_check
 from nightbev.losses import (
@@ -141,3 +143,81 @@ def test_loss_only_path_equals_gradient_path_exactly():
         labels = rng.integers(0, n_cla, size=n_vox)
         weights = rng.uniform(0.0, 3.0, size=n_cla)
         assert weighted_ce(logits, labels, weights) == weighted_ce_grad(logits, labels, weights)[0]
+
+
+def reference_ce(logits, labels, weights) -> float:
+    """The loss as computed before the per-class passes: max, exp-sum and
+    picked logit reduced over the inner axis of an (n_vox, n_cla) C-order copy."""
+    flat = np.array(logits, dtype=np.float64, order="C").reshape(-1, logits.shape[-1])
+    labels = np.asarray(labels).ravel().astype(np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
+    n = flat.shape[0]
+    shifted = flat - flat.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    picked = shifted[np.arange(n), labels]
+    per_voxel = weights[labels] * (lse - picked)
+    return float(per_voxel.sum())
+
+
+SPECIAL_LOGITS = np.array([0.0, -0.0, 1e300, -1e300, np.inf, -np.inf])
+
+
+def ce_case(seed, lead, n_cla, values, head_layout):
+    """Logits (*lead, n_cla), labels and weights; in the head layout the
+    logits are a strided view of a (lead[-1], n_cla, *lead[:-1]) array."""
+    rng = np.random.default_rng(seed)
+    if values == "ties":
+        base = rng.integers(-2, 3, size=(n_cla, *lead)).astype(np.float64)
+    else:
+        base = rng.normal(0.0, 5.0, size=(n_cla, *lead))
+        if values == "special":
+            mask = rng.random(base.shape) < 0.3
+            base[mask] = rng.choice(SPECIAL_LOGITS, size=int(mask.sum()))
+    if head_layout:
+        k = len(lead)
+        stored = np.ascontiguousarray(np.moveaxis(base, 0, -1).transpose(k - 1, k, *range(k - 1)))
+        logits = stored.transpose(*range(2, k + 1), 0, 1)
+    else:
+        logits = np.ascontiguousarray(np.moveaxis(base, 0, -1))
+    labels = rng.integers(0, n_cla, size=lead)
+    weights = rng.uniform(0.0, 3.0, size=n_cla)
+    return logits, labels, weights
+
+
+class TestWeightedCeOracle:
+    """`weighted_ce` on (..., n_cla) views keeps every bit of the old
+    (n_vox, n_cla) reduction, in each of numpy's class-sum orders."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lead=st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),
+        n_cla=st.integers(2, 140),
+        values=st.sampled_from(["normal", "ties", "special"]),
+        head_layout=st.booleans(),
+    )
+    @example(seed=1, lead=(3, 4, 2), n_cla=7, values="normal", head_layout=True)
+    @example(seed=2, lead=(3, 4, 2), n_cla=8, values="normal", head_layout=True)
+    @example(seed=3, lead=(3, 4, 2), n_cla=9, values="special", head_layout=True)
+    @example(seed=4, lead=(5, 2), n_cla=128, values="normal", head_layout=False)
+    @example(seed=5, lead=(5, 2), n_cla=129, values="ties", head_layout=True)
+    @example(seed=3049, lead=(5, 1), n_cla=21, values="normal", head_layout=True)
+    def test_bytes_equal_reference(self, seed, lead, n_cla, values, head_layout):
+        logits, labels, weights = ce_case(seed, lead, n_cla, values, head_layout)
+        with np.errstate(all="ignore"):  # inf - inf in the special cases
+            want = reference_ce(logits, labels, weights)
+            got = weighted_ce(logits, labels, weights)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+    def test_head_layout_is_not_copied_by_the_caller(self):
+        logits, labels, weights = ce_case(0, (6, 5, 4), 4, "normal", True)
+        assert not logits.flags.c_contiguous and not logits.flags.f_contiguous
+        assert weighted_ce(logits, labels, weights) == reference_ce(logits, labels, weights)
+
+    def test_labels_must_match_leading_shape(self):
+        with pytest.raises(ValueError, match="labels of shape"):
+            weighted_ce(np.zeros((2, 3, 2)), np.zeros(6, dtype=int), [1.0, 1.0])
+
+    def test_gradient_needs_two_dimensional_logits(self):
+        with pytest.raises(ValueError, match="n_vox, n_cla"):
+            weighted_ce_grad(np.zeros((2, 3, 2)), np.zeros((2, 3), dtype=int), [1.0, 1.0])

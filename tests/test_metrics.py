@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nightbev.metrics import (
     IoUReport,
     OccupancyGrid,
+    class_counts,
     miou,
     report_from_counts,
     write_iou_csv,
@@ -44,6 +47,15 @@ class TestOccupancyGrid:
     def test_rejects_label_out_of_table(self):
         with pytest.raises(ValueError, match="labels"):
             OccupancyGrid(np.full((1, 1, 1), 5, dtype=np.int64), ("free", "a"))
+
+    def test_keeps_its_own_c_ordered_int64_copy(self):
+        labels = np.arange(24, dtype=np.int32).reshape(2, 3, 4).transpose(2, 0, 1) % 3
+        g = OccupancyGrid(labels, ("free", "a", "b"))
+        assert g.labels.dtype == np.int64 and g.labels.flags.c_contiguous
+        assert not g.labels.flags.writeable
+        np.testing.assert_array_equal(g.labels, labels)
+        labels[0, 0, 0] = 2 - labels[0, 0, 0]
+        assert g.labels[0, 0, 0] != labels[0, 0, 0]
 
     def test_dims(self):
         g = grid(np.zeros((2, 3, 4), dtype=int))
@@ -117,6 +129,37 @@ class TestMiou:
         b = OccupancyGrid(np.zeros((1, 1, 1), dtype=int), ("free", "b"))
         with pytest.raises(ValueError, match="class tables"):
             miou(a, b)
+
+
+def reference_counts(pred: OccupancyGrid, gt: OccupancyGrid):
+    """The counts as made before the confusion matrix: three bincounts and a masked gather."""
+    n = len(gt.class_names)
+    p = pred.labels.ravel()
+    g = gt.labels.ravel()
+    inter = np.bincount(p[p == g], minlength=n)
+    union = np.bincount(p, minlength=n) + np.bincount(g, minlength=n) - inter
+    return inter.astype(np.int64), union.astype(np.int64)
+
+
+class TestClassCountsOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+        n_cla=st.integers(1, 12),
+        agree=st.floats(0.0, 1.0),
+    )
+    def test_equals_three_bincount_counts(self, seed, dims, n_cla, agree):
+        rng = np.random.default_rng(seed)
+        names = tuple(f"c{m}" for m in range(n_cla))
+        gt = rng.integers(0, n_cla, size=dims)
+        pred = np.where(rng.random(dims) < agree, gt, rng.integers(0, n_cla, size=dims))
+        a, b = OccupancyGrid(pred, names), OccupancyGrid(gt, names)
+        inter, union = class_counts(a, b)
+        want_inter, want_union = reference_counts(a, b)
+        assert inter.dtype == union.dtype == np.int64
+        np.testing.assert_array_equal(inter, want_inter)
+        np.testing.assert_array_equal(union, want_union)
 
 
 class TestReportCsv:

@@ -1,17 +1,24 @@
 """End-to-end pipeline behavior, configuration plumbing, and batch evaluation."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, reject, settings
+from hypothesis import strategies as st
 
 import nightbev.pipeline
 from nightbev.core import Tensor3, read_raw_tensor, write_raw_tensor
 from nightbev.formats import write_pgm
+from nightbev.geometry import BevSpec
+from nightbev.losses import class_weights_from_labels, weighted_ce
 from nightbev.pipeline import (
     ParamSource,
     PipelineConfig,
     StageError,
+    _class_argmax,
     build_params,
     eval_batch,
     resolve_t_star,
@@ -199,6 +206,26 @@ class TestRunPipeline:
         assert report.aux_geo == 2.0
         assert report.total == pytest.approx(10.0 * report.ce + 0.2 + 0.4)
 
+    def test_aux_hooks_receive_the_voxel_layout(self, tmp_path):
+        bundle = load_scene(scene_dir(tmp_path))
+        seen = []
+
+        def hook(logits, labels):
+            seen.append((logits, labels))
+            return 0.5
+
+        report = run_pipeline(PipelineConfig(), bundle, tmp_path / "out", aux_sem_hook=hook)
+        (logits, labels), = seen
+        spec, n_cla = bundle.bev, len(bundle.classes)
+        assert logits.shape == (spec.nx, spec.ny, spec.nz, n_cla)
+        assert labels.shape == (spec.nx, spec.ny, spec.nz)
+        np.testing.assert_array_equal(labels, bundle.occupancy.labels)
+        weights = class_weights_from_labels(bundle.occupancy, n_cla)
+        assert weighted_ce(logits, labels, weights) == report.ce
+        assert report.ce_per_voxel == report.ce / labels.size
+        pred = read_raw_tensor(tmp_path / "out" / "occupancy_pred.rt").data.transpose(1, 2, 0)
+        np.testing.assert_array_equal(pred, logits.argmax(axis=-1))
+
     def test_stage_error_carries_stage_name(self, tmp_path, monkeypatch):
         def broken(*args):
             raise ValueError("broken refine")
@@ -318,6 +345,91 @@ class TestRunPipeline:
         assert (tmp_path / "seeded" / "occupancy_pred.rt").read_bytes() == (
             tmp_path / "files" / "occupancy_pred.rt"
         ).read_bytes()
+
+
+class TestClassArgmax:
+    """The head's per-class label passes against `argmax` over the class axis."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 140), st.integers(1, 5), st.integers(1, 5)),
+        values=st.sampled_from(["normal", "ties", "nan", "special"]),
+    )
+    @example(seed=0, dims=(2, 3, 4, 4), values="nan")
+    @example(seed=1, dims=(1, 300, 2, 2), values="ties")
+    def test_equals_argmax(self, seed, dims, values):
+        rng = np.random.default_rng(seed)
+        if values == "normal":
+            zgrid = rng.normal(size=dims)
+        else:
+            zgrid = rng.integers(-2, 3, size=dims).astype(np.float64)
+        if values in ("nan", "special"):
+            extra = [np.nan] if values == "nan" else [np.nan, np.inf, -np.inf, 0.0, -0.0]
+            mask = rng.random(dims) < 0.2
+            zgrid[mask] = rng.choice(extra, size=int(mask.sum()))
+        labels = _class_argmax(zgrid)
+        np.testing.assert_array_equal(labels, zgrid.argmax(axis=1))
+
+    def test_first_maximum_and_first_nan_win(self):
+        nan = np.nan
+        rows = [[1.0, 3.0, 3.0], [nan, 5.0, nan], [0.0, nan, nan], [-0.0, 0.0, -1.0], [2.0, 2.0, nan]]
+        zgrid = np.array(rows).T.reshape(1, 3, 1, 5)
+        np.testing.assert_array_equal(_class_argmax(zgrid).ravel(), [1, 0, 1, 0, 2])
+
+
+def scene_configs():
+    """Small random scenes: size, boxes, lights, ambient light and BEV extent."""
+    light = st.builds(
+        Light,
+        u=st.floats(0.0, 64.0),
+        v=st.floats(0.0, 48.0),
+        intensity=st.floats(0.0, 4.0),
+        radius=st.floats(2.0, 40.0),
+    )
+    bev = st.builds(
+        BevSpec,
+        x_range=st.just((0.0, 6.4)),
+        y_range=st.sampled_from([(-3.2, 3.2), (-1.6, 1.6)]),
+        z_range=st.just((-1.0, 2.2)),
+        voxel=st.sampled_from([0.4, 0.8]),
+    )
+    return st.builds(
+        SceneConfig,
+        seed=st.integers(0, 2**16),
+        height=st.sampled_from([16, 32, 48]),
+        width=st.sampled_from([32, 48, 64]),
+        bev=bev,
+        random_boxes=st.integers(0, 4),
+        lights=st.lists(light, max_size=2).map(tuple),
+        ambient=st.floats(0.02, 1.0),
+    )
+
+
+class TestRerunProperty:
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(cfg=scene_configs(), seed=st.integers(0, 2**16), n_z=st.integers(1, 4))
+    def test_reruns_are_bit_identical(self, cfg, seed, n_z):
+        pc = PipelineConfig(seed=seed, n_z=n_z)
+        try:
+            bundle = gen_scene(cfg)
+        except ValueError:  # gen_scene refuses a scene whose boxes are all out of view
+            reject()
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            save_scene(bundle, root / "scene")
+            save_scene(gen_scene(cfg), root / "again")
+            for p in (root / "scene").iterdir():
+                assert (root / "again" / p.name).read_bytes() == p.read_bytes(), p.name
+            runs = [
+                run_pipeline(pc, load_scene(root / "scene"), root / out, dump_intermediates=True)
+                for out in ("a", "b")
+            ]
+            assert runs[0].manifest == runs[1].manifest
+            for name in runs[0].manifest:
+                assert (root / "a" / name).read_bytes() == (root / "b" / name).read_bytes(), name
+            a, b = (json.loads((root / out / "report.json").read_text()) for out in ("a", "b"))
+            assert {**a, "timings": None} == {**b, "timings": None}
 
 
 class TestBuildParams:
