@@ -13,20 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import write_json, write_raw_tensor
-from .formats import read_ppm, write_pgm, write_ppm
+from .formats import read_ppm, write_artifacts
 from .geometry import field_to_tensor, illumination_field
-from .pipeline import PipelineConfig, StageError, build_params, encode_image, enhance_stage
-from .pipeline import eval_batch, igs_stage, illumination_map, offset_magnitude
-from .pipeline import population_factors, run_pipeline
+from .pipeline import PipelineConfig, StageError, build_params, check_injected_size
+from .pipeline import encode_image, enhance_stage, eval_batch, igs_stage, illumination_map
+from .pipeline import injected_size, offset_magnitude, population_factors, run_pipeline
 from .scene import SceneConfig, gen_scene, load_scene, save_scene
 from .selective import FactorPopulation, factor_histogram, otsu_threshold
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _cmd_gen_scene(args) -> int:
@@ -34,7 +27,7 @@ def _cmd_gen_scene(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     bundle = gen_scene(cfg)
-    save_scene(bundle, _out_dir(args))
+    save_scene(bundle, args.out)
     print(f"scene written to {args.out}")
     return 0
 
@@ -44,11 +37,12 @@ def _cmd_enhance(args) -> int:
     # A standalone image takes its map from --illum, never from the config.
     pc = replace(pc, illumination_file=Path(args.illum) if args.illum else None)
     illum, t_star, lam, enhanced_img, enhanced = enhance_stage(pc, read_ppm(args.image))
-    out = _out_dir(args)
-    write_ppm(enhanced_img, out / "enhanced.ppm")
-    write_pgm(illum, out / "illumination.pgm")
-    write_raw_tensor(illum, out / "illumination.rt", dtype="f32")
-    write_json({"lambda": lam, "t_star": t_star, "enhanced": enhanced}, out / "enhance_report.json")
+    write_artifacts(args.out, [
+        ("enhanced.ppm", enhanced_img),
+        ("illumination.pgm", illum),
+        ("illumination.rt", illum),
+        ("enhance_report.json", {"lambda": lam, "t_star": t_star, "enhanced": enhanced}),
+    ])
     print(f"lambda={lam:.6f} t_star={t_star:.6f} enhanced={enhanced}")
     return 0
 
@@ -57,17 +51,14 @@ def _cmd_threshold(args) -> int:
     factors = np.array(population_factors(args.maps))
     pop = FactorPopulation(factors, bins=args.bins)
     report = otsu_threshold(pop)
-    out = _out_dir(args)
-    write_json(
-        {
-            "t_star": report.t_star,
-            "sigma_b2": report.sigma_b2,
-            "n_images": int(factors.size),
-            "degenerate": report.degenerate,
-            "histogram": [int(c) for c in factor_histogram(factors, args.bins)],
-        },
-        out / "threshold.json",
-    )
+    summary = {
+        "t_star": report.t_star,
+        "sigma_b2": report.sigma_b2,
+        "n_images": int(factors.size),
+        "degenerate": report.degenerate,
+        "histogram": [int(c) for c in factor_histogram(factors, args.bins)],
+    }
+    write_artifacts(args.out, [("threshold.json", summary)])
     print(f"t_star={report.t_star:.6f} sigma_b2={report.sigma_b2:.6g} n={factors.size}")
     return 0
 
@@ -79,10 +70,11 @@ def _cmd_igs(args) -> int:
     illum, _, _, enhanced_img, _ = enhance_stage(pc, bundle.image)
     f_img = encode_image(enhanced_img, params.enc1, params.enc2)
     _, guidance, dp_mod, warped = igs_stage(pc, params, illum, f_img)
-    out = _out_dir(args)
-    write_pgm(guidance, out / "guidance.pgm")
-    write_pgm(offset_magnitude(dp_mod), out / "offset_mag.pgm")
-    write_raw_tensor(warped, out / "f_warped.rt", dtype="f32")
+    write_artifacts(args.out, [
+        ("guidance.pgm", guidance),
+        ("offset_mag.pgm", offset_magnitude(dp_mod)),
+        ("f_warped.rt", warped),
+    ])
     print(f"guided sampling artifacts written to {args.out}")
     return 0
 
@@ -90,12 +82,11 @@ def _cmd_igs(args) -> int:
 def _cmd_illum_field(args) -> int:
     pc = PipelineConfig.from_json_file(args.config, seed_override=args.seed)
     bundle = load_scene(args.scene)
+    check_injected_size(injected_size(pc), bundle.image.height, bundle.image.width)
     field = illumination_field(
         illumination_map(pc, bundle.image), bundle.camera, bundle.bev, pc.n_z
     )
-    out = _out_dir(args)
-    write_raw_tensor(field_to_tensor(field), out / "s_field.rt", dtype="f32")
-    write_pgm(field, out / "s_field.pgm")
+    write_artifacts(args.out, [("s_field.rt", field_to_tensor(field)), ("s_field.pgm", field)])
     print(f"illumination field written to {args.out}")
     return 0
 

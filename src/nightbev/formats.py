@@ -1,12 +1,15 @@
-"""Binary PPM (P6) and PGM (P5) codecs, 8-bit only, values mapped to [0,1]."""
+"""Binary PPM (P6) and PGM (P5) codecs, 8-bit only, values mapped to [0,1],
+and `write_artifacts`, the one writer of every output file."""
 
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import numpy as np
 
-from .core import Tensor3
+from .core import Tensor3, write_json, write_raw_tensor
+from .metrics import write_iou_csv
 
 
 def _read_token(fh) -> bytes:
@@ -97,3 +100,24 @@ def write_ppm(t: Tensor3, path) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(np.ascontiguousarray(interleaved).tobytes())
+
+
+def write_artifacts(out_dir, artifacts) -> None:
+    """Create `out_dir` and write each (name, value) pair in order.
+
+    The name's suffix picks the codec: `.rt` a float32 raw tensor, `.pgm`,
+    `.ppm`, `.json`, and `.csv` an IoU table. The codecs are looked up on
+    every call, so a module attribute rebound later (a timing wrapper, say)
+    sees every write.
+    """
+    codecs = {
+        ".rt": lambda t, path: write_raw_tensor(t, path, dtype="f32"),
+        ".pgm": write_pgm,
+        ".ppm": write_ppm,
+        ".json": write_json,
+        ".csv": write_iou_csv,
+    }
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, value in artifacts:
+        codecs[Path(name).suffix](value, out / name)

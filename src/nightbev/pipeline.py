@@ -18,16 +18,15 @@ import numpy as np
 
 from .bev import AttentionParams, bev_pool, depth_bin_centers, depth_context_split
 from .bev import refine_bev, residual_query
-from .core import Tensor3, read_json, read_raw_tensor, write_json, write_raw_tensor
-from .core import json_block, json_list, json_path
-from .formats import write_pgm, write_ppm
+from .core import Tensor3, json_block, json_list, json_path, read_json, read_raw_tensor
+from .formats import write_artifacts
 from .geometry import field_to_tensor, illumination_field
 from .guided_sampling import ConvParams, build_guidance, conv2d_replicate, generate_offsets
 from .guided_sampling import guided_warp, kernel_grid, modulate_offsets
 from .illumination import EstimatorConfig, estimate_illumination, illumination_factor
 from .illumination import load_illumination
 from .losses import LossConfig, class_weights_from_labels, total_loss, weighted_ce
-from .metrics import IoUReport, OccupancyGrid, miou, report_from_counts, write_iou_csv
+from .metrics import IoUReport, OccupancyGrid, miou, report_from_counts
 from .scene import SceneBundle, load_scene, read_manifest
 from .selective import FactorPopulation, otsu_threshold, selective_enhance
 
@@ -108,8 +107,10 @@ class PipelineConfig:
             raise ValueError("encoder.channels must be >= 1")
         if self.depth_c_ctx < 1 or self.depth_bins < 1:
             raise ValueError("depth.c_ctx and depth.bins must be >= 1")
-        # One bin checks d_min < d_max without allocating depth_bins centres.
-        depth_bin_centers(self.depth_min, self.depth_max, 1)
+        try:  # one bin checks d_min < d_max without allocating depth_bins centres
+            depth_bin_centers(self.depth_min, self.depth_max, 1)
+        except ValueError as exc:
+            raise ValueError(f"depth.d_min: {exc}") from exc
 
     @classmethod
     def from_json_file(cls, path, seed_override: int | None = None) -> "PipelineConfig":
@@ -287,7 +288,7 @@ def _avg_pool2(t: Tensor3) -> Tensor3:
 ENCODER_STRIDE = 4  # encode_image pools twice by 2
 
 
-def _injected_size(pc: PipelineConfig) -> tuple[int, int] | None:
+def injected_size(pc: PipelineConfig) -> tuple[int, int] | None:
     """Height and width of `pc.illumination_file`, if one is set."""
     if pc.illumination_file is None:
         return None
@@ -308,6 +309,11 @@ def _check_scene(
         raise ValueError(
             f"image {height}x{width}: height and width must be divisible by {ENCODER_STRIDE}"
         )
+    check_injected_size(injected, height, width)
+
+
+def check_injected_size(injected: tuple[int, int] | None, height: int, width: int) -> None:
+    """Refuse an injected map (its `injected_size`) that is not height x width."""
     if injected not in (None, (height, width)):
         h, w = injected
         raise ValueError(f"illumination_file is {h}x{w}, image is {height}x{width}")
@@ -438,82 +444,38 @@ def run_pipeline(
     """Execute the full pipeline on one scene and write artifacts to out_dir.
 
     The scene and injected map are checked, t* resolved and the parameters
-    built before the output directory is created, so these failures leave
-    nothing behind.
+    built, then every stage runs; only then is anything written, so a failure
+    at any point leaves no output directory behind.
     """
-    _check_scene(bundle.classes, bundle.image.height, bundle.image.width, _injected_size(pc))
+    _check_scene(bundle.classes, bundle.image.height, bundle.image.width, injected_size(pc))
     pc = _with_fixed_t_star(pc)
     n_cla = len(bundle.classes)
     spec = bundle.bev
     grid_z = spec.nz
     params = build_params(pc, n_cla, grid_z)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest: list[str] = []
-
-    def dump_tensor(t: Tensor3, name: str) -> None:
-        write_raw_tensor(t, out / name, dtype="f32")
-        manifest.append(name)
-
-    def dump_pgm(data, name: str) -> None:
-        write_pgm(data, out / name)
-        manifest.append(name)
-
     stages = _Stages()
-
     # Selective enhancement.
     illum, t_star, lam, enhanced_img, enhanced = stages.run(
         "enhance", enhance_stage, pc, bundle.image
     )
-    write_ppm(enhanced_img, out / "enhanced.ppm")
-    manifest.append("enhanced.ppm")
-    if dump_intermediates:
-        dump_tensor(illum, "illumination.rt")
-        dump_pgm(illum, "illumination.pgm")
-
     # Tiny convolutional encoder.
     f_img = stages.run("encode", encode_image, enhanced_img, params.enc1, params.enc2)
-    if dump_intermediates:
-        dump_tensor(f_img, "f_img.rt")
-
     # Illumination-guided deformable sampling.
     i_prime, guidance, dp_mod, f_warped = stages.run(
         "guided_sampling", igs_stage, pc, params, illum, f_img
     )
-    if dump_intermediates:
-        dump_tensor(i_prime, "i_prime.rt")
-        dump_tensor(guidance, "guidance.rt")
-        dump_pgm(guidance, "guidance.pgm")
-        dump_tensor(dp_mod, "offsets_mod.rt")
-        dump_pgm(offset_magnitude(dp_mod), "offset_mag.pgm")
-        dump_tensor(f_warped, "f_warped.rt")
-
     # Depth/context split.
     centers = depth_bin_centers(pc.depth_min, pc.depth_max, pc.depth_bins)
     dc = stages.run(
-        "depth_split",
-        depth_context_split,
-        f_warped,
-        params.depth_conv,
-        pc.depth_c_ctx,
-        pc.depth_bins,
-        centers,
+        "depth_split", depth_context_split, f_warped, params.depth_conv, pc.depth_c_ctx,
+        pc.depth_bins, centers,
     )
-    if dump_intermediates:
-        dump_tensor(dc.f_ctx, "f_ctx.rt")
-        dump_tensor(dc.depth, "depth.rt")
-
     # Lift-splat pooling into BEV.
     q = stages.run("bev_pool", bev_pool, dc, bundle.camera, spec)
-    if dump_intermediates:
-        dump_tensor(q, "q.rt")
-
     # Residual cross-attention query.
     q_res = stages.run(
         "residual_query", residual_query, q, dc.f_ctx, bundle.camera, spec, pc.n_z, params.attn
     )
-    if dump_intermediates:
-        dump_tensor(q_res, "q_res.rt")
 
     # BEV illumination field.
     def _field():
@@ -522,14 +484,8 @@ def run_pipeline(
         return illumination_field(illum, bundle.camera, spec, pc.n_z)
 
     s_field = stages.run("illumination_field", _field)
-    if dump_intermediates:
-        dump_tensor(field_to_tensor(s_field), "s_field.rt")
-        dump_pgm(s_field, "s_field.pgm")
-
     # Illumination-weighted refinement.
     f_bev = stages.run("refine", refine_bev, q, q_res, s_field)
-    if dump_intermediates:
-        dump_tensor(f_bev, "f_bev.rt")
 
     # Channel-to-height prediction head.
     def _head():
@@ -541,9 +497,6 @@ def run_pipeline(
 
     # vox_logits is an (X, Y, Z, n_cla) view of the head's (Z, n_cla, X, Y) logits.
     pred, vox_logits, head_logits = stages.run("head", _head)
-    dump_tensor(Tensor3(pred.labels.transpose(2, 0, 1).astype(np.float64)), "occupancy_pred.rt")
-    if dump_intermediates:
-        dump_tensor(Tensor3(head_logits), "logits.rt")
 
     # Losses against the ground truth grid.
     def _loss():
@@ -555,10 +508,36 @@ def run_pipeline(
         return ce, a_sem, a_geo, total_loss(ce, a_sem, a_geo, pc.loss)
 
     ce, aux_sem, aux_geo, total = stages.run("loss", _loss)
-
     iou = stages.run("metrics", miou, pred, bundle.occupancy)
-    write_iou_csv(iou, out / "metrics.csv")
-    manifest.append("metrics.csv")
+
+    # Every artifact in manifest order; report.json follows and lists them.
+    artifacts = [("enhanced.ppm", enhanced_img)]
+    if dump_intermediates:
+        artifacts += [
+            ("illumination.rt", illum),
+            ("illumination.pgm", illum),
+            ("f_img.rt", f_img),
+            ("i_prime.rt", i_prime),
+            ("guidance.rt", guidance),
+            ("guidance.pgm", guidance),
+            ("offsets_mod.rt", dp_mod),
+            ("offset_mag.pgm", offset_magnitude(dp_mod)),
+            ("f_warped.rt", f_warped),
+            ("f_ctx.rt", dc.f_ctx),
+            ("depth.rt", dc.depth),
+            ("q.rt", q),
+            ("q_res.rt", q_res),
+            ("s_field.rt", field_to_tensor(s_field)),
+            ("s_field.pgm", s_field),
+            ("f_bev.rt", f_bev),
+        ]
+    artifacts.append(
+        ("occupancy_pred.rt", Tensor3(pred.labels.transpose(2, 0, 1).astype(np.float64)))
+    )
+    if dump_intermediates:
+        artifacts.append(("logits.rt", Tensor3(head_logits)))
+    artifacts.append(("metrics.csv", iou))
+    write_artifacts(out_dir, artifacts)
 
     report = RunReport(
         lam=lam,
@@ -572,9 +551,9 @@ def run_pipeline(
         iou=iou,
         grid_dims=(spec.nx, spec.ny, grid_z),
         timings=stages.timings,
-        manifest=manifest,
+        manifest=[name for name, _ in artifacts],
     )
-    write_json(report.to_dict(), out / REPORT_FILE)
+    write_artifacts(out_dir, [(REPORT_FILE, report.to_dict())])
     return report
 
 
@@ -591,14 +570,16 @@ def eval_batch(scene_dirs, pc: PipelineConfig, out_dir) -> IoUReport:
 
     Every scene manifest is checked, the parameters built for each distinct
     grid height and t* resolved once, before the first scene runs, so a bad
-    scene, parameter file or map population fails with nothing written.
+    scene, parameter file or map population fails with nothing written. The
+    first scene's run creates `out_dir`, so a stage failure there leaves
+    nothing either; a later one leaves the earlier scenes' directories.
     """
     dirs = [Path(d) for d in scene_dirs]
     if not dirs:
         raise ValueError("eval needs at least one scene")
     manifests = [read_manifest(d) for d in dirs]
     class_names = manifests[0]["classes"]
-    injected = _injected_size(pc)
+    injected = injected_size(pc)
     built_nz = set()
     for scene_dir, manifest in zip(dirs, manifests):
         try:
@@ -612,7 +593,6 @@ def eval_batch(scene_dirs, pc: PipelineConfig, out_dir) -> IoUReport:
             raise ValueError(f"scene {scene_dir}: {exc}") from exc
     pc = _with_fixed_t_star(pc)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     inter = None
     union = None
@@ -626,7 +606,7 @@ def eval_batch(scene_dirs, pc: PipelineConfig, out_dir) -> IoUReport:
         rows.append((str(scene_dir), report.iou.miou))
 
     aggregate = report_from_counts(inter, union, class_names)
-    write_iou_csv(aggregate, out / "aggregate.csv")
     scenes = [{"dir": d, "miou": m} for d, m in rows]
-    write_json({"scenes": scenes, "aggregate_miou": aggregate.miou}, out / "eval.json")
+    summary = {"scenes": scenes, "aggregate_miou": aggregate.miou}
+    write_artifacts(out, [("aggregate.csv", aggregate), ("eval.json", summary)])
     return aggregate

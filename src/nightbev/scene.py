@@ -20,10 +20,8 @@ from .core import (
     json_path,
     read_json,
     read_raw_tensor,
-    write_json,
-    write_raw_tensor,
 )
-from .formats import read_ppm, write_pgm, write_ppm
+from .formats import read_ppm, write_artifacts
 from .geometry import BevSpec, CameraMatrix, pixel_centers
 from .illumination import ILLUMINATION_FLOOR
 from .metrics import OccupancyGrid
@@ -285,14 +283,7 @@ def gen_scene(cfg: SceneConfig) -> SceneBundle:
 
 def save_scene(bundle: SceneBundle, out_dir) -> dict:
     """Write a scene directory; returns the manifest written to scene.json."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_ppm(bundle.image, out / "image.ppm")
-    write_json({"matrix": bundle.camera.to_list()}, out / "camera.json")
     grid = bundle.occupancy.labels.transpose(2, 0, 1).astype(np.float64)
-    write_raw_tensor(Tensor3(grid), out / "occupancy_gt.rt", dtype="f32")
-    write_raw_tensor(bundle.illumination_gt, out / "illumination_gt.rt", dtype="f32")
-    write_pgm(bundle.illumination_gt, out / "illumination_gt.pgm")
     manifest = {
         "height": bundle.image.height,
         "width": bundle.image.width,
@@ -306,7 +297,14 @@ def save_scene(bundle: SceneBundle, out_dir) -> dict:
             "illumination_preview": "illumination_gt.pgm",
         },
     }
-    write_json(manifest, out / SCENE_FILE)
+    write_artifacts(out_dir, [
+        ("image.ppm", bundle.image),
+        ("camera.json", {"matrix": bundle.camera.to_list()}),
+        ("occupancy_gt.rt", Tensor3(grid)),
+        ("illumination_gt.rt", bundle.illumination_gt),
+        ("illumination_gt.pgm", bundle.illumination_gt),
+        (SCENE_FILE, manifest),
+    ])
     return manifest
 
 

@@ -163,6 +163,17 @@ class TestIgsAndField:
         assert (out / "s_field.rt").is_file()
         assert (out / "s_field.pgm").is_file()
 
+    def test_illum_field_refuses_wrong_size_map(self, tmp_path, capsys, scene):
+        small = tmp_path / "small.rt"
+        write_raw_tensor(Tensor3.full(1, 32, 48, 0.5), small, dtype="f32")
+        config = tmp_path / "injected.json"
+        config.write_text(json.dumps({"illumination_file": str(small)}))
+        out = tmp_path / "field"
+        code = main(["illum-field", "--config", str(config), "--scene", str(scene), "--out", str(out)])
+        assert code == 2
+        assert "illumination_file is 32x48, image is 64x96" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPipelineCommand:
     def test_full_run_writes_report(self, tmp_path, pipeline_config, scene):
@@ -194,6 +205,7 @@ class TestPipelineCommand:
             ["pipeline", "--config", str(pipeline_config), "--scene", str(scene), "--out", str(tmp_path / "o")]
         )
         assert code == 1
+        assert not (tmp_path / "o").exists()
 
     def test_missing_scene_returns_2(self, tmp_path, pipeline_config):
         code = main(

@@ -147,7 +147,7 @@ PIPELINE_PROBES = [
     ([1, 2], "top level: must be a JSON object"),
     ({"igs": {"k_points": 4}}, "igs.k_points"),
     ({"loss": {"class_weights": [1, 1, 1, 1]}}, "loss.class_weights"),
-    ({"depth": {"d_min": 5, "d_max": 2}}, "d_min < d_max"),
+    ({"depth": {"d_min": 5, "d_max": 2}}, "depth.d_min"),
     ({"t_star": {"fixed": 0.4, "bins": 0}}, "t_star"),
     (
         {"encoder": {"source": {"files": {"conv1_kernel": "scene_cfg.json"}}}},

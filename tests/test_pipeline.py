@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
+import nightbev.formats
 import nightbev.pipeline
 from nightbev.core import Tensor3, read_raw_tensor, write_raw_tensor
 from nightbev.formats import write_pgm
@@ -171,6 +172,44 @@ class TestRunPipeline:
             else:
                 continue  # csv is not a tensor format
             assert again.read_bytes() == path.read_bytes(), name
+        assert report.manifest == [
+            "enhanced.ppm",
+            "illumination.rt",
+            "illumination.pgm",
+            "f_img.rt",
+            "i_prime.rt",
+            "guidance.rt",
+            "guidance.pgm",
+            "offsets_mod.rt",
+            "offset_mag.pgm",
+            "f_warped.rt",
+            "f_ctx.rt",
+            "depth.rt",
+            "q.rt",
+            "q_res.rt",
+            "s_field.rt",
+            "s_field.pgm",
+            "f_bev.rt",
+            "occupancy_pred.rt",
+            "logits.rt",
+            "metrics.csv",
+        ]
+
+    def test_writes_go_through_rebindable_codecs(self, tmp_path, monkeypatch):
+        # A timing harness wraps the codecs by rebinding module attributes; the
+        # writer must look them up per call or those wrappers see no write.
+        bundle = load_scene(scene_dir(tmp_path))
+        calls = {"write_raw_tensor": 0, "write_pgm": 0}
+        for name in calls:
+            real = getattr(nightbev.formats, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(nightbev.formats, name, counting)
+        run_pipeline(PipelineConfig(), bundle, tmp_path / "out", dump_intermediates=True)
+        assert calls == {"write_raw_tensor": 14, "write_pgm": 4}
 
     def test_report_json_written(self, tmp_path):
         bundle = load_scene(scene_dir(tmp_path))
@@ -234,6 +273,7 @@ class TestRunPipeline:
         with pytest.raises(StageError, match="stage 'refine' failed: broken refine") as info:
             run_pipeline(PipelineConfig(), load_scene(scene_dir(tmp_path)), tmp_path / "out")
         assert info.value.stage == "refine"
+        assert not (tmp_path / "out").exists()
 
     def test_injected_map_size_checked_before_output(self, tmp_path):
         bad_map = tmp_path / "small.rt"
@@ -485,6 +525,16 @@ class TestEvalBatch:
         assert {0, 1, 2}.issubset(set(aggregate.evaluated_classes))
         assert (tmp_path / "eval" / "aggregate.csv").is_file()
         assert (tmp_path / "eval" / "eval.json").is_file()
+
+    def test_stage_failure_in_first_scene_leaves_nothing(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ValueError("broken refine")
+
+        sdir = scene_dir(tmp_path)
+        monkeypatch.setattr(nightbev.pipeline, "refine_bev", broken)
+        with pytest.raises(StageError, match="stage 'refine' failed"):
+            eval_batch([sdir], PipelineConfig(), tmp_path / "eval")
+        assert not (tmp_path / "eval").exists()
 
     def test_empty_scene_list_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least one"):

@@ -10,7 +10,7 @@ field that builds, projects and floors its own column grid.
 import warnings
 
 import numpy as np
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -231,7 +231,11 @@ class TestIlluminationFieldOracle:
             voxel=0.5,
         )
         i = Tensor3(data.draw(map_data(1, *hw)))
-        m = overhead_view(spec, *hw, f_scale, shift, tilt)
+        try:
+            m = overhead_view(spec, *hw, f_scale, shift, tilt)
+        except ValueError as exc:  # the 3x3 block's determinant is f * (f - cu * tilt)
+            assert "singular" in str(exc)
+            reject()
         field = illumination_field(i, m, spec, n_z)
         assert field.tobytes() == floor_illumination_field(i, m, spec, n_z).tobytes()
 
