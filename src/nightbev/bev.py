@@ -184,8 +184,8 @@ def residual_query(
             f"attention expects {params.query_channels} query channels, got {q.channels}"
         )
     k_points = params.k_points
-    u, v, _, _, in_view = column_pixels(m, spec, n_z, f_ctx.height, f_ctx.width)
-    u, v, in_view = (a.reshape(nx * ny, n_z) for a in (u, v, in_view))
+    u, v, pixel = column_pixels(m, spec, n_z, f_ctx.height, f_ctx.width)
+    u, v, in_view = (a.reshape(nx * ny, n_z) for a in (u, v, pixel >= 0))
 
     out = np.zeros((f_ctx.channels, nx * ny), dtype=np.float64)
     cell, height = np.nonzero(in_view)  # in-view references, (cell, height) order

@@ -15,8 +15,8 @@ import numpy as np
 
 from .formats import read_ppm, write_artifacts
 from .geometry import field_to_tensor, illumination_field
-from .pipeline import PipelineConfig, StageError, build_params, check_injected_size
-from .pipeline import encode_image, enhance_stage, eval_batch, igs_stage, illumination_map
+from .pipeline import PipelineConfig, StageError, build_params, check_image_size, eval_batch
+from .pipeline import check_injected_size, encode_image, enhance_stage, igs_stage, illumination_map
 from .pipeline import injected_size, offset_magnitude, population_factors, run_pipeline
 from .scene import SceneConfig, gen_scene, load_scene, save_scene
 from .selective import FactorPopulation, factor_histogram, otsu_threshold
@@ -66,6 +66,7 @@ def _cmd_threshold(args) -> int:
 def _cmd_igs(args) -> int:
     pc = PipelineConfig.from_json_file(args.config, seed_override=args.seed)
     bundle = load_scene(args.scene)
+    check_image_size(bundle.image.height, bundle.image.width, injected_size(pc))
     params = build_params(pc, len(bundle.classes), bundle.bev.nz)
     illum, _, _, enhanced_img, _ = enhance_stage(pc, bundle.image)
     f_img = encode_image(enhanced_img, params.enc1, params.enc2)

@@ -15,6 +15,7 @@ import numpy as np
 from .core import Tensor3, json_block, json_list, read_json
 
 DEPTH_EPS = 1e-6
+COLUMN_BLOCK = 1 << 15  # most points column_pixels projects in one block, unless one row is more
 
 
 @dataclass(frozen=True)
@@ -144,18 +145,17 @@ _BEV_BLOCK = json_block(
 def project_points(m: CameraMatrix, pts: np.ndarray):
     """Vectorized projection of (..., 3) world points.
 
-    Returns (u, v, depth, valid); u and v are zeroed where invalid so the
+    Returns (u, v, depth, valid); u and v are +0.0 where invalid so the
     caller can mask without meeting infinities.
     """
     pts = np.asarray(pts, dtype=np.float64)
-    a = m.matrix[:, :3]
-    t = m.matrix[:, 3]
-    h = pts @ a.T + t
+    h = pts @ m.matrix[:, :3].T
+    for j, t in enumerate(m.matrix[:, 3]):  # per column: a (3,) broadcast add is 3x slower
+        h[..., j] += t
     depth = h[..., 2]
     valid = depth > DEPTH_EPS
-    safe = np.where(valid, depth, 1.0)
-    u = np.where(valid, h[..., 0] / safe, 0.0)
-    v = np.where(valid, h[..., 1] / safe, 0.0)
+    u = np.divide(h[..., 0], depth, out=np.zeros(depth.shape), where=valid)
+    v = np.divide(h[..., 1], depth, out=np.zeros(depth.shape), where=valid)
     return u, v, depth, valid
 
 
@@ -187,20 +187,35 @@ def pixel_centers(height: int, width: int) -> np.ndarray:
 def column_pixels(m: CameraMatrix, spec: BevSpec, n_z: int, height: int, width: int):
     """Project every BEV cell center, lifted to n_z heights, into a height x width map.
 
-    Returns (u, v, iu, iv, in_map), each of shape (X, Y, n_z): the projected
-    position, its floor (float; the pixel index where `in_map` holds) and
-    whether the sample lies in front of the camera and its floored pixel
-    inside the map (pixel i covers [i, i + 1)).
+    Returns (u, v, pixel), each of shape (X, Y, n_z): the projected position
+    and the flat index `row * width + column` of the pixel it floors into
+    (pixel i covers [i, i + 1)), or -1 where the sample is behind the camera
+    or off the map. Cell rows are projected COLUMN_BLOCK points at a time
+    (one row at least), so no full-grid temporary is built.
     """
-    pts = np.empty((spec.nx, spec.ny, n_z, 3))
-    pts[..., 0] = spec.x_centers()[:, None, None]
+    heights = sample_heights(spec, n_z)
+    nx, ny = spec.nx, spec.ny
+    rows = max(1, COLUMN_BLOCK // (ny * n_z))
+    pts = np.empty((min(rows, nx), ny, n_z, 3))
     pts[..., 1] = spec.y_centers()[None, :, None]
-    pts[..., 2] = sample_heights(spec, n_z)
-    u, v, _, valid = project_points(m, pts)
-    iu = np.floor(u)
-    iv = np.floor(v)
-    in_map = valid & (iu >= 0) & (iu <= width - 1) & (iv >= 0) & (iv <= height - 1)
-    return u, v, iu, iv, in_map
+    pts[..., 2] = heights
+    xs = spec.x_centers()
+    u = np.empty((nx, ny, n_z))
+    v = np.empty((nx, ny, n_z))
+    pixel = np.empty((nx, ny, n_z), dtype=np.int64)
+    for lo in range(0, nx, rows):
+        hi = min(lo + rows, nx)
+        block = pts[: hi - lo]
+        block[..., 0] = xs[lo:hi, None, None]
+        bu, bv, _, in_map = project_points(m, block)
+        u[lo:hi], v[lo:hi] = bu, bv
+        iu, iv = np.floor(bu), np.floor(bv)
+        in_map &= (iu >= 0) & (iu <= width - 1) & (iv >= 0) & (iv <= height - 1)
+        with np.errstate(invalid="ignore", over="ignore"):  # off-map floors may be huge or infinite
+            iv *= width
+            iv += iu
+        pixel[lo:hi] = np.where(in_map, iv, -1.0)
+    return u, v, pixel
 
 
 def illumination_field(
@@ -215,9 +230,10 @@ def illumination_field(
     """
     if i.channels != 1:
         raise ValueError(f"illumination map must have 1 channel, got {i.channels}")
-    _, _, iu, iv, in_image = column_pixels(m, spec, n_z, i.height, i.width)
-    values = np.zeros(in_image.shape)
-    values[in_image] = i.data[0, iv[in_image].astype(np.int64), iu[in_image].astype(np.int64)]
+    pixel = column_pixels(m, spec, n_z, i.height, i.width)[2]
+    in_image = pixel >= 0
+    values = np.zeros(pixel.shape)
+    np.copyto(values, i.data[0].take(pixel), where=in_image)  # -1 reads a pixel, masked out
     counts = in_image.sum(axis=-1)
     sums = values.sum(axis=-1)
     return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)

@@ -82,8 +82,9 @@ def _ce_terms(logits, labels, weights):
     """Loss plus the per-voxel max and log-sum-exp the gradient reuses.
 
     Every per-voxel array is computed one class plane `logits[..., k]` at a
-    time, in the memory layout of those planes; the per-voxel terms are then
-    summed once in C order of the leading axes.
+    time, in the memory layout of those planes, with no copy of the labels in
+    that layout; the per-voxel terms, weighted in the labels' C order, are
+    then summed once in C order of the leading axes.
     """
     logits, labels, weights = _check_logits(logits, labels, weights)
     planes = [logits[..., k] for k in range(logits.shape[-1])]
@@ -97,11 +98,12 @@ def _ce_terms(logits, labels, weights):
 
     lse = _class_sum(exp_shifted, 0, len(planes))
     np.log(lse, out=lse)
-    layout = np.empty_like(peak, dtype=np.intp)  # labels in the planes' layout
-    layout[...] = labels
-    picked = np.take_along_axis(logits, layout[..., None], axis=-1)[..., 0]
+    picked = np.copy(planes[0], order="K")  # each voxel's logit at its label
+    is_k = np.empty(labels.shape, dtype=bool)
+    for k in range(1, len(planes)):
+        np.copyto(picked, planes[k], where=np.equal(labels, k, out=is_k))
     picked -= peak
-    per_voxel = weights[layout]
+    per_voxel = weights[labels]
     per_voxel *= np.subtract(lse, picked, out=picked)
     return float(per_voxel.ravel(order="C").sum()), peak, lse, labels, weights
 

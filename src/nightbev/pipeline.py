@@ -305,6 +305,11 @@ def _check_scene(
     """Refuse a scene the pipeline cannot run, before any stage or output."""
     if len(classes) < 2:
         raise ValueError("pipeline needs at least 2 classes for the prediction head")
+    check_image_size(height, width, injected)
+
+
+def check_image_size(height: int, width: int, injected: tuple[int, int] | None) -> None:
+    """Refuse an image the encoder cannot pool, or an injected map of another size."""
     if height % ENCODER_STRIDE or width % ENCODER_STRIDE:
         raise ValueError(
             f"image {height}x{width}: height and width must be divisible by {ENCODER_STRIDE}"

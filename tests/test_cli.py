@@ -174,6 +174,29 @@ class TestIgsAndField:
         assert "illumination_file is 32x48, image is 64x96" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_igs_refuses_wrong_size_map(self, tmp_path, capsys, scene):
+        small = tmp_path / "small.rt"
+        write_raw_tensor(Tensor3.full(1, 32, 48, 0.5), small, dtype="f32")
+        config = tmp_path / "injected.json"
+        config.write_text(json.dumps({"illumination_file": str(small)}))
+        out = tmp_path / "igs"
+        code = main(["igs", "--config", str(config), "--scene", str(scene), "--out", str(out)])
+        assert code == 2
+        assert "illumination_file is 32x48, image is 64x96" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_igs_size_not_divisible_by_4_exits_2(self, tmp_path, capsys, scene_config, pipeline_config):
+        cfg = json.loads(scene_config.read_text())
+        cfg.update(height=66, width=98)
+        scene_config.write_text(json.dumps(cfg))
+        scene = tmp_path / "odd"
+        assert main(["gen-scene", "--config", str(scene_config), "--out", str(scene)]) == 0
+        out = tmp_path / "igs"
+        code = main(["igs", "--config", str(pipeline_config), "--scene", str(scene), "--out", str(out)])
+        assert code == 2
+        assert "image 66x98: height and width must be divisible by 4" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPipelineCommand:
     def test_full_run_writes_report(self, tmp_path, pipeline_config, scene):

@@ -1,8 +1,10 @@
 """Smoke tests of the benchmark harness: one short run of each workload end to end.
 
-It checks only that the harness runs, verifies its outputs and reports every
-metric; it gates on no timing, because one short run on a shared machine is
-too noisy for that.
+It checks that the harness runs, verifies its outputs and reports every
+metric, and that every output bit is kept: each run's `output_sha256` must
+equal the pin below. A change that alters outputs on purpose updates the pin
+and says why. It gates on no timing, because one short run on a shared
+machine is too noisy for that.
 """
 
 import json
@@ -14,34 +16,35 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = ("setup_s", "job_ms_p50", "job_ms_tail", "scenes_per_s", "peak_rss_mb", "ok_frac")
+SEED = 5
+SHA256 = {  # output_sha256 of each workload at SEED
+    "desk_eval": "8fa9a4d9b1204f3956734fe7c46db1cc2ba5ff9ab57456b241813ee63e7b22c6",
+    "hires_near": "e8d2f49f8a271e1f11ae0b30e16800564bf31dcbbcb631357b0b5a7470f51384",
+    "bev_wide": "61b63748fde7324f6dc89e2e961c50c8f9dbdaf8939b4f118ce9989746e480bc",
+}
 
 
-def test_desk_eval_run_is_correct_and_reports_every_metric():
+def run_and_check(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "desk_eval", "--seed", "5", "--seconds", "1"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED), "--seconds", "1"],
         cwd=ROOT,
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    last = json.loads(lines[-1])
     assert last["correct"] is True
     assert set(METRICS) <= set(last["metrics"])
     assert last["metrics"]["ok_frac"]["value"] == 1
+    assert f"output_sha256 (information only): {SHA256[workload]}" in lines
+
+
+def test_desk_eval_run_is_correct_and_reports_every_metric():
+    run_and_check("desk_eval")
 
 
 @pytest.mark.parametrize("workload", ["hires_near", "bev_wide"])
 def test_other_workloads_run_correct_and_report_every_metric(workload):
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "5", "--seconds", "1"],
-        cwd=ROOT,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    last = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert last["correct"] is True
-    assert set(METRICS) <= set(last["metrics"])
-    assert last["metrics"]["ok_frac"]["value"] == 1
+    run_and_check(workload)

@@ -3,19 +3,25 @@ the copies it replaced.
 
 The references below are the earlier bodies, unchanged but for silenced
 cast warnings: a bilinear sampler with one boolean-masked gather per corner,
-a gradient that reads its corners through a closure, and an illumination
-field that builds, projects and floors its own column grid.
+a gradient that reads its corners through a closure, an illumination field
+that builds, projects and floors its own column grid, a projection that
+divides by a safe depth everywhere, and a column grid projected in one call.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import nightbev.geometry
 from nightbev.core import PixelCoord, Tensor3, bilinear_sample_grad, bilinear_sample_many
 from nightbev.geometry import (
+    COLUMN_BLOCK,
+    DEPTH_EPS,
     BevSpec,
     CameraMatrix,
     column_pixels,
@@ -90,6 +96,36 @@ def closure_bilinear_sample_grad(f, at):
     du = (1.0 - wy) * (f10 - f00) + wy * (f11 - f01)
     dv = (1.0 - wx) * (f01 - f00) + wx * (f11 - f10)
     return value, du, dv
+
+
+def safe_depth_project_points(m, pts):
+    """Reference: one product plus t, then a division by a safe depth everywhere."""
+    pts = np.asarray(pts, dtype=np.float64)
+    a = m.matrix[:, :3]
+    t = m.matrix[:, 3]
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite points
+        h = pts @ a.T + t
+        depth = h[..., 2]
+        valid = depth > DEPTH_EPS
+        safe = np.where(valid, depth, 1.0)
+        u = np.where(valid, h[..., 0] / safe, 0.0)
+        v = np.where(valid, h[..., 1] / safe, 0.0)
+    return u, v, depth, valid
+
+
+def full_grid_column_pixels(m, spec, n_z, height, width):
+    """Reference: the whole column grid projected in one call, floored and gated."""
+    pts = np.empty((spec.nx, spec.ny, n_z, 3))
+    pts[..., 0] = spec.x_centers()[:, None, None]
+    pts[..., 1] = spec.y_centers()[None, :, None]
+    pts[..., 2] = sample_heights(spec, n_z)
+    u, v, _, valid = safe_depth_project_points(m, pts)
+    iu = np.floor(u)
+    iv = np.floor(v)
+    in_map = valid & (iu >= 0) & (iu <= width - 1) & (iv >= 0) & (iv <= height - 1)
+    pixel = np.full(u.shape, -1, dtype=np.int64)
+    pixel[in_map] = (iv[in_map] * width + iu[in_map]).astype(np.int64)
+    return u, v, pixel
 
 
 def floor_illumination_field(i, m, spec, n_z):
@@ -240,19 +276,125 @@ class TestIlluminationFieldOracle:
         assert field.tobytes() == floor_illumination_field(i, m, spec, n_z).tobytes()
 
 
+def assert_same_bytes(got, expected):
+    for g, e in zip(got, expected, strict=True):
+        assert g.dtype == e.dtype and g.shape == e.shape and g.tobytes() == e.tobytes()
+
+
+@st.composite
+def grid_views(draw):
+    """A small BEV grid, a camera looking at it from above or drawn at random, and a map size."""
+    cells = draw(st.tuples(st.integers(1, 9), st.integers(1, 9)))
+    spec = BevSpec(
+        x_range=(-1.0, -1.0 + 0.5 * cells[0]),
+        y_range=(2.0, 2.0 + 0.5 * cells[1]),
+        z_range=(-1.0, 2.0),
+        voxel=0.5,
+    )
+    hw = draw(st.tuples(st.integers(1, 10), st.integers(1, 10)))
+    try:
+        if draw(st.booleans()):
+            m = overhead_view(
+                spec,
+                *hw,
+                draw(st.floats(0.2, 6.0)),
+                draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))),
+                draw(st.sampled_from([0.0, 0.3, -1.5, -3.0])),
+            )
+        else:
+            m = CameraMatrix(draw(arrays(np.float64, (3, 4), elements=st.floats(-4.0, 4.0))))
+    except ValueError as exc:
+        assert "singular" in str(exc)
+        reject()
+    return spec, m, hw
+
+
 class TestColumnPixels:
     def test_projection_floors_and_gate(self):
         spec = BevSpec(x_range=(-1.0, 3.0), y_range=(2.0, 5.0), z_range=(-1.0, 2.0), voxel=0.5)
         m = overhead_view(spec, 6, 7, 1.6, (1.0, -0.5), -3.0)
-        u, v, iu, iv, in_map = column_pixels(m, spec, 4, 6, 7)
+        u, v, pixel = column_pixels(m, spec, 4, 6, 7)
         heights = sample_heights(spec, 4)
         gx, gy, gz = np.meshgrid(spec.x_centers(), spec.y_centers(), heights, indexing="ij")
         pu, pv, _, valid = project_points(m, np.stack([gx, gy, gz], axis=-1))
         assert u.shape == (8, 6, 4) and u.tobytes() == pu.tobytes() and v.tobytes() == pv.tobytes()
-        np.testing.assert_array_equal(iu, np.floor(u))
-        np.testing.assert_array_equal(iv, np.floor(v))
-        np.testing.assert_array_equal(in_map, valid & (iu >= 0) & (iu < 7) & (iv >= 0) & (iv < 6))
+        iu, iv = np.floor(u), np.floor(v)
+        in_map = valid & (iu >= 0) & (iu < 7) & (iv >= 0) & (iv < 6)
+        assert pixel.dtype == np.int64
+        np.testing.assert_array_equal(pixel >= 0, in_map)
+        np.testing.assert_array_equal(pixel[in_map], iv[in_map] * 7 + iu[in_map])
+        np.testing.assert_array_equal(pixel[~in_map], -1)
         assert not valid.all() and 0 < in_map.sum() < valid.sum()
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        view=grid_views(),
+        n_z=st.integers(1, 6),
+        block=st.sampled_from([1, 2, 3, 5, 7, 16, 40, COLUMN_BLOCK]),
+    )
+    def test_bytes_equal_full_grid_reference(self, view, n_z, block):
+        spec, m, (h, w) = view
+        with mock.patch.object(nightbev.geometry, "COLUMN_BLOCK", block):
+            got = column_pixels(m, spec, n_z, h, w)
+        assert_same_bytes(got, full_grid_column_pixels(m, spec, n_z, h, w))
+
+    @pytest.mark.parametrize(
+        "ny,n_z,nx",
+        [
+            (100, 16, 45),  # 20 rows per block: blocks of 20, 20 and 5 rows
+            (4097, 8, 3),  # a row holds more than COLUMN_BLOCK points: one row per block
+            (32769, 1, 2),
+            (20, 1, 1700),  # one height: 1638 rows per block, the last block 62 rows
+        ],
+    )
+    def test_block_boundaries_at_the_real_block_size(self, ny, n_z, nx):
+        half_y = 0.125 * ny
+        spec = BevSpec(x_range=(0.0, 0.25 * nx), y_range=(-half_y, half_y), z_range=(-1.0, 2.0), voxel=0.25)
+        m = overhead_view(spec, 48, 64, 2.0, (2.0, -1.0), 0.3)
+        got = column_pixels(m, spec, n_z, 48, 64)
+        assert_same_bytes(got, full_grid_column_pixels(m, spec, n_z, 48, 64))
+        assert 0 < (got[2] >= 0).sum() < got[2].size
+
+
+class TestProjectPointsBits:
+    def test_awkward_inputs_keep_the_old_bits(self):
+        m = CameraMatrix([[2.0, 0.0, 0.5, 1.0], [0.0, -1.5, 0.25, 2.0], [0.0, 0.0, 1.0, 0.0]])
+        z_edges = [DEPTH_EPS, np.nextafter(DEPTH_EPS, 1.0), np.nextafter(DEPTH_EPS, 0.0), 0.0, -0.0, -2.0]
+        odd = [INF, -INF, float("nan"), 1e300, -1e300]
+        points = [[0.3, -0.7, z] for z in z_edges] + [[x, 1.0, 3.0] for x in odd]
+        points += [[1.0, 2.0, z] for z in odd] + [[1.0, y, 2.0] for y in odd]
+        batch = np.array(points)
+        cases = [batch[0], batch[7], batch[:1], batch[5:6], batch, batch[:, None, :], batch.reshape(3, 7, 3)]
+        for pts in cases:
+            with warnings.catch_warnings():  # inf / inf in front of the camera is NaN
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got = [np.asarray(a) for a in project_points(m, pts)]
+            assert_same_bytes(got, [np.asarray(a) for a in safe_depth_project_points(m, pts)])
+            u, v, _, valid = got
+            for a in (u, v):  # +0.0, not -0.0, wherever the sample is invalid
+                assert not np.signbit(a[~valid]).any() and (a[~valid] == 0.0).all()
+        valid = got[3].ravel()  # the last case holds every point once
+        assert not valid[0] and valid[1]  # depth exactly DEPTH_EPS is not in front of the camera
+        assert not valid[2:6].any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        matrix=arrays(np.float64, (3, 4), elements=st.floats(-4.0, 4.0)),
+        pts=arrays(
+            np.float64,
+            st.sampled_from([(3,), (1, 3), (4, 3), (2, 1, 3), (3, 2, 3)]),
+            elements=st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, -0.0, INF, -INF, float("nan")])),
+        ),
+    )
+    def test_bytes_equal_safe_depth_reference(self, matrix, pts):
+        try:
+            m = CameraMatrix(matrix)
+        except ValueError:
+            reject()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = [np.asarray(a) for a in project_points(m, pts)]
+        assert_same_bytes(got, [np.asarray(a) for a in safe_depth_project_points(m, pts)])
 
 
 def test_pixel_centers_sit_half_a_pixel_in():
