@@ -15,9 +15,10 @@ import numpy as np
 
 from .formats import read_ppm, write_artifacts
 from .geometry import field_to_tensor, illumination_field
+from .illumination import load_illumination
 from .pipeline import PipelineConfig, StageError, build_params, check_image_size, eval_batch
 from .pipeline import check_injected_size, encode_image, enhance_stage, igs_stage, illumination_map
-from .pipeline import injected_size, offset_magnitude, population_factors, run_pipeline
+from .pipeline import injected_map, offset_magnitude, population_factors, run_pipeline
 from .scene import SceneConfig, gen_scene, load_scene, save_scene
 from .selective import FactorPopulation, factor_histogram, otsu_threshold
 
@@ -34,9 +35,10 @@ def _cmd_gen_scene(args) -> int:
 
 def _cmd_enhance(args) -> int:
     pc = PipelineConfig.from_json_file(args.config, seed_override=args.seed)
+    image = read_ppm(args.image)
     # A standalone image takes its map from --illum, never from the config.
-    pc = replace(pc, illumination_file=Path(args.illum) if args.illum else None)
-    illum, t_star, lam, enhanced_img, enhanced = enhance_stage(pc, read_ppm(args.image))
+    injected = load_illumination(args.illum, pc.estimator.floor) if args.illum else None
+    illum, t_star, lam, enhanced_img, enhanced = enhance_stage(pc, image, injected)
     write_artifacts(args.out, [
         ("enhanced.ppm", enhanced_img),
         ("illumination.pgm", illum),
@@ -66,9 +68,10 @@ def _cmd_threshold(args) -> int:
 def _cmd_igs(args) -> int:
     pc = PipelineConfig.from_json_file(args.config, seed_override=args.seed)
     bundle = load_scene(args.scene)
-    check_image_size(bundle.image.height, bundle.image.width, injected_size(pc))
+    injected = injected_map(pc)
+    check_image_size(bundle.image.height, bundle.image.width, injected)
     params = build_params(pc, len(bundle.classes), bundle.bev.nz)
-    illum, _, _, enhanced_img, _ = enhance_stage(pc, bundle.image)
+    illum, _, _, enhanced_img, _ = enhance_stage(pc, bundle.image, injected)
     f_img = encode_image(enhanced_img, params.enc1, params.enc2)
     _, guidance, dp_mod, warped = igs_stage(pc, params, illum, f_img)
     write_artifacts(args.out, [
@@ -83,9 +86,10 @@ def _cmd_igs(args) -> int:
 def _cmd_illum_field(args) -> int:
     pc = PipelineConfig.from_json_file(args.config, seed_override=args.seed)
     bundle = load_scene(args.scene)
-    check_injected_size(injected_size(pc), bundle.image.height, bundle.image.width)
+    injected = injected_map(pc)
+    check_injected_size(injected, bundle.image.height, bundle.image.width)
     field = illumination_field(
-        illumination_map(pc, bundle.image), bundle.camera, bundle.bev, pc.n_z
+        illumination_map(pc, bundle.image, injected), bundle.camera, bundle.bev, pc.n_z
     )
     write_artifacts(args.out, [("s_field.rt", field_to_tensor(field)), ("s_field.pgm", field)])
     print(f"illumination field written to {args.out}")
@@ -179,7 +183,7 @@ def main(argv=None) -> int:
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - unexpected

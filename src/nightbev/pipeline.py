@@ -260,13 +260,6 @@ def resolve_t_star(pc: PipelineConfig) -> float:
     return report.t_star
 
 
-def _with_fixed_t_star(pc: PipelineConfig) -> PipelineConfig:
-    """`pc` with t* resolved to a fixed value; `pc` itself when it is fixed already."""
-    if pc.t_star.fixed is not None:
-        return pc
-    return replace(pc, t_star=TStarSource(fixed=resolve_t_star(pc)))
-
-
 def population_factors(maps_dir) -> list[float]:
     """Illumination factors of every map file in a directory, sorted by name."""
     root = Path(maps_dir)
@@ -288,27 +281,17 @@ def _avg_pool2(t: Tensor3) -> Tensor3:
 ENCODER_STRIDE = 4  # encode_image pools twice by 2
 
 
-def injected_size(pc: PipelineConfig) -> tuple[int, int] | None:
-    """Height and width of `pc.illumination_file`, if one is set."""
+def injected_map(pc: PipelineConfig) -> Tensor3 | None:
+    """`pc.illumination_file` loaded, if one is set; the one read of it per run."""
     if pc.illumination_file is None:
         return None
     try:
-        t = load_illumination(pc.illumination_file, pc.estimator.floor)
+        return load_illumination(pc.illumination_file, pc.estimator.floor)
     except (OSError, ValueError) as exc:
         raise ValueError(f"illumination_file: {pc.illumination_file}: {exc}") from exc
-    return t.height, t.width
 
 
-def _check_scene(
-    classes: tuple[str, ...], height: int, width: int, injected: tuple[int, int] | None
-) -> None:
-    """Refuse a scene the pipeline cannot run, before any stage or output."""
-    if len(classes) < 2:
-        raise ValueError("pipeline needs at least 2 classes for the prediction head")
-    check_image_size(height, width, injected)
-
-
-def check_image_size(height: int, width: int, injected: tuple[int, int] | None) -> None:
+def check_image_size(height: int, width: int, injected: Tensor3 | None) -> None:
     """Refuse an image the encoder cannot pool, or an injected map of another size."""
     if height % ENCODER_STRIDE or width % ENCODER_STRIDE:
         raise ValueError(
@@ -317,11 +300,40 @@ def check_image_size(height: int, width: int, injected: tuple[int, int] | None) 
     check_injected_size(injected, height, width)
 
 
-def check_injected_size(injected: tuple[int, int] | None, height: int, width: int) -> None:
-    """Refuse an injected map (its `injected_size`) that is not height x width."""
-    if injected not in (None, (height, width)):
-        h, w = injected
+def check_injected_size(injected: Tensor3 | None, height: int, width: int) -> None:
+    """Refuse an injected map that is not height x width."""
+    if injected is not None and (injected.height, injected.width) != (height, width):
+        h, w = injected.height, injected.width
         raise ValueError(f"illumination_file is {h}x{w}, image is {height}x{width}")
+
+
+def _preflight(
+    pc: PipelineConfig, scenes: list[tuple[str, tuple[str, ...], int, int, int]]
+) -> tuple[PipelineConfig, Tensor3 | None, dict[int, ResolvedParams]]:
+    """Refuse what the pipeline cannot run, before any stage or output.
+
+    Each scene is (error prefix, class table, height, width, grid height).
+    Loads the injected map, checks every scene against one class table of at
+    least 2 classes, the encoder stride and the map, and builds the
+    parameters per grid height; then fixes t*. Returns `pc` with t* fixed,
+    the injected map (or None) and the parameters by grid height.
+    """
+    injected = injected_map(pc)
+    params: dict[int, ResolvedParams] = {}
+    for where, classes, height, width, grid_z in scenes:
+        try:
+            if classes != scenes[0][1]:
+                raise ValueError("uses a different class table")
+            if len(classes) < 2:
+                raise ValueError("pipeline needs at least 2 classes for the prediction head")
+            check_image_size(height, width, injected)
+            if grid_z not in params:
+                params[grid_z] = build_params(pc, len(classes), grid_z)
+        except ValueError as exc:
+            raise ValueError(f"{where}{exc}") from exc
+    if pc.t_star.fixed is None:
+        pc = replace(pc, t_star=TStarSource(fixed=resolve_t_star(pc)))
+    return pc, injected, params
 
 
 def encode_image(x: Tensor3, enc1: ConvParams, enc2: ConvParams) -> Tensor3:
@@ -330,18 +342,16 @@ def encode_image(x: Tensor3, enc1: ConvParams, enc2: ConvParams) -> Tensor3:
     return _avg_pool2(conv2d_replicate(f1, enc2))
 
 
-def illumination_map(pc: PipelineConfig, image: Tensor3) -> Tensor3:
-    """The map every later stage reads: `pc.illumination_file`, else estimated."""
-    if pc.illumination_file is not None:
-        return load_illumination(pc.illumination_file, pc.estimator.floor)
-    return estimate_illumination(image, pc.estimator)
+def illumination_map(pc: PipelineConfig, image: Tensor3, injected: Tensor3 | None) -> Tensor3:
+    """The map every later stage reads: the injected map, else estimated."""
+    return injected if injected is not None else estimate_illumination(image, pc.estimator)
 
 
 def enhance_stage(
-    pc: PipelineConfig, image: Tensor3
+    pc: PipelineConfig, image: Tensor3, injected: Tensor3 | None
 ) -> tuple[Tensor3, float, float, Tensor3, bool]:
     """Illumination map, t*, factor lambda, selectively enhanced image, branch flag."""
-    illum = illumination_map(pc, image)
+    illum = illumination_map(pc, image, injected)
     t_star = resolve_t_star(pc)
     lam = illumination_factor(illum)
     enhanced_img, flag = selective_enhance(image, illum, t_star)
@@ -430,8 +440,6 @@ class _Stages:
         start = time.perf_counter()
         try:
             result = fn(*args)
-        except StageError:
-            raise
         except Exception as exc:
             raise StageError(name, exc) from exc
         self.timings[name] = time.perf_counter() - start
@@ -448,20 +456,20 @@ def run_pipeline(
 ) -> RunReport:
     """Execute the full pipeline on one scene and write artifacts to out_dir.
 
-    The scene and injected map are checked, t* resolved and the parameters
-    built, then every stage runs; only then is anything written, so a failure
-    at any point leaves no output directory behind.
+    `_preflight` checks the scene, loads the injected map, builds the
+    parameters and resolves t*; then every stage runs; only then is anything
+    written, so a failure at any point leaves no output directory behind.
     """
-    _check_scene(bundle.classes, bundle.image.height, bundle.image.width, injected_size(pc))
-    pc = _with_fixed_t_star(pc)
     n_cla = len(bundle.classes)
     spec = bundle.bev
     grid_z = spec.nz
-    params = build_params(pc, n_cla, grid_z)
+    scene = ("", bundle.classes, bundle.image.height, bundle.image.width, grid_z)
+    pc, injected, params_by_z = _preflight(pc, [scene])
+    params = params_by_z[grid_z]
     stages = _Stages()
     # Selective enhancement.
     illum, t_star, lam, enhanced_img, enhanced = stages.run(
-        "enhance", enhance_stage, pc, bundle.image
+        "enhance", enhance_stage, pc, bundle.image, injected
     )
     # Tiny convolutional encoder.
     f_img = stages.run("encode", encode_image, enhanced_img, params.enc1, params.enc2)
@@ -573,45 +581,32 @@ def offset_magnitude(dp_mod: Tensor3) -> np.ndarray:
 def eval_batch(scene_dirs, pc: PipelineConfig, out_dir) -> IoUReport:
     """Run the pipeline over scenes and micro-average IoU counts across them.
 
-    Every scene manifest is checked, the parameters built for each distinct
-    grid height and t* resolved once, before the first scene runs, so a bad
-    scene, parameter file or map population fails with nothing written. The
-    first scene's run creates `out_dir`, so a stage failure there leaves
-    nothing either; a later one leaves the earlier scenes' directories.
+    One `_preflight` over every scene manifest checks them all, loads the
+    injected map, builds the parameters per grid height and resolves t* once,
+    before the first scene runs, so a bad scene, map, parameter file or map
+    population fails with nothing written. Each scene then runs through
+    `run_pipeline` with that fixed t*. The first scene's run creates
+    `out_dir`, so a stage failure there leaves nothing either; a later one
+    leaves the earlier scenes' directories.
     """
     dirs = [Path(d) for d in scene_dirs]
     if not dirs:
         raise ValueError("eval needs at least one scene")
     manifests = [read_manifest(d) for d in dirs]
-    class_names = manifests[0]["classes"]
-    injected = injected_size(pc)
-    built_nz = set()
-    for scene_dir, manifest in zip(dirs, manifests):
-        try:
-            if manifest["classes"] != class_names:
-                raise ValueError("uses a different class table")
-            _check_scene(class_names, manifest["height"], manifest["width"], injected)
-            if manifest["bev"].nz not in built_nz:
-                build_params(pc, len(class_names), manifest["bev"].nz)
-                built_nz.add(manifest["bev"].nz)
-        except ValueError as exc:
-            raise ValueError(f"scene {scene_dir}: {exc}") from exc
-    pc = _with_fixed_t_star(pc)
+    pc, _, _ = _preflight(pc, [
+        (f"scene {d}: ", m["classes"], m["height"], m["width"], m["bev"].nz)
+        for d, m in zip(dirs, manifests)
+    ])
     out = Path(out_dir)
-
-    inter = None
-    union = None
-    rows = []
-    for idx, scene_dir in enumerate(dirs):
-        report = run_pipeline(pc, load_scene(scene_dir), out / f"scene_{idx:03d}")
-        counts_i = np.array(report.iou.intersections, dtype=np.int64)
-        counts_u = np.array(report.iou.unions, dtype=np.int64)
-        inter = counts_i if inter is None else inter + counts_i
-        union = counts_u if union is None else union + counts_u
-        rows.append((str(scene_dir), report.iou.miou))
-
-    aggregate = report_from_counts(inter, union, class_names)
-    scenes = [{"dir": d, "miou": m} for d, m in rows]
+    reports = [
+        run_pipeline(pc, load_scene(d), out / f"scene_{i:03d}") for i, d in enumerate(dirs)
+    ]
+    aggregate = report_from_counts(
+        sum(np.array(r.iou.intersections, dtype=np.int64) for r in reports),
+        sum(np.array(r.iou.unions, dtype=np.int64) for r in reports),
+        manifests[0]["classes"],
+    )
+    scenes = [{"dir": str(d), "miou": r.iou.miou} for d, r in zip(dirs, reports)]
     summary = {"scenes": scenes, "aggregate_miou": aggregate.miou}
     write_artifacts(out, [("aggregate.csv", aggregate), ("eval.json", summary)])
     return aggregate

@@ -7,9 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+import nightbev.cli
+import nightbev.illumination
 import nightbev.pipeline
 from nightbev.cli import main
 from nightbev.core import Tensor3, read_raw_tensor, write_raw_tensor
+from nightbev.illumination import load_illumination
 from nightbev.pipeline import PipelineConfig, build_params
 from nightbev.scene import load_scene
 
@@ -269,6 +272,51 @@ class TestEvalCommand:
         assert (out / "aggregate.csv").is_file()
         summary = json.loads((out / "eval.json").read_text())
         assert len(summary["scenes"]) == 2
+
+
+class TestInternalError:
+    def test_key_error_is_a_bug_not_a_validation_error(self, tmp_path, monkeypatch, capsys):
+        def broken(maps_dir):
+            raise KeyError("x")
+
+        monkeypatch.setattr(nightbev.cli, "population_factors", broken)
+        code = main(["threshold", "--maps", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "internal error: 'x'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestReadOnce:
+    """An injected illumination map is read once per run: once per command, and
+    once for the `eval` preflight plus once per scene."""
+
+    @pytest.mark.parametrize(
+        "command,reads",
+        [("pipeline", 1), ("igs", 1), ("illum-field", 1), ("enhance", 1), ("eval", 4)],
+    )
+    def test_injected_map_reads(self, tmp_path, monkeypatch, scene_config, command, reads):
+        scenes = tmp_path / "scenes"
+        for idx in range(3 if command == "eval" else 1):
+            out = scenes / f"s{idx}"
+            assert main(["gen-scene", "--config", str(scene_config), "--out", str(out)]) == 0
+        map_path = tmp_path / "map.rt"
+        write_raw_tensor(Tensor3.full(1, 64, 96, 0.5), map_path, dtype="f32")
+        cfg = tmp_path / "pc.json"
+        cfg.write_text(json.dumps({"illumination_file": str(map_path)}))
+        calls = []
+
+        def counting(path, *args, **kwargs):
+            calls.append(path)
+            return load_illumination(path, *args, **kwargs)
+
+        for module in (nightbev.illumination, nightbev.pipeline, nightbev.cli):
+            monkeypatch.setattr(module, "load_illumination", counting)
+        where = {
+            "eval": ["--scenes", str(scenes)],
+            "enhance": ["--image", str(scenes / "s0" / "image.ppm"), "--illum", str(map_path)],
+        }.get(command, ["--scene", str(scenes / "s0")])
+        assert main([command, "--config", str(cfg), *where, "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == reads
 
 
 class TestEntryPoint:
