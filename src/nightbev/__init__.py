@@ -24,7 +24,6 @@ from .geometry import (
     CameraMatrix,
     Projection,
     illumination_field,
-    merge_fields_max,
     project_point,
     project_points,
     sample_heights,

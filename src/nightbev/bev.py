@@ -64,7 +64,7 @@ def depth_context_split(
     params: ConvParams,
     c_ctx: int,
     d_bins: int,
-    bin_centers: np.ndarray | None = None,
+    bin_centers: np.ndarray,
 ) -> DepthContext:
     """1x1 convolution splitting a feature into context channels and depth bins.
 
@@ -82,8 +82,6 @@ def depth_context_split(
     raw = conv2d_replicate(f_in, params)
     f_ctx = Tensor3(raw.data[:c_ctx])
     depth = Tensor3(_softmax(raw.data[c_ctx:], axis=0))
-    if bin_centers is None:
-        bin_centers = depth_bin_centers(1.0, 20.0, d_bins)
     return DepthContext(f_ctx=f_ctx, depth=depth, bin_centers=bin_centers)
 
 
@@ -134,10 +132,10 @@ def bev_pool(dc: DepthContext, m: CameraMatrix, spec: BevSpec) -> Tensor3:
     d = dc.bin_centers
     uv1 = pixel_centers(h, w)
     rhs = d[:, None, None, None] * uv1[None] - t[None, :, None, None]  # (D, 3, h, w)
-    pts = np.einsum("ij,bjhw->bihw", a_inv, rhs)
+    xy = np.einsum("ij,bjhw->bihw", a_inv[:2], rhs)  # world x and y; z is never read
 
-    fx = (pts[:, 0] - spec.x_range[0]) / spec.voxel
-    fy = (pts[:, 1] - spec.y_range[0]) / spec.voxel
+    fx = (xy[:, 0] - spec.x_range[0]) / spec.voxel
+    fy = (xy[:, 1] - spec.y_range[0]) / spec.voxel
     nx, ny = spec.nx, spec.ny
     in_range = (fx >= 0) & (fx < nx) & (fy >= 0) & (fy < ny)
 
@@ -147,12 +145,9 @@ def bev_pool(dc: DepthContext, m: CameraMatrix, spec: BevSpec) -> Tensor3:
     # Contributions flatten in (bin, row, column) order; bincount accumulates
     # sequentially in that order, keeping per-cell sums bit-stable.
     flat_cell = ix * ny + iy
-    mass = dc.depth.data.astype(np.float64, copy=False)
-
     out = np.zeros((dc.f_ctx.channels, nx, ny), dtype=np.float64)
-    ctx = dc.f_ctx.data.astype(np.float64, copy=False)
     for c in range(dc.f_ctx.channels):
-        contrib = (mass * ctx[c][None])[in_range]
+        contrib = (dc.depth.data * dc.f_ctx.data[c][None])[in_range]
         out[c] = np.bincount(flat_cell, weights=contrib, minlength=nx * ny).reshape(
             nx, ny
         )
@@ -195,7 +190,7 @@ def residual_query(
     # Offsets and attention come from one product over the whole grid: on a
     # column subset BLAS and the softmax sum may pick another summation
     # order, which changes the last bit.
-    q_flat = q.data.reshape(q.channels, nx * ny).astype(np.float64, copy=False)
+    q_flat = q.data.reshape(q.channels, nx * ny)
     off = params.offset_weights @ q_flat  # (2K, cells)
     attn = _softmax(params.attn_weights @ q_flat, axis=0)  # (K, cells)
 

@@ -33,26 +33,24 @@ class PixelCoord(NamedTuple):
 
 @dataclass(frozen=True)
 class Tensor3:
-    """Immutable dense C x H x W tensor, row-major per channel.
+    """Immutable dense C x H x W tensor of finite values.
 
-    Data is copied on construction and marked read-only, so instances are
-    safe to share across threads. Only float32/float64 storage is allowed;
-    all values must be finite.
+    The constructor is the one place that decides storage: whatever it is
+    given (any real dtype, any memory order, nested lists) becomes one
+    float64, C-ordered copy, marked read-only, so every stage reads the data
+    as is and instances are safe to share across threads.
     """
 
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.data, copy=True)
+        arr = np.array(self.data, dtype=np.float64, order="C")
         if arr.ndim != 3:
             raise ValueError(f"Tensor3 expects 3 dims (C,H,W), got {arr.ndim}")
         if any(s <= 0 for s in arr.shape):
             raise ValueError(f"Tensor3 dims must be positive, got {arr.shape}")
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
         if not np.isfinite(arr).all():
             raise ValueError("Tensor3 values must be finite")
-        arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -89,9 +87,8 @@ def _bilinear_corners(f: Tensor3, x0, y0) -> Iterator[np.ndarray]:
     map is padded once with a one-pixel zero border and every corner index
     is clipped into it, so a corner off the map reads +0.0.
     """
-    data = f.data.astype(np.float64, copy=False)
-    c, h, w = data.shape
-    padded = np.pad(data, ((0, 0), (1, 1), (1, 1))).reshape(c, -1)
+    c, h, w = f.shape
+    padded = np.pad(f.data, ((0, 0), (1, 1), (1, 1))).reshape(c, -1)
     cols = [np.clip(x0 + d, -1, w).astype(np.int64) + 1 for d in (0, 1)]
     rows = [(np.clip(y0 + d, -1, h).astype(np.int64) + 1) * (w + 2) for d in (0, 1)]
     for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1)):
@@ -190,17 +187,15 @@ def finite_diff_check(
     return worst
 
 
-def write_raw_tensor(t: Tensor3, path, dtype: str | None = None) -> None:
-    """Write the raw tensor format: one JSON header line, then LE payload."""
-    if dtype is None:
-        dtype = "f32" if t.data.dtype == np.float32 else "f64"
+def write_raw_tensor(t: Tensor3, path, dtype: str = "f64") -> None:
+    """Write the raw tensor format: one JSON header line, then LE payload (f64 by default)."""
     if dtype not in RAW_DTYPES:
         raise ValueError(f"unknown raw tensor dtype {dtype!r}")
     header = json.dumps(
         {"dtype": dtype, "shape": [t.channels, t.height, t.width]},
         separators=(",", ":"),
     )
-    payload = np.ascontiguousarray(t.data, dtype=RAW_DTYPES[dtype]).tobytes()
+    payload = t.data.astype(RAW_DTYPES[dtype], copy=False).tobytes()
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
         fh.write(payload)
@@ -224,7 +219,10 @@ def read_json(path):
 
 
 def read_raw_tensor(path) -> Tensor3:
-    """Read the raw tensor format; preserves the on-disk precision in memory."""
+    """Read the raw tensor format, f32 or f64 on disk, into a float64 Tensor3.
+
+    An f32 payload's values are held exactly, since every float32 is a float64.
+    """
     with open(path, "rb") as fh:
         line = fh.readline(_MAX_HEADER_BYTES)
         if not line.endswith(b"\n"):

@@ -58,7 +58,7 @@ def _read_pnm(path, magic: bytes, channels: int) -> Tensor3:
             raise ValueError(f"truncated {magic.decode()} payload")
         payload = fh.read(size)
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
-    return Tensor3(arr.transpose(2, 0, 1).astype(np.float64) / 255.0)
+    return Tensor3(arr.transpose(2, 0, 1) / 255.0)
 
 
 def read_pgm(path) -> Tensor3:

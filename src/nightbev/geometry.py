@@ -218,9 +218,7 @@ def column_pixels(m: CameraMatrix, spec: BevSpec, n_z: int, height: int, width: 
     return u, v, pixel
 
 
-def illumination_field(
-    i: Tensor3, m: CameraMatrix, spec: BevSpec, n_z: int = 8
-) -> np.ndarray:
+def illumination_field(i: Tensor3, m: CameraMatrix, spec: BevSpec, n_z: int) -> np.ndarray:
     """Per-BEV-cell mean of the illumination sampled along vertical columns.
 
     Each cell center is lifted to n_z heights and projected; a sample
@@ -237,14 +235,6 @@ def illumination_field(
     counts = in_image.sum(axis=-1)
     sums = values.sum(axis=-1)
     return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-
-
-def merge_fields_max(fields) -> np.ndarray:
-    """Merge per-camera illumination fields by cellwise maximum."""
-    stack = [np.asarray(f, dtype=np.float64) for f in fields]
-    if not stack:
-        raise ValueError("no fields to merge")
-    return np.maximum.reduce(stack)
 
 
 def field_to_tensor(field: np.ndarray) -> Tensor3:

@@ -63,8 +63,7 @@ def conv2d_replicate(x: Tensor3, params: ConvParams) -> Tensor3:
         )
     k = params.kernel_size
     r = k // 2
-    data = x.data.astype(np.float64, copy=False)
-    padded = np.pad(data, ((0, 0), (r, r), (r, r)), mode="edge")
+    padded = np.pad(x.data, ((0, 0), (r, r), (r, r)), mode="edge")
     h, w = x.height, x.width
     out = np.zeros((params.out_channels, h, w), dtype=np.float64)
     for dy in range(k):
@@ -206,6 +205,5 @@ def guided_warp(
         vs = ys + base[k, 1] + dp_mod.data[2 * k + 1]
         sampled = bilinear_sample_many(f_img, us, vs)
         acc += weights[k] * (dw.data[k] * sampled)
-    f = f_img.data.astype(np.float64, copy=False)
-    # Keep untouched pixels bit-identical (f + -0.0 would flip signed zeros).
-    return Tensor3(np.where(acc == 0.0, f, f + acc))
+    # Keep untouched pixels bit-identical (x + -0.0 would flip signed zeros).
+    return Tensor3(np.where(acc == 0.0, f_img.data, f_img.data + acc))

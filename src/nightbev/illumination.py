@@ -80,7 +80,7 @@ def load_illumination(path, floor: float = ILLUMINATION_FLOOR) -> Tensor3:
         t = read_raw_tensor(path)
     if t.channels != 1:
         raise ValueError(f"illumination map must have 1 channel, got {t.channels}")
-    return Tensor3(np.clip(t.data.astype(np.float64), floor, 1.0))
+    return Tensor3(np.clip(t.data, floor, 1.0))
 
 
 def retinex_enhance(x: Tensor3, i: Tensor3) -> Tensor3:

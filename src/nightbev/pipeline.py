@@ -56,6 +56,10 @@ class ParamSource:
     seed: int | None = None
     files: dict[str, Path] | None = None
 
+    def __post_init__(self) -> None:
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
 
 @dataclass(frozen=True)
 class TStarSource:
@@ -95,6 +99,8 @@ class PipelineConfig:
     disable_idp: bool = False
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.n_z < 1:
             raise ValueError("n_z must be >= 1")
         if self.attn_k < 1:
@@ -220,7 +226,7 @@ def _param_table(
 
 
 def _load_param(block: str, param: _Param, path: Path) -> np.ndarray:
-    """A raw tensor file of exactly the declared layout, reshaped to float64."""
+    """A raw tensor file of exactly the declared layout, reshaped to the parameter's shape."""
     where = f"{block}.source.files.{param.name}: {path}"
     try:
         t = read_raw_tensor(path)
@@ -228,7 +234,7 @@ def _load_param(block: str, param: _Param, path: Path) -> np.ndarray:
         raise ValueError(f"{where}: {exc}") from exc
     if t.shape != param.layout:
         raise ValueError(f"{where}: must be {list(param.layout)}, got {list(t.shape)}")
-    return t.data.astype(np.float64).reshape(param.shape)
+    return t.data.reshape(param.shape)
 
 
 def build_params(pc: PipelineConfig, n_cla: int, grid_z: int) -> ResolvedParams:
@@ -544,9 +550,7 @@ def run_pipeline(
             ("s_field.pgm", s_field),
             ("f_bev.rt", f_bev),
         ]
-    artifacts.append(
-        ("occupancy_pred.rt", Tensor3(pred.labels.transpose(2, 0, 1).astype(np.float64)))
-    )
+    artifacts.append(("occupancy_pred.rt", Tensor3(pred.labels.transpose(2, 0, 1))))
     if dump_intermediates:
         artifacts.append(("logits.rt", Tensor3(head_logits)))
     artifacts.append(("metrics.csv", iou))

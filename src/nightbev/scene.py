@@ -91,6 +91,8 @@ class SceneConfig:
     focal: float | None = None
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.height < 4 or self.width < 4:
             raise ValueError("image dims must be >= 4")
         if len(self.classes) < 1:
@@ -283,7 +285,7 @@ def gen_scene(cfg: SceneConfig) -> SceneBundle:
 
 def save_scene(bundle: SceneBundle, out_dir) -> dict:
     """Write a scene directory; returns the manifest written to scene.json."""
-    grid = bundle.occupancy.labels.transpose(2, 0, 1).astype(np.float64)
+    grid = bundle.occupancy.labels.transpose(2, 0, 1)
     manifest = {
         "height": bundle.image.height,
         "width": bundle.image.width,
@@ -355,7 +357,7 @@ def load_scene(scene_dir) -> SceneBundle:
     camera = CameraMatrix.from_json_file(files["camera"])
     classes = manifest["classes"]
     bev = manifest["bev"]
-    grid = _read_grid(files["occupancy"], (bev.nz, bev.nx, bev.ny), "occupancy")
+    grid = _read_grid(files["occupancy"], (bev.nz, bev.nx, bev.ny), "occupancy").data
     if not ((grid >= 0) & (grid < len(classes)) & (grid == np.rint(grid))).all():
         raise ValueError(f"{files['occupancy']}: labels must be integers in [0, {len(classes)})")
     illumination = _read_grid(
@@ -365,19 +367,19 @@ def load_scene(scene_dir) -> SceneBundle:
         image=image,
         camera=camera,
         occupancy=OccupancyGrid(grid.astype(np.int64).transpose(1, 2, 0), classes),
-        illumination_gt=Tensor3(illumination),
+        illumination_gt=illumination,
         bev=bev,
         classes=classes,
     )
 
 
-def _read_grid(path, shape: tuple[int, int, int], what: str) -> np.ndarray:
-    """A raw tensor file's values as float64 of the given shape; errors name the file."""
+def _read_grid(path, shape: tuple[int, int, int], what: str) -> Tensor3:
+    """A raw tensor file of the given shape; errors name the file."""
     try:
-        data = read_raw_tensor(path).data.astype(np.float64)
+        t = read_raw_tensor(path)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    if data.shape != shape:
-        want, got = ("x".join(map(str, s)) for s in (shape, data.shape))
+    if t.shape != shape:
+        want, got = ("x".join(map(str, s)) for s in (shape, t.shape))
         raise ValueError(f"{path}: {what} must be {want}, got {got}")
-    return data
+    return t

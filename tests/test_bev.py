@@ -17,7 +17,7 @@ from nightbev.bev import (
     residual_query,
 )
 from nightbev.core import PixelCoord, Tensor3, bilinear_sample, bilinear_sample_many
-from nightbev.geometry import BevSpec, CameraMatrix, project_points, sample_heights
+from nightbev.geometry import BevSpec, CameraMatrix, pixel_centers, project_points, sample_heights
 from nightbev.guided_sampling import ConvParams
 
 
@@ -29,6 +29,16 @@ def split_conv(out_c, in_c, kernel=None, bias=None) -> ConvParams:
     kernel = np.zeros((out_c, in_c, 1, 1)) if kernel is None else kernel
     bias = np.zeros(out_c) if bias is None else bias
     return ConvParams(kernel, bias)
+
+
+def random_camera(rng, yaw, pitch, focal, h, w) -> CameraMatrix:
+    """A yawed and pitched camera centred on an h x w map, at a random offset."""
+    cy, sy, cp, sp = np.cos(yaw), np.sin(yaw), np.cos(pitch), np.sin(pitch)
+    rot = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]]) @ np.array(
+        [[1.0, 0.0, 0.0], [0.0, cp, -sp], [0.0, sp, cp]]
+    )
+    k = np.array([[focal, 0.0, w / 2], [0.0, focal, h / 2], [0.0, 0.0, 1.0]])
+    return CameraMatrix(np.hstack([k @ rot, k @ rng.uniform(-2.0, 2.0, size=(3, 1))]))
 
 
 def make_dc(f_ctx, depth, d_min=1.0, d_max=20.0) -> DepthContext:
@@ -53,7 +63,10 @@ class TestDepthBinCenters:
 class TestDepthContextSplit:
     def test_zero_parameters_give_uniform_depth(self):
         f = Tensor3(np.random.default_rng(3).normal(size=(2, 3, 4)))
-        dc = depth_context_split(f, split_conv(2 + 8, 2), c_ctx=2, d_bins=8)
+        dc = depth_context_split(
+            f, split_conv(2 + 8, 2), c_ctx=2, d_bins=8,
+            bin_centers=depth_bin_centers(1.0, 20.0, 8),
+        )
         np.testing.assert_array_equal(dc.depth.data, 1.0 / 8.0)
         np.testing.assert_array_equal(dc.f_ctx.data, 0.0)
 
@@ -61,7 +74,10 @@ class TestDepthContextSplit:
         f = Tensor3(np.random.default_rng(5).normal(size=(1, 3, 3)))
         bias = np.zeros(1 + 4)
         bias[1 + 2] = 10.0  # third depth bin
-        dc = depth_context_split(f, split_conv(5, 1, bias=bias), c_ctx=1, d_bins=4)
+        dc = depth_context_split(
+            f, split_conv(5, 1, bias=bias), c_ctx=1, d_bins=4,
+            bin_centers=depth_bin_centers(1.0, 20.0, 4),
+        )
         assert (dc.depth.data[2] > 0.999).all()
 
     def test_depth_sums_to_one_for_random_params(self):
@@ -70,7 +86,9 @@ class TestDepthContextSplit:
         params = split_conv(
             2 + 6, 3, kernel=rng.normal(size=(8, 3, 1, 1)), bias=rng.normal(size=8)
         )
-        dc = depth_context_split(f, params, c_ctx=2, d_bins=6)
+        dc = depth_context_split(
+            f, params, c_ctx=2, d_bins=6, bin_centers=depth_bin_centers(1.0, 20.0, 6)
+        )
         np.testing.assert_allclose(dc.depth.data.sum(axis=0), 1.0, atol=1e-6)
 
     def test_context_channels_pass_through(self):
@@ -78,14 +96,19 @@ class TestDepthContextSplit:
         f = Tensor3(rng.normal(size=(2, 3, 3)))
         kernel = np.zeros((3, 2, 1, 1))
         kernel[0, 1, 0, 0] = 2.0  # ctx channel = 2 * input channel 1
-        dc = depth_context_split(f, split_conv(3, 2, kernel=kernel), c_ctx=1, d_bins=2)
+        dc = depth_context_split(
+            f, split_conv(3, 2, kernel=kernel), c_ctx=1, d_bins=2,
+            bin_centers=depth_bin_centers(1.0, 20.0, 2),
+        )
         np.testing.assert_allclose(dc.f_ctx.data[0], 2.0 * f.data[1], rtol=1e-12)
 
     def test_wrong_kernel_size_rejected(self):
         f = Tensor3.zeros(1, 2, 2)
         params = ConvParams(np.zeros((3, 1, 3, 3)), np.zeros(3))
         with pytest.raises(ValueError, match="1x1"):
-            depth_context_split(f, params, c_ctx=1, d_bins=2)
+            depth_context_split(
+                f, params, c_ctx=1, d_bins=2, bin_centers=depth_bin_centers(1.0, 20.0, 2)
+            )
 
 
 def oracle_pool(dc: DepthContext, m: CameraMatrix, spec: BevSpec) -> np.ndarray:
@@ -190,12 +213,7 @@ class TestBevPool:
         mass = np.stack([rng.multinomial(8, np.full(bins, 1.0 / bins)) for _ in range(h * w)])
         depth = Tensor3((mass.T / 8.0).reshape(bins, h, w))
         dc = make_dc(Tensor3(np.ones((1, h, w))), depth, d_min=0.5, d_max=8.5)
-        cy, sy, cp, sp = np.cos(yaw), np.sin(yaw), np.cos(pitch), np.sin(pitch)
-        rot = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]]) @ np.array(
-            [[1.0, 0.0, 0.0], [0.0, cp, -sp], [0.0, sp, cp]]
-        )
-        k = np.array([[focal, 0.0, w / 2], [0.0, focal, h / 2], [0.0, 0.0, 1.0]])
-        cam = CameraMatrix(np.hstack([k @ rot, k @ rng.uniform(-2.0, 2.0, size=(3, 1))]))
+        cam = random_camera(rng, yaw, pitch, focal, h, w)
         a, t = cam.matrix[:, :3], cam.matrix[:, 3]
         pts = {
             (b, v, u): np.linalg.solve(a, dc.bin_centers[b] * np.array([u + 0.5, v + 0.5, 1.0]) - t)
@@ -221,6 +239,50 @@ class TestBevPool:
                 expected += depth.data[b, v, u]
         q = bev_pool(dc, cam, spec)
         assert q.data.sum() == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        hw=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        bins=st.integers(1, 8),
+        yaw=st.floats(-3.0, 3.0),
+        pitch=st.floats(-1.2, 1.2),
+        focal=st.floats(0.5, 8.0),
+        voxel=st.sampled_from([0.1, 0.25, 0.3, 1.0]),
+        cells=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    )
+    def test_bytes_equal_three_row_back_projection(
+        self, seed, hw, bins, yaw, pitch, focal, voxel, cells
+    ):
+        # bev_pool back-projects only world x and y. Random masses and
+        # contexts make every sum order-sensitive, so the bytes match only if
+        # x and y equal the rows of the full 3-row back-projection bit for
+        # bit and each cell adds its terms in (bin, row, column) order.
+        rng = np.random.default_rng(seed)
+        h, w = hw
+        logits = rng.normal(size=(bins, h, w))
+        depth = Tensor3(np.exp(logits) / np.exp(logits).sum(axis=0, keepdims=True))
+        dc = make_dc(Tensor3(rng.normal(size=(2, h, w))), depth, d_min=0.5, d_max=8.5)
+        cam = random_camera(rng, yaw, pitch, focal, h, w)
+        t = cam.matrix[:, 3]
+        rhs = dc.bin_centers[:, None, None, None] * pixel_centers(h, w)[None]
+        pts = np.einsum("ij,bjhw->bihw", np.linalg.inv(cam.matrix[:, :3]), rhs - t[:, None, None])
+        # A grid around one lifted point, so some mass lands.
+        centre = pts[rng.integers(bins), :, rng.integers(h), rng.integers(w)]
+        lo = [centre[i] - rng.integers(0, cells[i]) * voxel for i in (0, 1)]
+        spec = BevSpec(
+            x_range=(lo[0], lo[0] + cells[0] * voxel),
+            y_range=(lo[1], lo[1] + cells[1] * voxel),
+            z_range=(0.0, voxel),
+            voxel=voxel,
+        )
+        expected = np.zeros((2, spec.nx, spec.ny))
+        for b, v, u in np.ndindex(bins, h, w):
+            fx = (pts[b, 0, v, u] - spec.x_range[0]) / spec.voxel
+            fy = (pts[b, 1, v, u] - spec.y_range[0]) / spec.voxel
+            if 0 <= fx < spec.nx and 0 <= fy < spec.ny:
+                expected[:, int(fx), int(fy)] += dc.depth.data[b, v, u] * dc.f_ctx.data[:, v, u]
+        assert bev_pool(dc, cam, spec).data.tobytes() == expected.tobytes()
 
     def test_linearity_in_context(self):
         rng = np.random.default_rng(19)

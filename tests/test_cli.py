@@ -201,6 +201,24 @@ class TestIgsAndField:
         assert not out.exists()
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize(
+        "command", ["gen-scene", "enhance", "igs", "illum-field", "pipeline", "eval"]
+    )
+    def test_exits_2_naming_the_seed_before_output(
+        self, tmp_path, capsys, scene_config, pipeline_config, scene, command
+    ):
+        args = {
+            "gen-scene": ["--config", str(scene_config)],
+            "enhance": ["--config", str(pipeline_config), "--image", str(scene / "image.ppm")],
+            "eval": ["--config", str(pipeline_config), "--scenes", str(scene)],
+        }.get(command, ["--config", str(pipeline_config), "--scene", str(scene)])
+        out = tmp_path / "out"
+        assert main([command, *args, "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestPipelineCommand:
     def test_full_run_writes_report(self, tmp_path, pipeline_config, scene):
         out = tmp_path / "run"

@@ -153,6 +153,8 @@ PIPELINE_PROBES = [
         {"encoder": {"source": {"files": {"conv1_kernel": "scene_cfg.json"}}}},
         "encoder.source.files.conv1_bias",
     ),
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"encoder": {"source": {"seed": -2}}}, "encoder.source: seed must be >= 0"),
 ]
 
 SCENE_PROBES = [
@@ -164,6 +166,7 @@ SCENE_PROBES = [
     ),
     ({"classes": "abc"}, "classes"),
     ({"lights": [{"u": 1, "v": 2, "intensity": 1}]}, "lights[0].radius"),
+    ({"seed": -3}, "seed must be >= 0"),
 ]
 
 

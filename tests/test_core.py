@@ -54,6 +54,27 @@ class TestTensor3:
         t = Tensor3(np.ones((1, 1, 1), dtype=np.int32))
         assert t.data.dtype == np.float64
 
+    @pytest.mark.parametrize(
+        "src",
+        [
+            np.arange(24, dtype=np.float32).reshape(2, 3, 4) / 7,
+            np.arange(-12, 12).reshape(2, 3, 4),
+            np.arange(24).reshape(2, 3, 4) % 3 == 0,
+            np.asfortranarray(np.arange(24.0).reshape(2, 3, 4)),
+            np.arange(24.0).reshape(4, 3, 2).transpose(2, 1, 0),
+            [[[1, 2.5], [3, 4]], [[5, 6], [7, -8]]],
+        ],
+        ids=["float32", "int", "bool", "fortran", "transposed", "nested_list"],
+    )
+    def test_storage_is_one_read_only_c_ordered_float64_copy(self, src):
+        t = Tensor3(src)
+        assert t.data.dtype == np.float64
+        assert t.data.flags.c_contiguous
+        assert not t.data.flags.writeable
+        assert t.data.base is None  # owns its buffer, not a view of an intermediate
+        assert not np.shares_memory(t.data, np.asarray(src))
+        np.testing.assert_array_equal(t.data, np.asarray(src, dtype=np.float64))
+
 
 class TestBilinearSample:
     def test_exact_grid_point(self, quad):
@@ -183,12 +204,28 @@ class TestRawTensorFormat:
         rng = np.random.default_rng(37)
         t = Tensor3(rng.normal(size=(2, 3, 4)).astype(np.float32))
         path = tmp_path / "t.rt"
-        write_raw_tensor(t, path)
+        write_raw_tensor(t, path, dtype="f32")
         back = read_raw_tensor(path)
-        assert back.data.dtype == np.float32
+        assert back.data.dtype == np.float64
         np.testing.assert_array_equal(back.data, t.data)
-        write_raw_tensor(back, tmp_path / "again.rt")
+        write_raw_tensor(back, tmp_path / "again.rt", dtype="f32")
         assert (tmp_path / "again.rt").read_bytes() == path.read_bytes()
+
+    def test_f32_file_reads_as_float64_holding_the_f32_values(self, tmp_path):
+        values = (np.random.default_rng(43).normal(size=(2, 3, 4)) * 1e3).astype("<f4")
+        path = tmp_path / "t.rt"
+        path.write_bytes(b'{"dtype":"f32","shape":[2,3,4]}\n' + values.tobytes())
+        back = read_raw_tensor(path)
+        assert back.data.dtype == np.float64
+        assert back.data.tobytes() == values.astype(np.float64).tobytes()
+
+    def test_default_dtype_is_f64(self, tmp_path):
+        t = Tensor3(np.random.default_rng(47).normal(size=(1, 2, 3)))
+        path = tmp_path / "t.rt"
+        write_raw_tensor(t, path)
+        line, _, payload = path.read_bytes().partition(b"\n")
+        assert json.loads(line) == {"dtype": "f64", "shape": [1, 2, 3]}
+        assert payload == t.data.astype("<f8").tobytes()
 
     def test_round_trip_f64(self, tmp_path):
         t = Tensor3(np.random.default_rng(41).normal(size=(1, 2, 2)))

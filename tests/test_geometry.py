@@ -9,7 +9,6 @@ from nightbev.geometry import (
     CameraMatrix,
     field_to_tensor,
     illumination_field,
-    merge_fields_max,
     project_point,
     project_points,
     sample_heights,
@@ -204,13 +203,6 @@ class TestIlluminationField:
         shifted[0] += 0.49 * shifted[2]  # u' = u + 0.49 at equal depth
         moved = illumination_field(i, CameraMatrix(shifted), spec, n_z=4)
         np.testing.assert_array_equal(moved, base)
-
-    def test_merge_by_maximum(self):
-        a = np.array([[0.1, 0.9], [0.4, 0.2]])
-        b = np.array([[0.3, 0.5], [0.1, 0.8]])
-        np.testing.assert_array_equal(
-            merge_fields_max([a, b]), [[0.3, 0.9], [0.4, 0.8]]
-        )
 
     def test_field_to_tensor_wraps(self):
         t = field_to_tensor(np.zeros((3, 4)))
