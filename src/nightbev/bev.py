@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3, bilinear_sample_many
+from .core import Tensor3, bilinear_sample_many, frozen_array
 from .geometry import BevSpec, CameraMatrix, column_pixels, pixel_centers
 from .guided_sampling import ConvParams, conv2d_replicate
 
@@ -37,7 +37,7 @@ class DepthContext:
     bin_centers: np.ndarray
 
     def __post_init__(self) -> None:
-        centers = np.array(self.bin_centers, dtype=np.float64).ravel()
+        centers = frozen_array(self.bin_centers, "bin centers").ravel()
         if centers.size != self.depth.channels:
             raise ValueError(
                 f"{centers.size} bin centers for {self.depth.channels} depth channels"
@@ -49,7 +49,6 @@ class DepthContext:
         sums = self.depth.data.sum(axis=0)
         if np.abs(sums - 1.0).max() > DEPTH_SUM_TOL:
             raise ValueError("depth bins must sum to 1 per pixel")
-        centers.flags.writeable = False
         object.__setattr__(self, "bin_centers", centers)
 
 
@@ -93,18 +92,14 @@ class AttentionParams:
     attn_weights: np.ndarray  # (K, C): pre-softmax logits per point
 
     def __post_init__(self) -> None:
-        ow = np.array(self.offset_weights, dtype=np.float64)
-        aw = np.array(self.attn_weights, dtype=np.float64)
+        ow = frozen_array(self.offset_weights, "attention parameters")
+        aw = frozen_array(self.attn_weights, "attention parameters")
         if ow.ndim != 2 or aw.ndim != 2 or ow.shape[1] != aw.shape[1]:
             raise ValueError("offset/attention weights must be 2D over one query size")
         if ow.shape[0] != 2 * aw.shape[0]:
             raise ValueError(
                 f"offset rows {ow.shape[0]} must be twice attention rows {aw.shape[0]}"
             )
-        if not (np.isfinite(ow).all() and np.isfinite(aw).all()):
-            raise ValueError("attention parameters must be finite")
-        ow.flags.writeable = False
-        aw.flags.writeable = False
         object.__setattr__(self, "offset_weights", ow)
         object.__setattr__(self, "attn_weights", aw)
 

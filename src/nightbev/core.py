@@ -31,27 +31,34 @@ class PixelCoord(NamedTuple):
     v: float
 
 
+def frozen_array(value, what: str, dtype=np.float64) -> np.ndarray:
+    """The storage rule of every value object: one read-only, C-ordered copy.
+
+    Whatever `value` is (any real dtype, any memory order, nested lists), it
+    becomes a new `dtype` array that no caller can write through, so stages
+    read it as is and instances are safe to share across threads. A float
+    `dtype` must hold finite values, else ValueError("<what> must be finite").
+    """
+    arr = np.array(value, dtype=dtype, order="C")
+    if np.issubdtype(arr.dtype, np.floating) and not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class Tensor3:
-    """Immutable dense C x H x W tensor of finite values.
-
-    The constructor is the one place that decides storage: whatever it is
-    given (any real dtype, any memory order, nested lists) becomes one
-    float64, C-ordered copy, marked read-only, so every stage reads the data
-    as is and instances are safe to share across threads.
-    """
+    """Immutable dense C x H x W tensor of finite values, stored by `frozen_array`
+    as float64, so every stage reads the data as is."""
 
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.data, dtype=np.float64, order="C")
+        arr = frozen_array(self.data, "Tensor3 values")
         if arr.ndim != 3:
             raise ValueError(f"Tensor3 expects 3 dims (C,H,W), got {arr.ndim}")
         if any(s <= 0 for s in arr.shape):
             raise ValueError(f"Tensor3 dims must be positive, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("Tensor3 values must be finite")
-        arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
     @property

@@ -8,11 +8,11 @@ zero, which downstream refinement treats as "no correction".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Tensor3, json_block, json_list, read_json
+from .core import Tensor3, frozen_array, json_block, json_list, read_json
 
 DEPTH_EPS = 1e-6
 COLUMN_BLOCK = 1 << 15  # most points column_pixels projects in one block, unless one row is more
@@ -25,15 +25,12 @@ class CameraMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=np.float64)
+        m = frozen_array(self.matrix, "camera matrix")
         if m.shape != (3, 4):
             raise ValueError(f"camera matrix must be 3x4, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("camera matrix must be finite")
         det = float(np.linalg.det(m[:, :3]))
         if not np.isfinite(det) or abs(det) < 1e-12:
             raise ValueError("camera matrix 3x3 block is singular")
-        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     @classmethod
@@ -81,12 +78,16 @@ def _axis_cells(lo: float, hi: float, voxel: float, name: str) -> int:
 
 @dataclass(frozen=True)
 class BevSpec:
-    """BEV grid extents and cubic voxel size, with derived cell counts."""
+    """BEV grid extents and cubic voxel size; the cell counts nx, ny and nz are
+    derived once, at construction."""
 
     x_range: tuple[float, float] = (-40.0, 40.0)
     y_range: tuple[float, float] = (-40.0, 40.0)
     z_range: tuple[float, float] = (-1.0, 5.4)
     voxel: float = 0.4
+    nx: int = field(init=False, repr=False)
+    ny: int = field(init=False, repr=False)
+    nz: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.voxel > 0:
@@ -94,21 +95,9 @@ class BevSpec:
         object.__setattr__(self, "x_range", (float(self.x_range[0]), float(self.x_range[1])))
         object.__setattr__(self, "y_range", (float(self.y_range[0]), float(self.y_range[1])))
         object.__setattr__(self, "z_range", (float(self.z_range[0]), float(self.z_range[1])))
-        _axis_cells(*self.x_range, self.voxel, "x")
-        _axis_cells(*self.y_range, self.voxel, "y")
-        _axis_cells(*self.z_range, self.voxel, "z")
-
-    @property
-    def nx(self) -> int:
-        return _axis_cells(*self.x_range, self.voxel, "x")
-
-    @property
-    def ny(self) -> int:
-        return _axis_cells(*self.y_range, self.voxel, "y")
-
-    @property
-    def nz(self) -> int:
-        return _axis_cells(*self.z_range, self.voxel, "z")
+        object.__setattr__(self, "nx", _axis_cells(*self.x_range, self.voxel, "x"))
+        object.__setattr__(self, "ny", _axis_cells(*self.y_range, self.voxel, "y"))
+        object.__setattr__(self, "nz", _axis_cells(*self.z_range, self.voxel, "z"))
 
     def x_centers(self) -> np.ndarray:
         return self.x_range[0] + (np.arange(self.nx) + 0.5) * self.voxel

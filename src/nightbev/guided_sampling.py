@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3, bilinear_sample_many
+from .core import Tensor3, bilinear_sample_many, frozen_array
 from .illumination import ILLUMINATION_FLOOR
 
 
@@ -25,8 +25,8 @@ class ConvParams:
     bias: np.ndarray
 
     def __post_init__(self) -> None:
-        kernel = np.array(self.kernel, dtype=np.float64)
-        bias = np.array(self.bias, dtype=np.float64).ravel()
+        kernel = frozen_array(self.kernel, "conv parameters")
+        bias = frozen_array(self.bias, "conv parameters").ravel()
         if kernel.ndim != 4 or kernel.shape[2] != kernel.shape[3]:
             raise ValueError(f"conv kernel must be (out, in, k, k), got {kernel.shape}")
         if kernel.shape[2] % 2 == 0:
@@ -35,10 +35,6 @@ class ConvParams:
             raise ValueError(
                 f"bias shape {bias.shape} does not match {kernel.shape[0]} out channels"
             )
-        if not (np.isfinite(kernel).all() and np.isfinite(bias).all()):
-            raise ValueError("conv parameters must be finite")
-        kernel.flags.writeable = False
-        bias.flags.writeable = False
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "bias", bias)
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import frozen_array
+
 
 @dataclass(frozen=True)
 class OccupancyGrid:
@@ -29,10 +31,9 @@ class OccupancyGrid:
         names = tuple(str(n) for n in self.class_names)
         if not names:
             raise ValueError("class table must be non-empty")
-        arr = np.array(arr, dtype=np.int64, order="C")  # the grid's own copy
+        arr = frozen_array(arr, "occupancy labels", np.int64)
         if arr.size and (arr.min() < 0 or arr.max() >= len(names)):
             raise ValueError(f"labels must lie in [0, {len(names)})")
-        arr.flags.writeable = False
         object.__setattr__(self, "labels", arr)
         object.__setattr__(self, "class_names", names)
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from .bev import AttentionParams, bev_pool, depth_bin_centers, depth_context_split
 from .bev import refine_bev, residual_query
-from .core import Tensor3, json_block, json_list, json_path, read_json, read_raw_tensor
+from .core import Tensor3, frozen_array, json_block, json_list, json_path, read_json
+from .core import read_raw_tensor
 from .formats import write_artifacts
 from .geometry import field_to_tensor, illumination_field
 from .guided_sampling import ConvParams, build_guidance, conv2d_replicate, generate_offsets
@@ -251,7 +252,10 @@ def build_params(pc: PipelineConfig, n_cla: int, grid_z: int) -> ResolvedParams:
         else:
             seed = [src.seed] if src.seed is not None else [pc.seed, index]
             rng = np.random.default_rng(np.random.SeedSequence(seed))
-            blocks.append([rng.normal(p.mean, p.std, size=p.shape) for p in params])
+            blocks.append([
+                frozen_array(rng.normal(p.mean, p.std, size=p.shape), f"{block}.{p.name}")
+                for p in params
+            ])
     enc, igs, depth, attn, head = blocks
     convs = ConvParams(*enc[:2]), ConvParams(*enc[2:]), ConvParams(*igs[:2])
     return ResolvedParams(*convs, igs[2], ConvParams(*depth), AttentionParams(*attn), *head)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3
+from .core import Tensor3, frozen_array
 from .illumination import illumination_factor, retinex_enhance
 
 DEFAULT_BINS = 256
@@ -26,16 +26,13 @@ class FactorPopulation:
     bins: int = DEFAULT_BINS
 
     def __post_init__(self) -> None:
-        arr = np.array(self.factors, dtype=np.float64).ravel()
+        arr = frozen_array(self.factors, "factors").ravel()
         if arr.size == 0:
             raise ValueError("factor population must be non-empty")
-        if not np.isfinite(arr).all():
-            raise ValueError("factors must be finite")
         if arr.min() <= 0.0 or arr.max() > 1.0:
             raise ValueError("factors must lie in (0, 1]")
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
-        arr.flags.writeable = False
         object.__setattr__(self, "factors", arr)
 
 

@@ -60,6 +60,14 @@ class TestDepthBinCenters:
             depth_bin_centers(5.0, 1.0, 4)
 
 
+class TestDepthContext:
+    @pytest.mark.parametrize("centers", [[1.0, np.inf], [np.nan, 2.0]])
+    def test_rejects_non_finite_centers(self, centers):
+        f_ctx, depth = Tensor3.zeros(1, 1, 1), Tensor3.full(2, 1, 1, 0.5)
+        with pytest.raises(ValueError, match="^bin centers must be finite$"):
+            DepthContext(f_ctx, depth, np.array(centers))
+
+
 class TestDepthContextSplit:
     def test_zero_parameters_give_uniform_depth(self):
         f = Tensor3(np.random.default_rng(3).normal(size=(2, 3, 4)))

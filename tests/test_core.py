@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from nightbev.bev import AttentionParams, DepthContext
 from nightbev.core import (
     PixelCoord,
     Tensor3,
@@ -12,9 +13,14 @@ from nightbev.core import (
     bilinear_sample_grad,
     bilinear_sample_many,
     finite_diff_check,
+    frozen_array,
     read_raw_tensor,
     write_raw_tensor,
 )
+from nightbev.geometry import CameraMatrix
+from nightbev.guided_sampling import ConvParams
+from nightbev.metrics import OccupancyGrid
+from nightbev.selective import FactorPopulation
 
 
 @pytest.fixture
@@ -74,6 +80,82 @@ class TestTensor3:
         assert t.data.base is None  # owns its buffer, not a view of an intermediate
         assert not np.shares_memory(t.data, np.asarray(src))
         np.testing.assert_array_equal(t.data, np.asarray(src, dtype=np.float64))
+
+
+def storage_forms(base: np.ndarray) -> dict:
+    """`base` in the input forms of the Tensor3 storage test above."""
+    return {
+        "float32": base.astype(np.float32),
+        "int": base.astype(np.int64),
+        "bool": base != 0,
+        "fortran": np.asfortranarray(base),
+        "transposed": np.ascontiguousarray(base.T).T,
+        "nested_list": base.tolist(),
+    }
+
+
+# Every value object that stores an array: (valid base values, the stored
+# array of a container built from one input form).
+CONTAINERS = {
+    "camera": (
+        np.array([[2, 0, 1, 0], [0, 2, 1, 0], [0, 0, 1, 1]]),
+        lambda x: CameraMatrix(x).matrix,
+    ),
+    "conv_kernel": (
+        np.arange(36).reshape(4, 1, 3, 3) % 3,
+        lambda x: ConvParams(x, np.zeros(4)).kernel,
+    ),
+    "conv_bias": (
+        np.array([[1, 0], [2, 3]]),
+        lambda x: ConvParams(np.zeros((4, 1, 1, 1)), x).bias,
+    ),
+    "attention_offsets": (
+        np.arange(12).reshape(4, 3) % 5,
+        lambda x: AttentionParams(x, np.zeros((2, 3))).offset_weights,
+    ),
+    "attention_logits": (
+        np.arange(6).reshape(2, 3) % 4,
+        lambda x: AttentionParams(np.zeros((4, 3)), x).attn_weights,
+    ),
+    "depth_centers": (
+        np.array([0, 1]),
+        lambda x: DepthContext(Tensor3.zeros(1, 1, 1), Tensor3.full(2, 1, 1, 0.5), x).bin_centers,
+    ),
+    "factors": (np.ones((2, 3), dtype=np.int64), lambda x: FactorPopulation(x).factors),
+}
+
+
+class TestFrozenArray:
+    """Every container stores its arrays as `frozen_array` does, whatever it is given."""
+
+    @staticmethod
+    def assert_frozen_copy(stored, src, dtype):
+        assert stored.dtype == dtype
+        assert stored.flags.c_contiguous
+        assert not stored.flags.writeable
+        assert not np.shares_memory(stored, np.asarray(src))
+        np.testing.assert_array_equal(stored, np.asarray(src, dtype=dtype).reshape(stored.shape))
+
+    @pytest.mark.parametrize("form", list(storage_forms(np.zeros(1))))
+    @pytest.mark.parametrize("container", list(CONTAINERS))
+    def test_float_containers(self, container, form):
+        base, stored = CONTAINERS[container]
+        src = storage_forms(base)[form]
+        self.assert_frozen_copy(stored(src), src, np.float64)
+
+    @pytest.mark.parametrize("form", ["int", "fortran", "transposed", "nested_list"])
+    def test_occupancy_grid_int64(self, form):
+        src = storage_forms(np.arange(24).reshape(2, 3, 4) % 3)[form]
+        self.assert_frozen_copy(OccupancyGrid(src, ("a", "b", "c")).labels, src, np.int64)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_float_values_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="^thing must be finite$"):
+            frozen_array([1.0, bad], "thing")
+
+    def test_integer_dtype_is_not_checked_for_finiteness(self):
+        arr = frozen_array([[1, 2], [3, 4]], "labels", np.int64)
+        assert arr.dtype == np.int64 and not arr.flags.writeable
 
 
 class TestBilinearSample:

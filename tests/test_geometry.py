@@ -1,5 +1,7 @@
 """Projection, BEV grid spec, height sampling, and the illumination field."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from nightbev.core import Tensor3
 from nightbev.geometry import (
     BevSpec,
     CameraMatrix,
+    _axis_cells,
     field_to_tensor,
     illumination_field,
     project_point,
@@ -117,6 +120,16 @@ class TestBevSpec:
         spec = BevSpec(x_range=(0, 4), y_range=(-2, 2), z_range=(0, 2), voxel=0.5)
         again = BevSpec.from_dict(spec.to_dict())
         assert again == spec
+
+    @pytest.mark.parametrize("voxel", [0.4, 0.2, 0.1])
+    def test_cell_counts_are_fixed_at_construction(self, voxel):
+        desk = BevSpec(x_range=(0, 8), y_range=(-4, 4), z_range=(-1, 2.2), voxel=0.4)
+        spec = dataclasses.replace(desk, voxel=voxel)
+        ranges = {"x": spec.x_range, "y": spec.y_range, "z": spec.z_range}
+        counts = [_axis_cells(*r, voxel, axis) for axis, r in ranges.items()]
+        assert [spec.nx, spec.ny, spec.nz] == counts == [round(8 / voxel)] * 2 + [round(3.2 / voxel)]
+        assert not any(isinstance(getattr(BevSpec, n, None), property) for n in ("nx", "ny", "nz"))
+        assert "nx" not in repr(spec)
 
 
 class TestSampleHeights:

@@ -490,6 +490,21 @@ class TestBuildParams:
         np.testing.assert_array_equal(params.enc1.bias, [1.0, 2.0])
         assert params.enc2.kernel.shape == (1, 2, 3, 3)
 
+    @pytest.mark.parametrize("head_files", [False, True])
+    def test_every_array_is_read_only(self, tmp_path, head_files):
+        source = ParamSource()
+        if head_files:  # a loaded block as well as generated ones
+            write_raw_tensor(Tensor3.zeros(1, 16, 8), tmp_path / "w.rt")
+            write_raw_tensor(Tensor3.zeros(16, 1, 1), tmp_path / "b.rt")
+            source = ParamSource(files={"weights": tmp_path / "w.rt", "bias": tmp_path / "b.rt"})
+        params = build_params(PipelineConfig(head_source=source), 2, 8)
+        arrays = {}
+        for name, value in vars(params).items():
+            inner = vars(value) if hasattr(value, "__dict__") else {"": value}
+            arrays.update({f"{name}.{k}": v for k, v in inner.items()})
+        assert len(arrays) == 13
+        assert [k for k, a in arrays.items() if a.flags.writeable] == []
+
 
 class TestEvalBatch:
     def test_single_scene_matches_single_run(self, tmp_path):
