@@ -182,12 +182,11 @@ def residual_query(
     if cell.size == 0:
         return Tensor3(out.reshape(f_ctx.channels, nx, ny))
 
-    # Offsets and attention come from one product over the whole grid: on a
-    # column subset BLAS and the softmax sum may pick another summation
-    # order, which changes the last bit.
+    # einsum adds the channels one by one on every CPU; a BLAS product lets
+    # the kernel pick the order and fuse multiply with add, changing last bits.
     q_flat = q.data.reshape(q.channels, nx * ny)
-    off = params.offset_weights @ q_flat  # (2K, cells)
-    attn = _softmax(params.attn_weights @ q_flat, axis=0)  # (K, cells)
+    off = np.einsum("kc,cn->kn", params.offset_weights, q_flat)  # (2K, cells)
+    attn = _softmax(np.einsum("kc,cn->kn", params.attn_weights, q_flat), axis=0)  # (K, cells)
 
     us = u[cell, height][:, None] + off[0::2, cell].T  # (refs, K)
     vs = v[cell, height][:, None] + off[1::2, cell].T

@@ -138,13 +138,21 @@ def project_points(m: CameraMatrix, pts: np.ndarray):
     caller can mask without meeting infinities.
     """
     pts = np.asarray(pts, dtype=np.float64)
-    h = pts @ m.matrix[:, :3].T
-    for j, t in enumerate(m.matrix[:, 3]):  # per column: a (3,) broadcast add is 3x slower
-        h[..., j] += t
-    depth = h[..., 2]
+    # Row j is ((x*a + y*b) + z*c) + t, one ufunc at a time: unlike a BLAS
+    # product, no CPU-specific kernel picks the order or fuses multiply and add.
+    h = np.empty((3,) + pts.shape[:-1])
+    term = np.empty(pts.shape[:-1])
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite or huge points
+        for j, (a, b, c, t) in enumerate(m.matrix):
+            row = h[j, ...]
+            np.multiply(pts[..., 0], a, out=row)
+            row += np.multiply(pts[..., 1], b, out=term)
+            row += np.multiply(pts[..., 2], c, out=term)
+            row += t
+    depth = h[2, ...]
     valid = depth > DEPTH_EPS
-    u = np.divide(h[..., 0], depth, out=np.zeros(depth.shape), where=valid)
-    v = np.divide(h[..., 1], depth, out=np.zeros(depth.shape), where=valid)
+    u = np.divide(h[0, ...], depth, out=np.zeros(depth.shape), where=valid)
+    v = np.divide(h[1, ...], depth, out=np.zeros(depth.shape), where=valid)
     return u, v, depth, valid
 
 

@@ -398,8 +398,8 @@ def dense_residual_query(q, f_ctx, m, spec, n_z, params):
     )
 
     q_flat = q.data.reshape(q.channels, nx * ny).astype(np.float64, copy=False)
-    off = params.offset_weights @ q_flat  # (2K, cells)
-    logits = params.attn_weights @ q_flat  # (K, cells)
+    off = np.einsum("kc,cn->kn", params.offset_weights, q_flat)  # (2K, cells)
+    logits = np.einsum("kc,cn->kn", params.attn_weights, q_flat)  # (K, cells)
     shifted = logits - logits.max(axis=0, keepdims=True)
     e = np.exp(shifted)
     attn = e / e.sum(axis=0, keepdims=True)

@@ -8,6 +8,7 @@ machine is too noisy for that.
 """
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -20,15 +21,16 @@ METRICS = ("setup_s", "job_ms_p50", "job_ms_tail", "scenes_per_s", "peak_rss_mb"
 SEED = 5
 SHA256 = {  # output_sha256 of each workload at SEED
     "desk_eval": "8fa9a4d9b1204f3956734fe7c46db1cc2ba5ff9ab57456b241813ee63e7b22c6",
-    "hires_near": "e8d2f49f8a271e1f11ae0b30e16800564bf31dcbbcb631357b0b5a7470f51384",
+    "hires_near": "d719f9db878a748de337bfb893962d68bc67b87fe520bf586a290e2efacac8a4",
     "bev_wide": "61b63748fde7324f6dc89e2e961c50c8f9dbdaf8939b4f118ce9989746e480bc",
 }
 
 
-def run_and_check(workload):
+def run_and_check(workload, env=None):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED), "--seconds", "1"],
         cwd=ROOT,
+        env=env,
         capture_output=True,
         text=True,
         timeout=300,
@@ -49,6 +51,12 @@ def test_desk_eval_run_is_correct_and_reports_every_metric():
 @pytest.mark.parametrize("workload", ["hires_near", "bev_wide"])
 def test_other_workloads_run_correct_and_report_every_metric(workload):
     run_and_check(workload)
+
+
+def test_hires_near_keeps_its_bytes_on_the_generic_blas_kernel():
+    """The pin holds when OpenBLAS is forced to its generic kernel; hires_near's
+    image is large enough that a projection through BLAS showed the kernel."""
+    run_and_check("hires_near", {**os.environ, "OPENBLAS_CORETYPE": "Prescott"})
 
 
 def test_traced_desk_eval_fires_every_hook():

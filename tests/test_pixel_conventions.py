@@ -6,9 +6,16 @@ cast warnings: a bilinear sampler with one boolean-masked gather per corner,
 a gradient that reads its corners through a closure, an illumination field
 that builds, projects and floors its own column grid, a projection that
 divides by a safe depth everywhere, and a column grid projected in one call.
+The projection reference forms its product in the order the projection
+promises, since a BLAS product's bits depend on the CPU's kernel.
 """
 
+import hashlib
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,6 +25,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import nightbev.geometry
+from nightbev.bev import AttentionParams
 from nightbev.core import PixelCoord, Tensor3, bilinear_sample_grad, bilinear_sample_many
 from nightbev.geometry import (
     COLUMN_BLOCK,
@@ -99,12 +107,14 @@ def closure_bilinear_sample_grad(f, at):
 
 
 def safe_depth_project_points(m, pts):
-    """Reference: one product plus t, then a division by a safe depth everywhere."""
+    """Reference: ((x*a + y*b) + z*c) + t broadcast over the matrix rows, then a
+    division by a safe depth everywhere."""
     pts = np.asarray(pts, dtype=np.float64)
     a = m.matrix[:, :3]
     t = m.matrix[:, 3]
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite points
-        h = pts @ a.T + t
+        x, y, z = (pts[..., k, None] for k in range(3))
+        h = ((x * a[:, 0] + y * a[:, 1]) + z * a[:, 2]) + t
         depth = h[..., 2]
         valid = depth > DEPTH_EPS
         safe = np.where(valid, depth, 1.0)
@@ -395,6 +405,70 @@ class TestProjectPointsBits:
             warnings.simplefilter("ignore", RuntimeWarning)
             got = [np.asarray(a) for a in project_points(m, pts)]
         assert_same_bytes(got, [np.asarray(a) for a in safe_depth_project_points(m, pts)])
+
+
+# Computes one case saved by TestSameBytesOnEveryBlasKernel and prints the
+# sha256 of its output bytes.
+KERNEL_CHILD = """
+import hashlib, sys
+import numpy as np
+from nightbev.bev import AttentionParams, residual_query
+from nightbev.core import Tensor3
+from nightbev.geometry import BevSpec, CameraMatrix, project_points
+a = np.load(sys.argv[2])
+m = CameraMatrix(a["m"])
+if sys.argv[1] == "project_points":
+    out = project_points(m, a["pts"])
+else:
+    spec = BevSpec(*map(tuple, a["ranges"]), voxel=float(a["voxel"]))
+    params = AttentionParams(a["ow"], a["aw"])
+    out = [residual_query(Tensor3(a["q"]), Tensor3(a["f"]), m, spec, int(a["n_z"]), params).data]
+print(hashlib.sha256(b"".join(np.asarray(x).tobytes() for x in out)).hexdigest())
+"""
+
+
+class TestSameBytesOnEveryBlasKernel:
+    """The bytes do not depend on the BLAS kernel the CPU selects.
+
+    OpenBLAS picks its kernel for the CPU at run time; OPENBLAS_CORETYPE
+    forces the generic Prescott one in a child process. Where the default
+    kernel is the same one, the two runs agree trivially.
+    """
+
+    @staticmethod
+    def case(name):
+        rng = np.random.default_rng(11)
+        if name == "project_points":
+            m = CameraMatrix(rng.normal(size=(3, 4)))
+            return {"m": m.matrix, "pts": rng.normal(size=(4096, 3)) * 10.0}
+        spec = BevSpec(x_range=(0.0, 16.0), y_range=(-8.0, 8.0), z_range=(-1.0, 2.0), voxel=0.5)
+        return {
+            "m": overhead_view(spec, 24, 32, 1.0, (0.3, -0.2), 0.05).matrix,
+            "ranges": [spec.x_range, spec.y_range, spec.z_range],
+            "voxel": spec.voxel,
+            "n_z": 4,
+            "q": rng.normal(size=(8, spec.nx, spec.ny)),
+            "f": rng.normal(size=(8, 24, 32)),
+            "ow": rng.normal(size=(8, 8)) * 0.5,
+            "aw": rng.normal(size=(4, 8)),
+        }
+
+    @pytest.mark.parametrize("name", ["project_points", "residual_query"])
+    def test_default_and_generic_kernels_agree(self, tmp_path, name):
+        np.savez(tmp_path / "case.npz", **self.case(name))
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        digests = []
+        for coretype in (None, "Prescott"):
+            child_env = env if coretype is None else {**env, "OPENBLAS_CORETYPE": coretype}
+            proc = subprocess.run(
+                [sys.executable, "-c", KERNEL_CHILD, name, str(tmp_path / "case.npz")],
+                env=child_env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
 
 
 def test_pixel_centers_sit_half_a_pixel_in():
