@@ -229,36 +229,38 @@ def read_raw_tensor(path) -> Tensor3:
     """Read the raw tensor format, f32 or f64 on disk, into a float64 Tensor3.
 
     An f32 payload's values are held exactly, since every float32 is a float64.
+    A malformed file raises ValueError naming it.
     """
     with open(path, "rb") as fh:
-        line = fh.readline(_MAX_HEADER_BYTES)
-        if not line.endswith(b"\n"):
-            raise ValueError("malformed raw tensor header (no newline)")
         try:
-            header = json.loads(line.decode("ascii"))
-        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
-            raise ValueError(f"malformed raw tensor header: {exc}") from exc
-        if not isinstance(header, dict) or "dtype" not in header or "shape" not in header:
-            raise ValueError("raw tensor header must carry 'dtype' and 'shape'")
-        tag = header["dtype"]
-        if type(tag) is not str or tag not in RAW_DTYPES:
-            raise ValueError(f"unsupported raw tensor dtype {tag!r}")
-        shape = header["shape"]
-        if (
-            type(shape) is not list
-            or len(shape) != 3
-            or not all(type(s) is int and s > 0 for s in shape)
-        ):
-            raise ValueError(f"bad raw tensor shape {shape!r}")
-        dt = RAW_DTYPES[tag]
-        expected = shape[0] * shape[1] * shape[2] * dt.itemsize
-        payload = fh.read()
-        if len(payload) != expected:
-            raise ValueError(
-                f"raw tensor payload is {len(payload)} bytes, expected {expected}"
-            )
-        arr = np.frombuffer(payload, dtype=dt).reshape(shape)
-        return Tensor3(arr)
+            line = fh.readline(_MAX_HEADER_BYTES)
+            if not line.endswith(b"\n"):
+                raise ValueError("malformed raw tensor header (no newline)")
+            try:
+                header = json.loads(line.decode("ascii"))
+            except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
+                raise ValueError(f"malformed raw tensor header: {exc}") from exc
+            if not isinstance(header, dict) or "dtype" not in header or "shape" not in header:
+                raise ValueError("raw tensor header must carry 'dtype' and 'shape'")
+            tag = header["dtype"]
+            if type(tag) is not str or tag not in RAW_DTYPES:
+                raise ValueError(f"unsupported raw tensor dtype {tag!r}")
+            shape = header["shape"]
+            if (
+                type(shape) is not list
+                or len(shape) != 3
+                or not all(type(s) is int and s > 0 for s in shape)
+            ):
+                raise ValueError(f"bad raw tensor shape {shape!r}")
+            dt = RAW_DTYPES[tag]
+            expected = shape[0] * shape[1] * shape[2] * dt.itemsize
+            payload = fh.read()
+            if len(payload) != expected:
+                raise ValueError(f"raw tensor payload is {len(payload)} bytes, expected {expected}")
+            arr = np.frombuffer(payload, dtype=dt).reshape(shape)
+            return Tensor3(arr)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 # JSON scalar types a converter table may name in place of a converter.

@@ -49,13 +49,16 @@ def _read_header(fh, magic: bytes) -> tuple[int, int]:
 
 
 def _read_pnm(path, magic: bytes, channels: int) -> Tensor3:
-    """A binary PNM's channels x H x W values in [0,1]."""
+    """A binary PNM's channels x H x W values in [0,1]; errors name the file."""
     with open(path, "rb") as fh:
-        width, height = _read_header(fh, magic)
-        size = width * height * channels
-        # Compare with the file first, so a header alone never sizes a read.
-        if os.fstat(fh.fileno()).st_size - fh.tell() < size:
-            raise ValueError(f"truncated {magic.decode()} payload")
+        try:
+            width, height = _read_header(fh, magic)
+            size = width * height * channels
+            # Compare with the file first, so a header alone never sizes a read.
+            if os.fstat(fh.fileno()).st_size - fh.tell() < size:
+                raise ValueError(f"truncated {magic.decode()} payload")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         payload = fh.read(size)
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
     return Tensor3(arr.transpose(2, 0, 1) / 255.0)

@@ -79,7 +79,7 @@ def load_illumination(path, floor: float = ILLUMINATION_FLOOR) -> Tensor3:
     else:
         t = read_raw_tensor(path)
     if t.channels != 1:
-        raise ValueError(f"illumination map must have 1 channel, got {t.channels}")
+        raise ValueError(f"{path}: illumination map must have 1 channel, got {t.channels}")
     return Tensor3(np.clip(t.data, floor, 1.0))
 
 

@@ -24,8 +24,8 @@ from .formats import write_artifacts
 from .geometry import field_to_tensor, illumination_field
 from .guided_sampling import ConvParams, build_guidance, conv2d_replicate, generate_offsets
 from .guided_sampling import guided_warp, kernel_grid, modulate_offsets
-from .illumination import EstimatorConfig, estimate_illumination, illumination_factor
-from .illumination import load_illumination
+from .illumination import ILLUMINATION_FLOOR, EstimatorConfig, estimate_illumination
+from .illumination import illumination_factor, load_illumination
 from .losses import LossConfig, class_weights_from_labels, total_loss, weighted_ce
 from .metrics import IoUReport, OccupancyGrid, miou, report_from_counts
 from .scene import SceneBundle, load_scene, read_manifest
@@ -228,13 +228,13 @@ def _param_table(
 
 def _load_param(block: str, param: _Param, path: Path) -> np.ndarray:
     """A raw tensor file of exactly the declared layout, reshaped to the parameter's shape."""
-    where = f"{block}.source.files.{param.name}: {path}"
+    key = f"{block}.source.files.{param.name}"
     try:
-        t = read_raw_tensor(path)
+        t = read_raw_tensor(path)  # its errors name the path
     except (OSError, ValueError) as exc:
-        raise ValueError(f"{where}: {exc}") from exc
+        raise ValueError(f"{key}: {exc}") from exc
     if t.shape != param.layout:
-        raise ValueError(f"{where}: must be {list(param.layout)}, got {list(t.shape)}")
+        raise ValueError(f"{key}: {path}: must be {list(param.layout)}, got {list(t.shape)}")
     return t.data.reshape(param.shape)
 
 
@@ -252,10 +252,8 @@ def build_params(pc: PipelineConfig, n_cla: int, grid_z: int) -> ResolvedParams:
         else:
             seed = [src.seed] if src.seed is not None else [pc.seed, index]
             rng = np.random.default_rng(np.random.SeedSequence(seed))
-            blocks.append([
-                frozen_array(rng.normal(p.mean, p.std, size=p.shape), f"{block}.{p.name}")
-                for p in params
-            ])
+            draws = (rng.normal(p.mean, p.std, p.shape) for p in params)  # in table order
+            blocks.append([frozen_array(d, "generated parameters") for d in draws])
     enc, igs, depth, attn, head = blocks
     convs = ConvParams(*enc[:2]), ConvParams(*enc[2:]), ConvParams(*igs[:2])
     return ResolvedParams(*convs, igs[2], ConvParams(*depth), AttentionParams(*attn), *head)
@@ -265,20 +263,21 @@ def resolve_t_star(pc: PipelineConfig) -> float:
     """Fixed threshold, or the variance-maximizing one over a map directory."""
     if pc.t_star.fixed is not None:
         return pc.t_star.fixed
-    factors = population_factors(pc.t_star.population_dir)
+    factors = population_factors(pc.t_star.population_dir, pc.estimator.floor)
     report = otsu_threshold(FactorPopulation(np.array(factors), bins=pc.t_star.bins))
     return report.t_star
 
 
-def population_factors(maps_dir) -> list[float]:
-    """Illumination factors of every map file in a directory, sorted by name."""
+def population_factors(maps_dir, floor: float = ILLUMINATION_FLOOR) -> list[float]:
+    """Illumination factors of every map file in a directory, sorted by name,
+    each map clamped into (floor, 1] as the run's own maps are."""
     root = Path(maps_dir)
     paths = sorted(
         p for p in root.iterdir() if p.suffix in (".pgm", ".rt") and p.is_file()
     )
     if not paths:
         raise ValueError(f"no illumination maps (*.pgm, *.rt) in {root}")
-    return [illumination_factor(load_illumination(p)) for p in paths]
+    return [illumination_factor(load_illumination(p, floor)) for p in paths]
 
 
 def _avg_pool2(t: Tensor3) -> Tensor3:
@@ -296,9 +295,9 @@ def injected_map(pc: PipelineConfig) -> Tensor3 | None:
     if pc.illumination_file is None:
         return None
     try:
-        return load_illumination(pc.illumination_file, pc.estimator.floor)
+        return load_illumination(pc.illumination_file, pc.estimator.floor)  # errors name the path
     except (OSError, ValueError) as exc:
-        raise ValueError(f"illumination_file: {pc.illumination_file}: {exc}") from exc
+        raise ValueError(f"illumination_file: {exc}") from exc
 
 
 def check_image_size(height: int, width: int, injected: Tensor3 | None) -> None:

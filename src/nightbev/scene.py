@@ -50,11 +50,13 @@ class Box:
     size: tuple[float, float, float]
     cls: int
 
+    def __post_init__(self) -> None:
+        if any(s <= 0 for s in self.size):
+            raise ValueError("box size must be positive")
+
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         c = np.asarray(self.center, dtype=np.float64)
         half = np.asarray(self.size, dtype=np.float64) / 2.0
-        if (half <= 0).any():
-            raise ValueError("box size must be positive")
         return c - half, c + half
 
 
@@ -375,10 +377,7 @@ def load_scene(scene_dir) -> SceneBundle:
 
 def _read_grid(path, shape: tuple[int, int, int], what: str) -> Tensor3:
     """A raw tensor file of the given shape; errors name the file."""
-    try:
-        t = read_raw_tensor(path)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    t = read_raw_tensor(path)
     if t.shape != shape:
         want, got = ("x".join(map(str, s)) for s in (shape, t.shape))
         raise ValueError(f"{path}: {what} must be {want}, got {got}")

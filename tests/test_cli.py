@@ -12,6 +12,7 @@ import nightbev.illumination
 import nightbev.pipeline
 from nightbev.cli import main
 from nightbev.core import Tensor3, read_raw_tensor, write_raw_tensor
+from nightbev.formats import write_pgm
 from nightbev.illumination import load_illumination
 from nightbev.pipeline import PipelineConfig, build_params
 from nightbev.scene import load_scene
@@ -484,6 +485,49 @@ class TestSceneGrids:
         code = main(["pipeline", "--config", str(pipeline_config), "--scene", str(scene), "--out", str(out)])
         assert code == 2
         assert "occupancy_gt.rt: malformed raw tensor header" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# (probe id, command, file cut one byte short, text the error gives after its path)
+CUT_FILE_PROBES = [
+    ("pipeline_image", "pipeline", "scene/image.ppm", "truncated P6 payload"),
+    ("eval_image", "eval", "scene/image.ppm", "truncated P6 payload"),
+    ("enhance_image", "enhance", "scene/image.ppm", "truncated P6 payload"),
+    ("enhance_illum", "enhance", "map.rt", "raw tensor payload is 24575 bytes, expected 24576"),
+    ("threshold_pgm", "threshold", "maps/m1.pgm", "truncated P5 payload"),
+    ("threshold_rt", "threshold", "maps/m2.rt", "raw tensor payload is 63 bytes, expected 64"),
+]
+
+
+class TestCutFiles:
+    """An input file cut short exits 2, names the file and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "command,name,what", [p[1:] for p in CUT_FILE_PROBES], ids=[p[0] for p in CUT_FILE_PROBES]
+    )
+    def test_exits_2_naming_the_file(
+        self, tmp_path, capsys, pipeline_config, scene, command, name, what
+    ):
+        write_raw_tensor(Tensor3.full(1, 64, 96, 0.5), tmp_path / "map.rt", dtype="f32")
+        maps = tmp_path / "maps"  # a map population
+        maps.mkdir()
+        write_pgm(Tensor3.full(1, 2, 4, 0.1), maps / "m0.pgm")
+        write_pgm(Tensor3.full(1, 2, 4, 0.3), maps / "m1.pgm")
+        write_raw_tensor(Tensor3.full(1, 2, 4, 0.5), maps / "m2.rt")
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes()[:-1])
+        args = {
+            "pipeline": ["--config", str(pipeline_config), "--scene", str(scene)],
+            "eval": ["--config", str(pipeline_config), "--scenes", str(scene)],
+            "enhance": ["--config", str(pipeline_config), "--image", str(scene / "image.ppm"),
+                        "--illum", str(tmp_path / "map.rt")],
+            "threshold": ["--maps", str(tmp_path / "maps")],
+        }[command]
+        out = tmp_path / "out"
+        code = main([command, *args, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}: {what}" in err and "internal error" not in err
         assert not out.exists()
 
 

@@ -8,6 +8,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nightbev.cli import main
+from nightbev.core import Tensor3, write_raw_tensor
+from nightbev.formats import write_pgm
 from nightbev.illumination import EstimatorConfig
 from nightbev.losses import LossConfig
 from nightbev.pipeline import ParamSource, PipelineConfig, TStarSource
@@ -155,6 +157,8 @@ PIPELINE_PROBES = [
     ),
     ({"seed": -1}, "seed must be >= 0"),
     ({"encoder": {"source": {"seed": -2}}}, "encoder.source: seed must be >= 0"),
+    ({"t_star": {"population_dir": "pgm_maps"}}, "pgm_maps/m1.pgm: truncated P5 payload"),
+    ({"t_star": {"population_dir": "rt_maps"}}, "rt_maps/m1.rt: raw tensor payload is 31 bytes, expected 32"),
 ]
 
 SCENE_PROBES = [
@@ -167,12 +171,20 @@ SCENE_PROBES = [
     ({"classes": "abc"}, "classes"),
     ({"lights": [{"u": 1, "v": 2, "intensity": 1}]}, "lights[0].radius"),
     ({"seed": -3}, "seed must be >= 0"),
+    ({"boxes": [{"center": [1, 0, 0], "size": [-1, 1, 1], "cls": 1}]}, "boxes[0]: box size must be positive"),
 ]
 
 
 @pytest.mark.parametrize("cfg,where", PIPELINE_PROBES, ids=[w for _, w in PIPELINE_PROBES])
 def test_pipeline_config_error_exits_2_before_output(tmp_path, capsys, probe_scene, cfg, where):
     (tmp_path / "scene_cfg.json").write_text("{}")  # the file the `files` probe names
+    for kind, write in (("pgm", write_pgm), ("rt", write_raw_tensor)):  # the t_star probes' maps
+        maps = tmp_path / f"{kind}_maps"
+        maps.mkdir()
+        write(Tensor3.full(1, 2, 2, 0.3), maps / f"m0.{kind}")
+        write(Tensor3.full(1, 2, 2, 0.6), maps / f"m1.{kind}")
+        cut = maps / f"m1.{kind}"  # the second map is one byte short
+        cut.write_bytes(cut.read_bytes()[:-1])
     path = tmp_path / "pc.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"

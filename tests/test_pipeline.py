@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import nightbev.pipeline
 from nightbev.core import Tensor3, read_raw_tensor, write_raw_tensor
 from nightbev.formats import write_pgm
 from nightbev.geometry import BevSpec
+from nightbev.illumination import EstimatorConfig
 from nightbev.losses import class_weights_from_labels, weighted_ce
 from nightbev.pipeline import (
     ParamSource,
@@ -614,3 +616,9 @@ class TestEvalBatchPopulation:
                     a, b = ({**json.loads(x), "timings": None} for x in (a, b))
                 assert a == b, (idx, name)
         assert branches == {True, False}
+
+    def test_population_maps_clamp_at_the_run_floor(self, tmp_path):
+        """Every lambda of a run with floor 0.2 is at least 0.2, and so are the population's."""
+        pc = population(tmp_path, (0.05, 0.06, 0.5, 0.55))
+        pc = replace(pc, estimator=EstimatorConfig(floor=0.2))
+        assert resolve_t_star(pc) == 0.349609375  # 0.279296875 at the default floor 0.01
