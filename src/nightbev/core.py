@@ -32,13 +32,9 @@ class PixelCoord(NamedTuple):
 
 
 def frozen_array(value, what: str, dtype=np.float64) -> np.ndarray:
-    """The storage rule of every value object: one read-only, C-ordered copy.
-
-    Whatever `value` is (any real dtype, any memory order, nested lists), it
-    becomes a new `dtype` array that no caller can write through, so stages
-    read it as is and instances are safe to share across threads. A float
-    `dtype` must hold finite values, else ValueError("<what> must be finite").
-    """
+    """One read-only, C-ordered copy of `value` (any dtype, memory order or nesting)
+    as `dtype`: the storage rule of every value object, so stages read it as is and
+    share it across threads. Non-finite floats raise ValueError("<what> must be finite")."""
     arr = np.array(value, dtype=dtype, order="C")
     if np.issubdtype(arr.dtype, np.floating) and not np.isfinite(arr).all():
         raise ValueError(f"{what} must be finite")

@@ -78,8 +78,7 @@ def _axis_cells(lo: float, hi: float, voxel: float, name: str) -> int:
 
 @dataclass(frozen=True)
 class BevSpec:
-    """BEV grid extents and cubic voxel size; the cell counts nx, ny and nz are
-    derived once, at construction."""
+    """BEV grid extents and cubic voxel size; cell counts nx, ny, nz are set once."""
 
     x_range: tuple[float, float] = (-40.0, 40.0)
     y_range: tuple[float, float] = (-40.0, 40.0)
@@ -138,21 +137,14 @@ def project_points(m: CameraMatrix, pts: np.ndarray):
     caller can mask without meeting infinities.
     """
     pts = np.asarray(pts, dtype=np.float64)
-    # Row j is ((x*a + y*b) + z*c) + t, one ufunc at a time: unlike a BLAS
-    # product, no CPU-specific kernel picks the order or fuses multiply and add.
-    h = np.empty((3,) + pts.shape[:-1])
-    term = np.empty(pts.shape[:-1])
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    # One ufunc per step: unlike a BLAS product, no CPU-specific kernel picks
+    # the order or fuses a multiply into an add.
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite or huge points
-        for j, (a, b, c, t) in enumerate(m.matrix):
-            row = h[j, ...]
-            np.multiply(pts[..., 0], a, out=row)
-            row += np.multiply(pts[..., 1], b, out=term)
-            row += np.multiply(pts[..., 2], c, out=term)
-            row += t
-    depth = h[2, ...]
+        hu, hv, depth = (((x * a + y * b) + z * c) + t for a, b, c, t in m.matrix)
     valid = depth > DEPTH_EPS
-    u = np.divide(h[0, ...], depth, out=np.zeros(depth.shape), where=valid)
-    v = np.divide(h[1, ...], depth, out=np.zeros(depth.shape), where=valid)
+    u = np.divide(hu, depth, out=np.zeros(depth.shape), where=valid)
+    v = np.divide(hv, depth, out=np.zeros(depth.shape), where=valid)
     return u, v, depth, valid
 
 

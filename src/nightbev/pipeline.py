@@ -252,7 +252,7 @@ def build_params(pc: PipelineConfig, n_cla: int, grid_z: int) -> ResolvedParams:
         else:
             seed = [src.seed] if src.seed is not None else [pc.seed, index]
             rng = np.random.default_rng(np.random.SeedSequence(seed))
-            draws = (rng.normal(p.mean, p.std, p.shape) for p in params)  # in table order
+            draws = (rng.normal(p.mean, p.std, p.shape) for p in params)
             blocks.append([frozen_array(d, "generated parameters") for d in draws])
     enc, igs, depth, attn, head = blocks
     convs = ConvParams(*enc[:2]), ConvParams(*enc[2:]), ConvParams(*igs[:2])
