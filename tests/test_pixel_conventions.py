@@ -10,7 +10,6 @@ The projection reference forms its product in the order the projection
 promises, since a BLAS product's bits depend on the CPU's kernel.
 """
 
-import hashlib
 import os
 import subprocess
 import sys
@@ -25,7 +24,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import nightbev.geometry
-from nightbev.bev import AttentionParams
 from nightbev.core import PixelCoord, Tensor3, bilinear_sample_grad, bilinear_sample_many
 from nightbev.geometry import (
     COLUMN_BLOCK,
