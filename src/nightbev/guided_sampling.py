@@ -9,6 +9,7 @@ warps the image feature with a residual connection.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,20 @@ class ConvParams:
         return self.kernel.shape[2]
 
 
-def conv2d_replicate(x: Tensor3, params: ConvParams) -> Tensor3:
-    """2D cross-correlation with edge-replicated padding."""
+# Output bytes per band of `conv2d_pool2`: its bands stay in cache while they are pooled.
+_BAND_BYTES = 1 << 17
+
+
+def _conv_bands(x: Tensor3, params: ConvParams, rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The one convolution loop: 2D cross-correlation with edge-replicated padding,
+    yielded as (first row, band) for bands of `rows` output rows (the last may be
+    shorter). Each band is a fresh sum in one reused buffer, valid until the next.
+
+    Every pixel gets the k*k taps in row-major order, each the einsum over input
+    channels added onto a band that starts at +0.0, then the bias: the same
+    operations in the same order for any `rows`, so every band size gives the
+    same bits.
+    """
     if x.channels != params.in_channels:
         raise ValueError(
             f"conv expects {params.in_channels} input channels, got {x.channels}"
@@ -60,13 +73,61 @@ def conv2d_replicate(x: Tensor3, params: ConvParams) -> Tensor3:
     k = params.kernel_size
     r = k // 2
     padded = np.pad(x.data, ((0, 0), (r, r), (r, r)), mode="edge")
+    c, h, w = params.out_channels, x.height, x.width
+    band_buf = np.empty(c * rows * w)
+    tap_buf = np.empty_like(band_buf)
+    bias = params.bias[:, None, None]
+    for r0 in range(0, h, rows):
+        n = min(rows, h - r0)
+        # Views of the buffers' first c*n*w values keep a short last band contiguous.
+        band = band_buf[: c * n * w].reshape(c, n, w)
+        tap = tap_buf[: c * n * w].reshape(c, n, w)
+        band.fill(0.0)
+        for dy in range(k):
+            for dx in range(k):
+                window = padded[:, r0 + dy : r0 + dy + n, dx : dx + w]
+                band += np.einsum("oi,ihw->ohw", params.kernel[:, :, dy, dx], window, out=tap)
+        band += bias
+        yield r0, band
+
+
+def conv2d_replicate(x: Tensor3, params: ConvParams) -> Tensor3:
+    """2D cross-correlation with edge-replicated padding.
+
+    One band of the whole height: the offset and depth convs have few input
+    channels, so more, shorter bands would only add per-call overhead.
+    """
+    ((_, out),) = _conv_bands(x, params, x.height)
+    return Tensor3(out)
+
+
+def _pool2_into(dst: np.ndarray, band: np.ndarray) -> None:
+    """2x2 average pooling of `band` into `dst`, summed in the order
+    `band.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))` sums, so every bit
+    matches it; the 0.0 makes an all-(-0.0) window read +0.0, as the mean does."""
+    a00, a01 = band[:, 0::2, 0::2], band[:, 0::2, 1::2]
+    a10, a11 = band[:, 1::2, 0::2], band[:, 1::2, 1::2]
+    if band.shape[2] == 2:
+        # One window per row: the mean sums its 4 values as one run, in row-major order.
+        np.multiply((((0.0 + a00) + a01) + a10) + a11, 0.25, out=dst)
+    else:
+        np.multiply(((a00 + a01) + (a10 + a11)) + 0.0, 0.25, out=dst)
+
+
+def conv2d_pool2(x: Tensor3, params: ConvParams) -> Tensor3:
+    """`conv2d_replicate` followed by stride-2 2x2 average pooling, bit for bit.
+
+    Runs the conv in bands of an even number of rows (about `_BAND_BYTES` each)
+    and pools each band while it is in cache, so the full-resolution conv
+    output is never stored.
+    """
     h, w = x.height, x.width
-    out = np.zeros((params.out_channels, h, w), dtype=np.float64)
-    for dy in range(k):
-        for dx in range(k):
-            window = padded[:, dy : dy + h, dx : dx + w]
-            out += np.einsum("oi,ihw->ohw", params.kernel[:, :, dy, dx], window)
-    out += params.bias[:, None, None]
+    if h % 2 or w % 2:
+        raise ValueError(f"pooling needs even dims, got {h}x{w}")
+    rows = min(h, max(2, _BAND_BYTES // (16 * params.out_channels * w) * 2))
+    out = np.empty((params.out_channels, h // 2, w // 2))
+    for r0, band in _conv_bands(x, params, rows):
+        _pool2_into(out[:, r0 // 2 : (r0 + band.shape[1]) // 2], band)
     return Tensor3(out)
 
 

@@ -50,8 +50,8 @@ def _blur_axis(arr: np.ndarray, kernel: int, axis: int) -> np.ndarray:
     zero = np.zeros_like(np.take(csum, [0], axis=axis))
     csum = np.concatenate([zero, csum], axis=axis)
     n = arr.shape[axis]
-    hi = np.take(csum, range(kernel, kernel + n), axis=axis)
-    lo = np.take(csum, range(0, n), axis=axis)
+    hi = csum[(slice(None),) * axis + (slice(kernel, kernel + n),)]
+    lo = csum[(slice(None),) * axis + (slice(0, n),)]
     return (hi - lo) / float(kernel)
 
 

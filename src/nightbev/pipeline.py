@@ -22,7 +22,7 @@ from .core import Tensor3, frozen_array, json_block, json_list, json_path, read_
 from .core import read_raw_tensor
 from .formats import write_artifacts
 from .geometry import field_to_tensor, illumination_field
-from .guided_sampling import ConvParams, build_guidance, conv2d_replicate, generate_offsets
+from .guided_sampling import ConvParams, build_guidance, conv2d_pool2, generate_offsets
 from .guided_sampling import guided_warp, kernel_grid, modulate_offsets
 from .illumination import ILLUMINATION_FLOOR, EstimatorConfig, estimate_illumination
 from .illumination import illumination_factor, load_illumination
@@ -280,13 +280,6 @@ def population_factors(maps_dir, floor: float = ILLUMINATION_FLOOR) -> list[floa
     return [illumination_factor(load_illumination(p, floor)) for p in paths]
 
 
-def _avg_pool2(t: Tensor3) -> Tensor3:
-    if t.height % 2 or t.width % 2:
-        raise ValueError(f"pooling needs even dims, got {t.height}x{t.width}")
-    d = t.data.reshape(t.channels, t.height // 2, 2, t.width // 2, 2)
-    return Tensor3(d.mean(axis=(2, 4)))
-
-
 ENCODER_STRIDE = 4  # encode_image pools twice by 2
 
 
@@ -347,8 +340,7 @@ def _preflight(
 
 def encode_image(x: Tensor3, enc1: ConvParams, enc2: ConvParams) -> Tensor3:
     """Two 3x3 convolutions, each followed by stride-2 average pooling."""
-    f1 = _avg_pool2(conv2d_replicate(x, enc1))
-    return _avg_pool2(conv2d_replicate(f1, enc2))
+    return conv2d_pool2(conv2d_pool2(x, enc1), enc2)
 
 
 def illumination_map(pc: PipelineConfig, image: Tensor3, injected: Tensor3 | None) -> Tensor3:

@@ -2,23 +2,56 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nightbev.core import PixelCoord, Tensor3, bilinear_sample, finite_diff_check
 from nightbev.guided_sampling import (
     ConvParams,
+    _conv_bands,
+    _pool2_into,
     build_guidance,
+    conv2d_pool2,
     conv2d_replicate,
     generate_offsets,
     guided_warp,
     kernel_grid,
     modulate_offsets,
 )
+from nightbev.pipeline import PipelineConfig, build_params, encode_image
 
 
 def conv_of(out_c, in_c, k=3, kernel=None, bias=None):
     kernel = np.zeros((out_c, in_c, k, k)) if kernel is None else kernel
     bias = np.zeros(out_c) if bias is None else bias
     return ConvParams(kernel, bias)
+
+
+def conv_oracle(x, params):
+    """The whole-map per-tap einsum loop: the conv before it ran in bands."""
+    k = params.kernel_size
+    r = k // 2
+    padded = np.pad(x.data, ((0, 0), (r, r), (r, r)), mode="edge")
+    h, w = x.height, x.width
+    out = np.zeros((params.out_channels, h, w), dtype=np.float64)
+    for dy in range(k):
+        for dx in range(k):
+            window = padded[:, dy : dy + h, dx : dx + w]
+            out += np.einsum("oi,ihw->ohw", params.kernel[:, :, dy, dx], window)
+    out += params.bias[:, None, None]
+    return out
+
+
+def pool_oracle(a):
+    """Stride-2 2x2 average pooling of the whole map at once."""
+    c, h, w = a.shape
+    return a.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
+
+
+def random_conv(rng, out_c, in_c, k=3):
+    return conv_of(
+        out_c, in_c, k, kernel=rng.normal(0, 0.4, size=(out_c, in_c, k, k)), bias=rng.normal(size=out_c)
+    )
 
 
 def sigmoid(x):
@@ -65,6 +98,98 @@ class TestConv2dReplicate:
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError, match="input channels"):
             conv2d_replicate(Tensor3.zeros(2, 3, 3), conv_of(1, 3))
+
+
+class TestBandedConv:
+    """The banded conv and conv + pool give the whole-map oracle's bytes."""
+
+    # (out, in, k, h, w): 2-row bands (C=8, W=800), a short last band (4-row
+    # bands over 6 rows), maps smaller than one band, and 1x1 kernels.
+    CASES = [
+        (8, in_c, k, h, w)
+        for in_c in (1, 3, 8)
+        for k in (1, 3)
+        for h, w in ((6, 800), (6, 400), (4, 6))
+    ]
+
+    @pytest.mark.parametrize("out_c, in_c, k, h, w", CASES)
+    def test_bytes_equal_oracle(self, out_c, in_c, k, h, w):
+        rng = np.random.default_rng([out_c, in_c, k, h, w])
+        x = Tensor3(rng.normal(size=(in_c, h, w)))
+        params = random_conv(rng, out_c, in_c, k)
+        full = conv_oracle(x, params)
+        assert conv2d_replicate(x, params).data.tobytes() == full.tobytes()
+        assert conv2d_pool2(x, params).data.tobytes() == pool_oracle(full).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        out_c=st.integers(1, 9),
+        in_c=st.integers(1, 9),
+        k=st.sampled_from([1, 3, 5]),
+        half_h=st.integers(1, 12),
+        w=st.one_of(st.integers(1, 12).map(lambda n: 2 * n), st.sampled_from([400, 800, 1600])),
+        rows=st.integers(1, 24),
+    )
+    def test_random_even_shapes(self, seed, out_c, in_c, k, half_h, w, rows):
+        rng = np.random.default_rng(seed)
+        x = Tensor3(rng.normal(size=(in_c, 2 * half_h, w)))
+        params = random_conv(rng, out_c, in_c, k)
+        full = conv_oracle(x, params)
+        assert conv2d_pool2(x, params).data.tobytes() == pool_oracle(full).tobytes()
+        banded = np.concatenate([band.copy() for _, band in _conv_bands(x, params, rows)], axis=1)
+        assert banded.tobytes() == full.tobytes()
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.7e308, -1.7e308]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)),
+    )
+    def test_pool_sums_in_the_mean_order(self, seed, shape):
+        # Random magnitudes over the whole float64 range, with signed zeros,
+        # subnormals and values near overflow mixed in.
+        rng = np.random.default_rng(seed)
+        c, h, w = shape[0], 2 * shape[1], 2 * shape[2]
+        a = rng.normal(size=(c, h, w)) * 10.0 ** rng.integers(-320, 308, size=(c, h, w))
+        special = rng.uniform(size=a.shape) < 0.3
+        a[special] = rng.choice(self.SPECIAL, size=int(special.sum()))
+        got = np.empty((c, h // 2, w // 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _pool2_into(got, a)
+            assert got.tobytes() == pool_oracle(a).tobytes()
+
+    @pytest.mark.parametrize("w", [2, 4])
+    def test_pool_of_negative_zeros_is_positive_zero(self, w):
+        a = np.full((1, 2, w), -0.0)
+        got = np.empty((1, 1, w // 2))
+        _pool2_into(got, a)
+        assert got.tobytes() == pool_oracle(a).tobytes() == np.zeros((1, 1, w // 2)).tobytes()
+
+    @pytest.mark.parametrize("h, w", [(64, 96), (448, 800), (128, 192), (8, 4)])
+    def test_encode_image_equals_conv_then_pool(self, h, w):
+        params = build_params(PipelineConfig(), 2, 8)
+        x = Tensor3(np.random.default_rng(h).uniform(size=(3, h, w)))
+        f1 = pool_oracle(conv_oracle(x, params.enc1))
+        expected = pool_oracle(conv_oracle(Tensor3(f1), params.enc2))
+        assert encode_image(x, params.enc1, params.enc2).data.tobytes() == expected.tobytes()
+
+    def test_odd_dims_rejected(self):
+        with pytest.raises(ValueError, match="^pooling needs even dims, got 5x6$"):
+            conv2d_pool2(Tensor3.zeros(1, 5, 6), conv_of(2, 1))
+
+    def test_channel_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="input channels"):
+            conv2d_pool2(Tensor3.zeros(2, 4, 4), conv_of(1, 3))
+
+    @pytest.mark.parametrize("conv", [conv2d_replicate, conv2d_pool2])
+    def test_non_finite_output_rejected(self, conv):
+        x = Tensor3.full(1, 4, 4, 1e308)
+        params = conv_of(1, 1, kernel=np.full((1, 1, 3, 3), 10.0))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="^Tensor3 values must be finite$"):
+                conv(x, params)
 
 
 class TestBuildGuidance:

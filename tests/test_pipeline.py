@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from nightbev.pipeline import (
     StageError,
     _class_argmax,
     build_params,
+    encode_image,
     eval_batch,
     resolve_t_star,
     run_pipeline,
@@ -506,6 +508,21 @@ class TestBuildParams:
             arrays.update({f"{name}.{k}": v for k, v in inner.items()})
         assert len(arrays) == 13
         assert [k for k, a in arrays.items() if a.flags.writeable] == []
+
+
+class TestEncodeImage:
+    def test_peak_memory_below_one_full_resolution_map(self):
+        # The conv output is pooled band by band, so no (8, 448, 800) map is ever held.
+        params = build_params(PipelineConfig(), 2, 8)
+        assert params.enc1.out_channels == params.enc2.out_channels == 8
+        x = Tensor3(np.random.default_rng(0).uniform(size=(3, 448, 800)))
+        tracemalloc.start()
+        try:
+            encode_image(x, params.enc1, params.enc2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 448 * 800 * 8
 
 
 class TestEvalBatch:
