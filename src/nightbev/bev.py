@@ -13,6 +13,7 @@ import numpy as np
 
 from .core import Tensor3, bilinear_sample_many, frozen_array
 from .geometry import BevSpec, CameraMatrix, column_pixels, pixel_centers
+from .geometry import project_points, sample_heights
 from .guided_sampling import ConvParams, conv2d_replicate
 
 DEPTH_SUM_TOL = 1e-6
@@ -58,23 +59,18 @@ def _softmax(logits: np.ndarray, axis: int) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def depth_context_split(
-    f_in: Tensor3,
-    params: ConvParams,
-    c_ctx: int,
-    d_bins: int,
-    bin_centers: np.ndarray,
-) -> DepthContext:
+def depth_context_split(f_in: Tensor3, params: ConvParams, bin_centers: np.ndarray) -> DepthContext:
     """1x1 convolution splitting a feature into context channels and depth bins.
 
-    The first c_ctx output channels pass through as the context feature; the
-    remaining d_bins go through a per-pixel softmax.
+    The last len(bin_centers) output channels go through a per-pixel softmax;
+    the ones before them (at least one) pass through as the context feature.
     """
-    if c_ctx < 1 or d_bins < 1:
-        raise ValueError("c_ctx and d_bins must be >= 1")
-    if params.out_channels != c_ctx + d_bins:
+    d_bins = len(bin_centers)
+    c_ctx = params.out_channels - d_bins
+    if d_bins < 1 or c_ctx < 1:
         raise ValueError(
-            f"split conv must emit {c_ctx + d_bins} channels, got {params.out_channels}"
+            f"split conv must emit context channels plus {d_bins} depth bins (both >= 1),"
+            f" got {params.out_channels} channels"
         )
     if params.kernel_size != 1:
         raise ValueError("split conv kernel must be 1x1")
@@ -174,13 +170,16 @@ def residual_query(
             f"attention expects {params.query_channels} query channels, got {q.channels}"
         )
     k_points = params.k_points
-    u, v, pixel = column_pixels(m, spec, n_z, f_ctx.height, f_ctx.width)
-    u, v, in_view = (a.reshape(nx * ny, n_z) for a in (u, v, pixel >= 0))
+    in_view = column_pixels(m, spec, n_z, f_ctx.height, f_ctx.width).reshape(nx * ny, n_z) >= 0
+    cell, height = np.nonzero(in_view)  # in-view references, (cell, height) order
 
     out = np.zeros((f_ctx.channels, nx * ny), dtype=np.float64)
-    cell, height = np.nonzero(in_view)  # in-view references, (cell, height) order
     if cell.size == 0:
         return Tensor3(out.reshape(f_ctx.channels, nx, ny))
+    # project_points works point by point, so these positions carry the bits
+    # column_pixels computed for the same references.
+    xs, ys, zs = spec.x_centers(), spec.y_centers(), sample_heights(spec, n_z)
+    u, v, _, _ = project_points(m, np.stack([xs[cell // ny], ys[cell % ny], zs[height]], axis=-1))
 
     # einsum adds the channels one by one on every CPU; a BLAS product lets
     # the kernel pick the order and fuse multiply with add, changing last bits.
@@ -188,8 +187,8 @@ def residual_query(
     off = np.einsum("kc,cn->kn", params.offset_weights, q_flat)  # (2K, cells)
     attn = _softmax(np.einsum("kc,cn->kn", params.attn_weights, q_flat), axis=0)  # (K, cells)
 
-    us = u[cell, height][:, None] + off[0::2, cell].T  # (refs, K)
-    vs = v[cell, height][:, None] + off[1::2, cell].T
+    us = u[:, None] + off[0::2, cell].T  # (refs, K)
+    vs = v[:, None] + off[1::2, cell].T
     terms = bilinear_sample_many(f_ctx, us, vs) * attn[:, cell].T  # (C, refs, K)
     # bincount adds each cell's terms one by one in (height, point) order,
     # so every cell gets the same bits as a sum over all n_z * K terms in

@@ -176,11 +176,11 @@ def pixel_centers(height: int, width: int) -> np.ndarray:
 def column_pixels(m: CameraMatrix, spec: BevSpec, n_z: int, height: int, width: int):
     """Project every BEV cell center, lifted to n_z heights, into a height x width map.
 
-    Returns (u, v, pixel), each of shape (X, Y, n_z): the projected position
-    and the flat index `row * width + column` of the pixel it floors into
-    (pixel i covers [i, i + 1)), or -1 where the sample is behind the camera
-    or off the map. Cell rows are projected COLUMN_BLOCK points at a time
-    (one row at least), so no full-grid temporary is built.
+    Returns the (X, Y, n_z) int64 flat index `row * width + column` of the
+    pixel each sample floors into (pixel i covers [i, i + 1)), or -1 where
+    the sample is behind the camera or off the map. Cell rows are projected
+    COLUMN_BLOCK points at a time (one row at least), so no full-grid
+    temporary is built.
     """
     heights = sample_heights(spec, n_z)
     nx, ny = spec.nx, spec.ny
@@ -189,22 +189,19 @@ def column_pixels(m: CameraMatrix, spec: BevSpec, n_z: int, height: int, width: 
     pts[..., 1] = spec.y_centers()[None, :, None]
     pts[..., 2] = heights
     xs = spec.x_centers()
-    u = np.empty((nx, ny, n_z))
-    v = np.empty((nx, ny, n_z))
     pixel = np.empty((nx, ny, n_z), dtype=np.int64)
     for lo in range(0, nx, rows):
         hi = min(lo + rows, nx)
         block = pts[: hi - lo]
         block[..., 0] = xs[lo:hi, None, None]
-        bu, bv, _, in_map = project_points(m, block)
-        u[lo:hi], v[lo:hi] = bu, bv
-        iu, iv = np.floor(bu), np.floor(bv)
+        u, v, _, in_map = project_points(m, block)
+        iu, iv = np.floor(u), np.floor(v)
         in_map &= (iu >= 0) & (iu <= width - 1) & (iv >= 0) & (iv <= height - 1)
         with np.errstate(invalid="ignore", over="ignore"):  # off-map floors may be huge or infinite
             iv *= width
             iv += iu
         pixel[lo:hi] = np.where(in_map, iv, -1.0)
-    return u, v, pixel
+    return pixel
 
 
 def illumination_field(i: Tensor3, m: CameraMatrix, spec: BevSpec, n_z: int) -> np.ndarray:
@@ -217,7 +214,7 @@ def illumination_field(i: Tensor3, m: CameraMatrix, spec: BevSpec, n_z: int) -> 
     """
     if i.channels != 1:
         raise ValueError(f"illumination map must have 1 channel, got {i.channels}")
-    pixel = column_pixels(m, spec, n_z, i.height, i.width)[2]
+    pixel = column_pixels(m, spec, n_z, i.height, i.width)
     in_image = pixel >= 0
     values = np.zeros(pixel.shape)
     np.copyto(values, i.data[0].take(pixel), where=in_image)  # -1 reads a pixel, masked out

@@ -173,9 +173,7 @@ def build_guidance(
     return Tensor3(pooled[None]), Tensor3(guidance[None])
 
 
-def generate_offsets(
-    i_prime: Tensor3, params: ConvParams, k_points: int
-) -> tuple[Tensor3, Tensor3]:
+def generate_offsets(i_prime: Tensor3, params: ConvParams) -> tuple[Tensor3, Tensor3]:
     """Map the downsampled illumination to raw offsets and modulation weights.
 
     One 3x3 convolution produces 3K channels: 2K raw offset channels
@@ -184,9 +182,10 @@ def generate_offsets(
     """
     if i_prime.channels != 1:
         raise ValueError("offset generator expects a 1-channel map")
-    if params.in_channels != 1 or params.out_channels != 3 * k_points:
+    k_points, extra = divmod(params.out_channels, 3)
+    if params.in_channels != 1 or extra or k_points < 1:
         raise ValueError(
-            f"offset conv must map 1 -> {3 * k_points} channels, got "
+            "offset conv must map 1 -> 3K channels for K >= 1, got "
             f"{params.in_channels} -> {params.out_channels}"
         )
     if params.kernel_size != 3:

@@ -364,7 +364,7 @@ def igs_stage(
 ) -> tuple[Tensor3, Tensor3, Tensor3, Tensor3]:
     """Illumination-guided sampling: I', guidance, modulated offsets, warped feature."""
     i_prime, g = build_guidance(illum, f_img.height, f_img.width, pc.estimator.floor)
-    dp, dw = generate_offsets(i_prime, params.igs_conv, pc.igs_k)
+    dp, dw = generate_offsets(i_prime, params.igs_conv)
     dp_mod = modulate_offsets(dp, g)
     warped = guided_warp(f_img, dp_mod, dw, params.igs_point_weights)
     return i_prime, g, dp_mod, warped
@@ -480,10 +480,7 @@ def run_pipeline(
     )
     # Depth/context split.
     centers = depth_bin_centers(pc.depth_min, pc.depth_max, pc.depth_bins)
-    dc = stages.run(
-        "depth_split", depth_context_split, f_warped, params.depth_conv, pc.depth_c_ctx,
-        pc.depth_bins, centers,
-    )
+    dc = stages.run("depth_split", depth_context_split, f_warped, params.depth_conv, centers)
     # Lift-splat pooling into BEV.
     q = stages.run("bev_pool", bev_pool, dc, bundle.camera, spec)
     # Residual cross-attention query.

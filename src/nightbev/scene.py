@@ -101,6 +101,8 @@ class SceneConfig:
             raise ValueError("at least one class is required")
         if not 0.0 < self.ambient <= 1.0:
             raise ValueError("ambient must lie in (0, 1]")
+        if self.focal is not None and not self.focal > 0:
+            raise ValueError("focal must be > 0")
         for box in self.boxes:
             if not 1 <= box.cls < len(self.classes):
                 raise ValueError(f"box class {box.cls} outside 1..{len(self.classes) - 1}")
@@ -230,9 +232,8 @@ def _raycast_classes(
 def _light_field(cfg: SceneConfig) -> np.ndarray:
     """Ambient plus inverse-square falloff of each light, unclamped."""
     h, w = cfg.height, cfg.width
-    cols, rows = np.meshgrid(
-        np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64), indexing="xy"
-    )
+    cols = np.arange(w, dtype=np.float64)
+    rows = np.arange(h, dtype=np.float64)[:, None]
     raw = np.full((h, w), cfg.ambient, dtype=np.float64)
     for light in cfg.lights:
         d2 = (cols - light.u) ** 2 + (rows - light.v) ** 2
@@ -242,18 +243,12 @@ def _light_field(cfg: SceneConfig) -> np.ndarray:
 
 def _occupancy_labels(cfg: SceneConfig, boxes: list[Box]) -> np.ndarray:
     spec = cfg.bev
-    gx, gy, gz = np.meshgrid(
-        spec.x_centers(), spec.y_centers(), spec.z_centers(), indexing="ij"
-    )
-    labels = np.zeros(gx.shape, dtype=np.int64)
+    centers = (spec.x_centers(), spec.y_centers(), spec.z_centers())
+    labels = np.zeros((spec.nx, spec.ny, spec.nz), dtype=np.int64)
     for box in boxes:  # later boxes overwrite earlier ones
         lo, hi = box.bounds()
-        inside = (
-            (gx >= lo[0]) & (gx <= hi[0])
-            & (gy >= lo[1]) & (gy <= hi[1])
-            & (gz >= lo[2]) & (gz <= hi[2])
-        )
-        labels[inside] = box.cls
+        inside = [(c >= lo[a]) & (c <= hi[a]) for a, c in enumerate(centers)]
+        labels[np.ix_(*inside)] = box.cls
     return labels
 
 

@@ -1,6 +1,8 @@
 """Depth/context split, BEV pooling with conservation oracle, residual queries,
 and illumination-weighted refinement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -19,6 +21,7 @@ from nightbev.bev import (
 from nightbev.core import PixelCoord, Tensor3, bilinear_sample, bilinear_sample_many
 from nightbev.geometry import BevSpec, CameraMatrix, pixel_centers, project_points, sample_heights
 from nightbev.guided_sampling import ConvParams
+from nightbev.scene import SceneConfig, default_camera
 
 
 def identity_camera() -> CameraMatrix:
@@ -71,10 +74,7 @@ class TestDepthContext:
 class TestDepthContextSplit:
     def test_zero_parameters_give_uniform_depth(self):
         f = Tensor3(np.random.default_rng(3).normal(size=(2, 3, 4)))
-        dc = depth_context_split(
-            f, split_conv(2 + 8, 2), c_ctx=2, d_bins=8,
-            bin_centers=depth_bin_centers(1.0, 20.0, 8),
-        )
+        dc = depth_context_split(f, split_conv(2 + 8, 2), depth_bin_centers(1.0, 20.0, 8))
         np.testing.assert_array_equal(dc.depth.data, 1.0 / 8.0)
         np.testing.assert_array_equal(dc.f_ctx.data, 0.0)
 
@@ -82,10 +82,7 @@ class TestDepthContextSplit:
         f = Tensor3(np.random.default_rng(5).normal(size=(1, 3, 3)))
         bias = np.zeros(1 + 4)
         bias[1 + 2] = 10.0  # third depth bin
-        dc = depth_context_split(
-            f, split_conv(5, 1, bias=bias), c_ctx=1, d_bins=4,
-            bin_centers=depth_bin_centers(1.0, 20.0, 4),
-        )
+        dc = depth_context_split(f, split_conv(5, 1, bias=bias), depth_bin_centers(1.0, 20.0, 4))
         assert (dc.depth.data[2] > 0.999).all()
 
     def test_depth_sums_to_one_for_random_params(self):
@@ -94,9 +91,7 @@ class TestDepthContextSplit:
         params = split_conv(
             2 + 6, 3, kernel=rng.normal(size=(8, 3, 1, 1)), bias=rng.normal(size=8)
         )
-        dc = depth_context_split(
-            f, params, c_ctx=2, d_bins=6, bin_centers=depth_bin_centers(1.0, 20.0, 6)
-        )
+        dc = depth_context_split(f, params, bin_centers=depth_bin_centers(1.0, 20.0, 6))
         np.testing.assert_allclose(dc.depth.data.sum(axis=0), 1.0, atol=1e-6)
 
     def test_context_channels_pass_through(self):
@@ -104,19 +99,15 @@ class TestDepthContextSplit:
         f = Tensor3(rng.normal(size=(2, 3, 3)))
         kernel = np.zeros((3, 2, 1, 1))
         kernel[0, 1, 0, 0] = 2.0  # ctx channel = 2 * input channel 1
-        dc = depth_context_split(
-            f, split_conv(3, 2, kernel=kernel), c_ctx=1, d_bins=2,
-            bin_centers=depth_bin_centers(1.0, 20.0, 2),
-        )
+        params = split_conv(3, 2, kernel=kernel)
+        dc = depth_context_split(f, params, depth_bin_centers(1.0, 20.0, 2))
         np.testing.assert_allclose(dc.f_ctx.data[0], 2.0 * f.data[1], rtol=1e-12)
 
     def test_wrong_kernel_size_rejected(self):
         f = Tensor3.zeros(1, 2, 2)
         params = ConvParams(np.zeros((3, 1, 3, 3)), np.zeros(3))
         with pytest.raises(ValueError, match="1x1"):
-            depth_context_split(
-                f, params, c_ctx=1, d_bins=2, bin_centers=depth_bin_centers(1.0, 20.0, 2)
-            )
+            depth_context_split(f, params, bin_centers=depth_bin_centers(1.0, 20.0, 2))
 
 
 def oracle_pool(dc: DepthContext, m: CameraMatrix, spec: BevSpec) -> np.ndarray:
@@ -546,6 +537,24 @@ class TestResidualQueryWork:
         q = Tensor3(np.random.default_rng(29).normal(size=(2, spec.nx, spec.ny)))
         residual_query(q, Tensor3.full(2, 6, 6, 0.5), column_camera(), spec, 4, zero_attention(4, 2))
         assert sampled_points == []
+
+    def test_peak_memory_below_three_full_grid_maps(self):
+        # A 200 x 200 x 16 grid seen by the scene camera of a 128 x 192 image, with a
+        # 32 x 48 feature map: only the pixel index spans the grid, and positions are
+        # projected for the in-view references alone.
+        spec = BevSpec(x_range=(0.0, 40.0), y_range=(-20.0, 20.0), z_range=(-1.0, 2.2), voxel=0.2)
+        m = default_camera(SceneConfig(height=128, width=192, bev=spec))
+        rng = np.random.default_rng(31)
+        q = Tensor3(rng.normal(size=(8, spec.nx, spec.ny)))
+        f_ctx = Tensor3(rng.normal(size=(8, 32, 48)))
+        params = AttentionParams(rng.normal(size=(8, 8)), rng.normal(size=(4, 8)))
+        tracemalloc.start()
+        try:
+            residual_query(q, f_ctx, m, spec, 16, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * spec.nx * spec.ny * 16 * 8
 
 
 class TestRefineBev:

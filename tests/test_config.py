@@ -172,6 +172,7 @@ SCENE_PROBES = [
     ({"lights": [{"u": 1, "v": 2, "intensity": 1}]}, "lights[0].radius"),
     ({"seed": -3}, "seed must be >= 0"),
     ({"boxes": [{"center": [1, 0, 0], "size": [-1, 1, 1], "cls": 1}]}, "boxes[0]: box size must be positive"),
+    ({"focal": 0}, "focal"),
 ]
 
 

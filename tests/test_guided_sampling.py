@@ -233,14 +233,14 @@ class TestBuildGuidance:
 class TestGenerateOffsets:
     def test_zero_parameters(self):
         i = Tensor3.full(1, 3, 3, 0.7)
-        dp, dw = generate_offsets(i, conv_of(3, 1), k_points=1)
+        dp, dw = generate_offsets(i, conv_of(3, 1))
         np.testing.assert_array_equal(dp.data, 0.0)
         np.testing.assert_array_equal(dw.data, 0.5)
 
     def test_bias_only(self):
         i = Tensor3.full(1, 3, 3, 0.7)
         dp, dw = generate_offsets(
-            i, conv_of(3, 1, bias=np.array([1.0, -1.0, 0.0])), k_points=1
+            i, conv_of(3, 1, bias=np.array([1.0, -1.0, 0.0]))
         )
         np.testing.assert_array_equal(dp.data[0], 1.0)
         np.testing.assert_array_equal(dp.data[1], -1.0)
@@ -251,19 +251,19 @@ class TestGenerateOffsets:
         i = Tensor3.full(1, 4, 4, c)
         kernel = np.zeros((3, 1, 3, 3))
         kernel[:, 0, 1, 1] = 1.0
-        dp, dw = generate_offsets(i, conv_of(3, 1, kernel=kernel), k_points=1)
+        dp, dw = generate_offsets(i, conv_of(3, 1, kernel=kernel))
         np.testing.assert_allclose(dp.data, c, rtol=1e-12)
         np.testing.assert_allclose(dw.data, sigmoid(c), rtol=1e-12)
 
     def test_channel_contract_enforced(self):
         i = Tensor3.full(1, 3, 3, 0.5)
         with pytest.raises(ValueError, match="3"):
-            generate_offsets(i, conv_of(4, 1), k_points=1)
+            generate_offsets(i, conv_of(4, 1))
 
     def test_weights_strictly_inside_unit_interval(self):
         i = Tensor3.full(1, 3, 3, 1.0)
         _, dw = generate_offsets(
-            i, conv_of(3, 1, bias=np.array([0.0, 0.0, 80.0])), k_points=1
+            i, conv_of(3, 1, bias=np.array([0.0, 0.0, 80.0]))
         )
         assert (dw.data > 0.0).all() and (dw.data < 1.0).all()
 

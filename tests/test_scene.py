@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from nightbev.geometry import BevSpec
 from nightbev.scene import (
     Box,
     Light,
     SceneConfig,
+    _light_field,
+    _occupancy_labels,
     default_camera,
     gen_scene,
     load_scene,
@@ -129,6 +134,83 @@ class TestGenScene:
         assert center.valid
         assert 0 <= center.u <= cfg.width
         assert 0 <= center.v <= cfg.height
+
+
+def meshgrid_occupancy_labels(cfg: SceneConfig, boxes) -> np.ndarray:
+    """Reference: every box tested against full (X, Y, Z) grids of cell centres."""
+    spec = cfg.bev
+    gx, gy, gz = np.meshgrid(spec.x_centers(), spec.y_centers(), spec.z_centers(), indexing="ij")
+    labels = np.zeros(gx.shape, dtype=np.int64)
+    for box in boxes:
+        lo, hi = box.bounds()
+        inside = (
+            (gx >= lo[0]) & (gx <= hi[0])
+            & (gy >= lo[1]) & (gy <= hi[1])
+            & (gz >= lo[2]) & (gz <= hi[2])
+        )
+        labels[inside] = box.cls
+    return labels
+
+
+def meshgrid_light_field(cfg: SceneConfig) -> np.ndarray:
+    """Reference: the light field over full (H, W) grids of columns and rows."""
+    h, w = cfg.height, cfg.width
+    cols, rows = np.meshgrid(
+        np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64), indexing="xy"
+    )
+    raw = np.full((h, w), cfg.ambient, dtype=np.float64)
+    for light in cfg.lights:
+        d2 = (cols - light.u) ** 2 + (rows - light.v) ** 2
+        raw += light.intensity / (1.0 + d2 / (light.radius**2))
+    return raw
+
+
+# Box centres in quarter metres and sizes in half metres put every face on a
+# multiple of 0.25 m, so about half of them land exactly on a cell centre (odd
+# multiples of 0.25 m); the wide centre range puts some boxes partly or wholly
+# outside the grid.
+QUARTER_GRID = BevSpec(x_range=(0.0, 4.0), y_range=(-2.0, 2.0), z_range=(-1.0, 1.0), voxel=0.5)
+_QUARTERS = st.tuples(*[st.integers(-12, 28)] * 3)
+_HALF_METRES = st.tuples(*[st.integers(1, 12)] * 3)
+_BOXES = st.lists(st.tuples(_QUARTERS, _HALF_METRES, st.integers(1, 3)), max_size=6)
+_LIGHTS = st.lists(
+    st.tuples(
+        st.floats(-60.0, 80.0), st.floats(-60.0, 80.0), st.floats(0.0, 5.0), st.floats(0.05, 200.0)
+    ),
+    max_size=4,
+)
+
+
+class TestPerAxisGridsMatchMeshgrids:
+    @settings(max_examples=150, deadline=None)
+    @given(raw=_BOXES)
+    @example(raw=[((5, 0, 0), (2, 2, 2), 1)])  # faces at 0.75 and 1.75 m: cell centres
+    @example(raw=[((-12, -12, -12), (1, 1, 1), 2), ((28, 28, 28), (3, 3, 3), 3)])  # outside
+    def test_occupancy_labels(self, raw):
+        boxes = [
+            Box(tuple(0.25 * c for c in centre), tuple(0.5 * s for s in size), cls)
+            for centre, size, cls in raw
+        ]
+        cfg = SceneConfig(bev=QUARTER_GRID)
+        got = _occupancy_labels(cfg, boxes)
+        expected = meshgrid_occupancy_labels(cfg, boxes)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        hw=st.tuples(st.integers(4, 20), st.integers(4, 20)),
+        ambient=st.floats(0.01, 1.0),
+        raw=_LIGHTS,
+    )
+    @example(hw=(4, 6), ambient=0.05, raw=[(-50.0, 3.0, 2.0, 4.0), (9.0, 70.0, 1.0, 0.5)])
+    def test_light_field(self, hw, ambient, raw):
+        cfg = SceneConfig(
+            height=hw[0], width=hw[1], ambient=ambient, lights=tuple(Light(*a) for a in raw)
+        )
+        got = _light_field(cfg)
+        expected = meshgrid_light_field(cfg)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 class TestSceneIo:
