@@ -145,6 +145,14 @@ def bev_pool(dc: DepthContext, m: CameraMatrix, spec: BevSpec) -> Tensor3:
     return Tensor3(out)
 
 
+def _channel_sum(weights: np.ndarray, q_in: np.ndarray) -> np.ndarray:
+    """weights @ q_in, adding the query channels one by one from +0.0."""
+    out = np.zeros((weights.shape[0], q_in.shape[1]))
+    for c in range(q_in.shape[0]):
+        out += weights[:, c, None] * q_in[c]
+    return out
+
+
 def residual_query(
     q: Tensor3,
     f_ctx: Tensor3,
@@ -170,8 +178,8 @@ def residual_query(
             f"attention expects {params.query_channels} query channels, got {q.channels}"
         )
     k_points = params.k_points
-    in_view = column_pixels(m, spec, n_z, f_ctx.height, f_ctx.width).reshape(nx * ny, n_z) >= 0
-    cell, height = np.nonzero(in_view)  # in-view references, (cell, height) order
+    refs = np.flatnonzero(column_pixels(m, spec, n_z, f_ctx.height, f_ctx.width) >= 0)
+    cell, height = np.divmod(refs, n_z)  # in-view references, (cell, height) order
 
     out = np.zeros((f_ctx.channels, nx * ny), dtype=np.float64)
     if cell.size == 0:
@@ -181,15 +189,24 @@ def residual_query(
     xs, ys, zs = spec.x_centers(), spec.y_centers(), sample_heights(spec, n_z)
     u, v, _, _ = project_points(m, np.stack([xs[cell // ny], ys[cell % ny], zs[height]], axis=-1))
 
-    # einsum adds the channels one by one on every CPU; a BLAS product lets
-    # the kernel pick the order and fuse multiply with add, changing last bits.
-    q_flat = q.data.reshape(q.channels, nx * ny)
-    off = np.einsum("kc,cn->kn", params.offset_weights, q_flat)  # (2K, cells)
-    attn = _softmax(np.einsum("kc,cn->kn", params.attn_weights, q_flat), axis=0)  # (K, cells)
+    # Offsets and attention only where a reference reads them. Channels add
+    # one by one from +0.0 and the softmax denominator point by point, so a
+    # cell's bits do not depend on how many cells are in view (einsum's and
+    # sum(axis=0)'s order changes over one column), and no BLAS kernel picks
+    # the order or fuses a multiply into an add.
+    lit, ref = np.unique(cell, return_inverse=True)  # ref: each reference's column in lit
+    q_in = q.data.reshape(q.channels, nx * ny)[:, lit]
+    off = _channel_sum(params.offset_weights, q_in)  # (2K, lit cells)
+    logits = _channel_sum(params.attn_weights, q_in)  # (K, lit cells)
+    e = np.exp(logits - logits.max(axis=0))
+    total = np.zeros(lit.size)
+    for k in range(k_points):
+        total += e[k]
+    attn = e / total
 
-    us = u[:, None] + off[0::2, cell].T  # (refs, K)
-    vs = v[:, None] + off[1::2, cell].T
-    terms = bilinear_sample_many(f_ctx, us, vs) * attn[:, cell].T  # (C, refs, K)
+    us = u[:, None] + off[0::2, ref].T  # (refs, K)
+    vs = v[:, None] + off[1::2, ref].T
+    terms = bilinear_sample_many(f_ctx, us, vs) * attn[:, ref].T  # (C, refs, K)
     # bincount adds each cell's terms one by one in (height, point) order,
     # so every cell gets the same bits as a sum over all n_z * K terms in
     # which the skipped ones were exact zeros.

@@ -130,6 +130,18 @@ _BEV_BLOCK = json_block(
 )
 
 
+def _row_sum(xy, zc, t):
+    """One matrix row (a, b, c, t) applied to points: ((x·a + y·b) + z·c) + t.
+
+    Takes x·a + y·b and z·c, already formed, and adds in that order. One
+    ufunc per step: unlike a BLAS product, no CPU-specific kernel picks the
+    order or fuses a multiply into an add. `xy` may be overwritten.
+    """
+    xy += zc
+    xy += t
+    return xy
+
+
 def project_points(m: CameraMatrix, pts: np.ndarray):
     """Vectorized projection of (..., 3) world points.
 
@@ -138,10 +150,8 @@ def project_points(m: CameraMatrix, pts: np.ndarray):
     """
     pts = np.asarray(pts, dtype=np.float64)
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    # One ufunc per step: unlike a BLAS product, no CPU-specific kernel picks
-    # the order or fuses a multiply into an add.
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite or huge points
-        hu, hv, depth = (((x * a + y * b) + z * c) + t for a, b, c, t in m.matrix)
+        hu, hv, depth = (_row_sum(x * a + y * b, z * c, t) for a, b, c, t in m.matrix)
     valid = depth > DEPTH_EPS
     u = np.divide(hu, depth, out=np.zeros(depth.shape), where=valid)
     v = np.divide(hv, depth, out=np.zeros(depth.shape), where=valid)
@@ -180,27 +190,39 @@ def column_pixels(m: CameraMatrix, spec: BevSpec, n_z: int, height: int, width: 
     pixel each sample floors into (pixel i covers [i, i + 1)), or -1 where
     the sample is behind the camera or off the map. Cell rows are projected
     COLUMN_BLOCK points at a time (one row at least), so no full-grid
-    temporary is built.
+    temporary is built. Each sample gets project_points' bits, but x·a + y·b
+    is formed once per cell and repeated over the cell's heights.
     """
-    heights = sample_heights(spec, n_z)
     nx, ny = spec.nx, spec.ny
     rows = max(1, COLUMN_BLOCK // (ny * n_z))
-    pts = np.empty((min(rows, nx), ny, n_z, 3))
-    pts[..., 1] = spec.y_centers()[None, :, None]
-    pts[..., 2] = heights
-    xs = spec.x_centers()
+    xs, ys = spec.x_centers(), spec.y_centers()
+    # Per matrix row: x·a per grid row, y·b per grid column, and z·c tiled
+    # over the most cells a block holds (a short last block reads a prefix).
+    terms = [
+        (xs * a, ys * b, np.tile(sample_heights(spec, n_z) * c, min(rows, nx) * ny), t)
+        for a, b, c, t in m.matrix
+    ]
     pixel = np.empty((nx, ny, n_z), dtype=np.int64)
     for lo in range(0, nx, rows):
         hi = min(lo + rows, nx)
-        block = pts[: hi - lo]
-        block[..., 0] = xs[lo:hi, None, None]
-        u, v, _, in_map = project_points(m, block)
-        iu, iv = np.floor(u), np.floor(v)
-        in_map &= (iu >= 0) & (iu <= width - 1) & (iv >= 0) & (iv <= height - 1)
-        with np.errstate(invalid="ignore", over="ignore"):  # off-map floors may be huge or infinite
-            iv *= width
-            iv += iu
-        pixel[lo:hi] = np.where(in_map, iv, -1.0)
+        n = (hi - lo) * ny * n_z
+        with np.errstate(invalid="ignore", over="ignore"):  # huge or infinite samples
+            u, v, depth = (
+                _row_sum(np.repeat(xa[lo:hi, None] + yb, n_z), zc[:n], t) for xa, yb, zc, t in terms
+            )
+        in_map = depth > DEPTH_EPS
+        # Samples not in front of the camera divide too (a masked divide is
+        # far slower); whatever they give is masked out below.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            u /= depth
+            v /= depth
+            np.floor(u, out=u)
+            np.floor(v, out=v)
+            in_map &= (u >= 0) & (u <= width - 1) & (v >= 0) & (v <= height - 1)
+            v *= width  # off-map floors may be huge or infinite
+            v += u
+        v[~in_map] = -1.0
+        pixel[lo:hi] = v.reshape(hi - lo, ny, n_z)
     return pixel
 
 
@@ -215,10 +237,8 @@ def illumination_field(i: Tensor3, m: CameraMatrix, spec: BevSpec, n_z: int) -> 
     if i.channels != 1:
         raise ValueError(f"illumination map must have 1 channel, got {i.channels}")
     pixel = column_pixels(m, spec, n_z, i.height, i.width)
-    in_image = pixel >= 0
-    values = np.zeros(pixel.shape)
-    np.copyto(values, i.data[0].take(pixel), where=in_image)  # -1 reads a pixel, masked out
-    counts = in_image.sum(axis=-1)
+    values = np.append(i.data[0], 0.0).take(pixel)  # -1 reads the appended +0.0
+    counts = (pixel >= 0).sum(axis=-1)
     sums = values.sum(axis=-1)
     return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
 

@@ -388,12 +388,21 @@ def dense_residual_query(q, f_ctx, m, spec, n_z, params):
         & (iv <= f_ctx.height - 1)
     )
 
+    # Offsets and logits add the query channels one by one from +0.0, and the
+    # softmax denominator adds the points one by one, as residual_query
+    # promises; einsum and sum(axis=0) take another order over one cell.
     q_flat = q.data.reshape(q.channels, nx * ny).astype(np.float64, copy=False)
-    off = np.einsum("kc,cn->kn", params.offset_weights, q_flat)  # (2K, cells)
-    logits = np.einsum("kc,cn->kn", params.attn_weights, q_flat)  # (K, cells)
+    off = np.zeros((2 * params.k_points, nx * ny))
+    logits = np.zeros((params.k_points, nx * ny))
+    for c in range(q.channels):
+        off += params.offset_weights[:, c, None] * q_flat[c]
+        logits += params.attn_weights[:, c, None] * q_flat[c]
     shifted = logits - logits.max(axis=0, keepdims=True)
     e = np.exp(shifted)
-    attn = e / e.sum(axis=0, keepdims=True)
+    total = np.zeros(nx * ny)
+    for k in range(params.k_points):
+        total += e[k]
+    attn = e / total
 
     du = off[0::2]  # (K, cells)
     dv = off[1::2]
@@ -474,6 +483,8 @@ class TestResidualQueryOracle:
     @example(0, (4, 4), 3, 4, (3, 2), (6, 8), 1.0, (0.0, 0.0), 0.0, 1.0)
     # einsum summed each height's K terms first here and missed by the last bit.
     @example(50888, (1, 1), 2, 3, (1, 1), (1, 1), 1.0, (0.0, 0.0), 0.0, 0.0)
+    # Over one cell, sum(axis=0) adds the K = 8 points in another order than one by one.
+    @example(0, (1, 1), 1, 8, (1, 1), (1, 2), 3.0, (0.0, 0.0), 0.0, 3.0)
     def test_bytes_equal_dense_reference(
         self, seed, cells, n_z, k_points, channels, hw, f_scale, shift, tilt, offset_scale
     ):
@@ -500,6 +511,18 @@ class TestResidualQueryOracle:
     def test_every_reference_in_view(self):
         case = residual_case(7, (6, 5), 5, 4, (3, 3), (9, 12), overhead_camera)
         assert assert_matches_dense(*case).all()
+
+    def test_one_lit_cell_of_many(self):
+        # A camera fitted to one cell of a 6 x 6 grid: offsets and attention
+        # are formed for a single column, which einsum and sum(axis=0) would
+        # add in another order.
+        def one_cell_camera(spec, h, w):
+            cell = BevSpec(x_range=(0.0, 0.5), y_range=(3.5, 4.0), z_range=(-1.0, 2.0), voxel=0.5)
+            return overhead_camera(cell, h, w)
+
+        case = residual_case(13, (6, 6), 4, 8, (7, 2), (4, 4), one_cell_camera)
+        lit = assert_matches_dense(*case).any(axis=1)
+        assert lit.sum() == 1
 
     def test_offsets_push_samples_off_the_map(self):
         case = residual_case(9, (6, 5), 4, 4, (3, 2), (5, 7), overhead_camera, 1e4)

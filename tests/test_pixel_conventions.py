@@ -362,6 +362,30 @@ class TestColumnPixels:
         assert_same_bytes([got], [full_grid_column_pixels(m, spec, n_z, 48, 64)])
         assert 0 < (got >= 0).sum() < got.size
 
+    @pytest.mark.parametrize(
+        "ny,n_z,nx",
+        [
+            (4097, 8, 3),  # one row per block
+            (100, 16, 45),  # blocks of 20, 20 and 5 rows: the last reads a prefix of the tiled z·c
+        ],
+    )
+    @pytest.mark.parametrize("lean", [1.0, -1.0])
+    def test_block_boundaries_with_samples_behind_the_camera(self, ny, n_z, nx, lean):
+        # Depth lean·(x - z) + DEPTH_EPS: samples on one side of the plane x = z
+        # are behind the camera, and those on it sit exactly at DEPTH_EPS,
+        # which is not in front. Grid rows start at a sample height so the
+        # plane passes through samples.
+        z_k = sample_heights(BevSpec(z_range=(-1.0, 2.0), voxel=0.25), n_z)[n_z // 2]
+        half_y = 0.125 * ny
+        x0 = z_k - 0.125
+        spec = BevSpec(x_range=(x0, x0 + 0.25 * nx), y_range=(-half_y, half_y), z_range=(-1.0, 2.0), voxel=0.25)
+        m = CameraMatrix([[0.0, 0.0625, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [lean, 0.0, -lean, DEPTH_EPS]])
+        got = column_pixels(m, spec, n_z, 48, 64)
+        assert_same_bytes([got], [full_grid_column_pixels(m, spec, n_z, 48, 64)])
+        _, _, depth, valid = project_points(m, [spec.x_centers()[0], spec.y_centers()[0], z_k])
+        assert depth == DEPTH_EPS and not valid
+        assert 0 < (got >= 0).sum() < got.size
+
 
 class TestProjectPointsBits:
     def test_awkward_inputs_keep_the_old_bits(self):
@@ -393,15 +417,24 @@ class TestProjectPointsBits:
             elements=st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, -0.0, INF, -INF, float("nan")])),
         ),
     )
+    # inf * 0 makes a NaN depth whose sign bit depends on the numpy loop that made it.
+    @example(np.eye(3, 4), np.array([float("nan"), INF, INF]))
     def test_bytes_equal_safe_depth_reference(self, matrix, pts):
+        """u, v and valid keep every byte; depth, which Projection calls meaningful
+        only when valid, keeps its bytes where valid and is NaN where the
+        reference's is. A NaN depth is never valid."""
         try:
             m = CameraMatrix(matrix)
         except ValueError:
             reject()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            got = [np.asarray(a) for a in project_points(m, pts)]
-        assert_same_bytes(got, [np.asarray(a) for a in safe_depth_project_points(m, pts)])
+            u, v, depth, valid = [np.asarray(a) for a in project_points(m, pts)]
+        ref_u, ref_v, ref_depth, ref_valid = [np.asarray(a) for a in safe_depth_project_points(m, pts)]
+        assert_same_bytes([u, v, valid], [ref_u, ref_v, ref_valid])
+        assert depth.dtype == ref_depth.dtype and depth.shape == ref_depth.shape
+        assert depth[valid].tobytes() == ref_depth[valid].tobytes()
+        np.testing.assert_array_equal(np.isnan(depth), np.isnan(ref_depth))
 
 
 # Computes one case saved by TestSameBytesOnEveryBlasKernel and prints the
