@@ -9,7 +9,7 @@ from nightbev.core import PixelCoord, Tensor3, bilinear_sample, finite_diff_chec
 from nightbev.guided_sampling import (
     ConvParams,
     _conv_bands,
-    _pool2_into,
+    _pool2_kernel,
     build_guidance,
     conv2d_pool2,
     conv2d_replicate,
@@ -46,6 +46,43 @@ def pool_oracle(a):
     """Stride-2 2x2 average pooling of the whole map at once."""
     c, h, w = a.shape
     return a.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
+
+
+def fused_kernel(kernel):
+    """Conv + 2x2 average pool as one (k+1)x(k+1) kernel, summed entry by entry:
+    0.25 * (((K[a, b] + K[a, b-1]) + K[a-1, b]) + K[a-1, b-1]), +0.0 outside K."""
+    o, i, k, _ = kernel.shape
+    fused = np.empty((o, i, k + 1, k + 1))
+    for a in range(k + 1):
+        for b in range(k + 1):
+            terms = [
+                kernel[:, :, a - p, b - q] if 0 <= a - p < k and 0 <= b - q < k else np.zeros((o, i))
+                for p in (0, 1)
+                for q in (0, 1)
+            ]
+            fused[:, :, a, b] = (((terms[0] + terms[1]) + terms[2]) + terms[3]) * 0.25
+    return fused
+
+
+def fused_oracle(x, params):
+    """`conv_oracle` then `pool_oracle` as one stride-2 conv: `fused_kernel` on the
+    same padded map, whole map per tap, taps and channels in `conv_oracle`'s order."""
+    kernel = fused_kernel(params.kernel)
+    r = params.kernel_size // 2
+    padded = np.pad(x.data, ((0, 0), (r, r), (r, r)), mode="edge")
+    h, w = x.height // 2, x.width // 2
+    out = np.zeros((params.out_channels, h, w), dtype=np.float64)
+    for dy in range(kernel.shape[2]):
+        for dx in range(kernel.shape[3]):
+            window = padded[:, dy : dy + 2 * h : 2, dx : dx + 2 * w : 2]
+            out += np.einsum("oi,ihw->ohw", kernel[:, :, dy, dx], window)
+    out += params.bias[:, None, None]
+    return out
+
+
+def assert_near_conv_then_pool(got, old):
+    """The fused conv agrees with conv-then-pool to rounding: max |diff| <= 1e-12 max |old|."""
+    assert np.abs(got - old).max() <= 1e-12 * np.abs(old).max()
 
 
 def random_conv(rng, out_c, in_c, k=3):
@@ -101,10 +138,11 @@ class TestConv2dReplicate:
 
 
 class TestBandedConv:
-    """The banded conv and conv + pool give the whole-map oracle's bytes."""
+    """The banded conv gives the whole-map oracle's bytes, and the fused conv + pool
+    gives the fused oracle's bytes, near the old conv-then-pool."""
 
-    # (out, in, k, h, w): 2-row bands (C=8, W=800), a short last band (4-row
-    # bands over 6 rows), maps smaller than one band, and 1x1 kernels.
+    # (out, in, k, h, w): 2-row bands with a short last one (8 input channels at
+    # W=800 give 3 pooled rows), maps smaller than one band, and 1x1 kernels.
     CASES = [
         (8, in_c, k, h, w)
         for in_c in (1, 3, 8)
@@ -119,7 +157,9 @@ class TestBandedConv:
         params = random_conv(rng, out_c, in_c, k)
         full = conv_oracle(x, params)
         assert conv2d_replicate(x, params).data.tobytes() == full.tobytes()
-        assert conv2d_pool2(x, params).data.tobytes() == pool_oracle(full).tobytes()
+        pooled = conv2d_pool2(x, params).data
+        assert pooled.tobytes() == fused_oracle(x, params).tobytes()
+        assert_near_conv_then_pool(pooled, pool_oracle(full))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -136,44 +176,60 @@ class TestBandedConv:
         x = Tensor3(rng.normal(size=(in_c, 2 * half_h, w)))
         params = random_conv(rng, out_c, in_c, k)
         full = conv_oracle(x, params)
-        assert conv2d_pool2(x, params).data.tobytes() == pool_oracle(full).tobytes()
-        banded = np.concatenate([band.copy() for _, band in _conv_bands(x, params, rows)], axis=1)
+        fused = fused_oracle(x, params)
+        pooled = conv2d_pool2(x, params).data
+        assert pooled.tobytes() == fused.tobytes()
+        assert_near_conv_then_pool(pooled, pool_oracle(full))
+        banded = _conv_bands(x, params.kernel, params.bias, 1, rows)
         assert banded.tobytes() == full.tobytes()
+        strided = _conv_bands(x, fused_kernel(params.kernel), params.bias, 2, rows)
+        assert strided.tobytes() == fused.tobytes()
 
     SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.7e308, -1.7e308]
 
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)),
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)),
+        k=st.sampled_from([1, 3, 5]),
     )
-    def test_pool_sums_in_the_mean_order(self, seed, shape):
+    def test_special_values_equal_fused_oracle(self, seed, shape, k):
         # Random magnitudes over the whole float64 range, with signed zeros,
-        # subnormals and values near overflow mixed in.
+        # subnormals and values near overflow mixed in. Each output channel's
+        # kernel sums to at most 0.9 in absolute value, so no sum can overflow.
         rng = np.random.default_rng(seed)
-        c, h, w = shape[0], 2 * shape[1], 2 * shape[2]
-        a = rng.normal(size=(c, h, w)) * 10.0 ** rng.integers(-320, 308, size=(c, h, w))
-        special = rng.uniform(size=a.shape) < 0.3
-        a[special] = rng.choice(self.SPECIAL, size=int(special.sum()))
-        got = np.empty((c, h // 2, w // 2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            _pool2_into(got, a)
-            assert got.tobytes() == pool_oracle(a).tobytes()
+        out_c, in_c, h, w = shape[0], shape[1], 2 * shape[2], 2 * shape[3]
+        x = rng.normal(size=(in_c, h, w)) * 10.0 ** rng.integers(-320, 308, size=(in_c, h, w))
+        special = rng.uniform(size=x.shape) < 0.3
+        x[special] = rng.choice(self.SPECIAL, size=int(special.sum()))
+        kernel = rng.normal(size=(out_c, in_c, k, k))
+        kernel *= 0.9 / np.abs(kernel).sum(axis=(1, 2, 3), keepdims=True)
+        tiny = rng.uniform(size=kernel.shape) < 0.3
+        kernel[tiny] = rng.choice(self.SPECIAL[:6], size=int(tiny.sum()))
+        params = conv_of(out_c, in_c, k, kernel=kernel, bias=rng.normal(size=out_c))
+        assert _pool2_kernel(params.kernel).tobytes() == fused_kernel(params.kernel).tobytes()
+        got = conv2d_pool2(Tensor3(x), params).data
+        assert got.tobytes() == fused_oracle(Tensor3(x), params).tobytes()
 
+    @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("w", [2, 4])
-    def test_pool_of_negative_zeros_is_positive_zero(self, w):
-        a = np.full((1, 2, w), -0.0)
-        got = np.empty((1, 1, w // 2))
-        _pool2_into(got, a)
-        assert got.tobytes() == pool_oracle(a).tobytes() == np.zeros((1, 1, w // 2)).tobytes()
+    def test_negative_zero_taps_sum_to_positive_zero(self, k, w):
+        # Every tap reads -0.0 and the bias is -0.0: the sum before the bias is +0.0,
+        # and +0.0 + -0.0 stays +0.0.
+        x = Tensor3.full(2, 2, w, -0.0)
+        params = conv_of(3, 2, k, kernel=np.ones((3, 2, k, k)), bias=np.full(3, -0.0))
+        got = conv2d_pool2(x, params).data
+        assert got.tobytes() == fused_oracle(x, params).tobytes() == np.zeros((3, 1, w // 2)).tobytes()
 
     @pytest.mark.parametrize("h, w", [(64, 96), (448, 800), (128, 192), (8, 4)])
     def test_encode_image_equals_conv_then_pool(self, h, w):
         params = build_params(PipelineConfig(), 2, 8)
         x = Tensor3(np.random.default_rng(h).uniform(size=(3, h, w)))
+        got = encode_image(x, params.enc1, params.enc2).data
+        fused = fused_oracle(Tensor3(fused_oracle(x, params.enc1)), params.enc2)
+        assert got.tobytes() == fused.tobytes()
         f1 = pool_oracle(conv_oracle(x, params.enc1))
-        expected = pool_oracle(conv_oracle(Tensor3(f1), params.enc2))
-        assert encode_image(x, params.enc1, params.enc2).data.tobytes() == expected.tobytes()
+        assert_near_conv_then_pool(got, pool_oracle(conv_oracle(Tensor3(f1), params.enc2)))
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ValueError, match="^pooling needs even dims, got 5x6$"):

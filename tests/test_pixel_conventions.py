@@ -36,6 +36,7 @@ from nightbev.geometry import (
     project_points,
     sample_heights,
 )
+from nightbev.pipeline import PipelineConfig, build_params
 
 INF = float("inf")
 
@@ -445,11 +446,16 @@ import numpy as np
 from nightbev.bev import AttentionParams, residual_query
 from nightbev.core import Tensor3
 from nightbev.geometry import BevSpec, CameraMatrix, project_points
+from nightbev.guided_sampling import ConvParams
+from nightbev.pipeline import encode_image
 a = np.load(sys.argv[2])
-m = CameraMatrix(a["m"])
-if sys.argv[1] == "project_points":
-    out = project_points(m, a["pts"])
+if sys.argv[1] == "encode_image":
+    enc1, enc2 = ConvParams(a["k1"], a["b1"]), ConvParams(a["k2"], a["b2"])
+    out = [encode_image(Tensor3(a["x"]), enc1, enc2).data]
+elif sys.argv[1] == "project_points":
+    out = project_points(CameraMatrix(a["m"]), a["pts"])
 else:
+    m = CameraMatrix(a["m"])
     spec = BevSpec(*map(tuple, a["ranges"]), voxel=float(a["voxel"]))
     params = AttentionParams(a["ow"], a["aw"])
     out = [residual_query(Tensor3(a["q"]), Tensor3(a["f"]), m, spec, int(a["n_z"]), params).data]
@@ -468,6 +474,13 @@ class TestSameBytesOnEveryBlasKernel:
     @staticmethod
     def case(name):
         rng = np.random.default_rng(11)
+        if name == "encode_image":
+            params = build_params(PipelineConfig(), 2, 8)
+            return {
+                "x": rng.uniform(size=(3, 64, 96)),
+                "k1": params.enc1.kernel, "b1": params.enc1.bias,
+                "k2": params.enc2.kernel, "b2": params.enc2.bias,
+            }
         if name == "project_points":
             m = CameraMatrix(rng.normal(size=(3, 4)))
             return {"m": m.matrix, "pts": rng.normal(size=(4096, 3)) * 10.0}
@@ -483,7 +496,7 @@ class TestSameBytesOnEveryBlasKernel:
             "aw": rng.normal(size=(4, 8)),
         }
 
-    @pytest.mark.parametrize("name", ["project_points", "residual_query"])
+    @pytest.mark.parametrize("name", ["project_points", "residual_query", "encode_image"])
     def test_default_and_generic_kernels_agree(self, tmp_path, name):
         np.savez(tmp_path / "case.npz", **self.case(name))
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
