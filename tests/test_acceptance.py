@@ -1,7 +1,8 @@
 """Acceptance gate: one test per release criterion, each printing a PASS line.
 
-Every expected value is either computed by an independent oracle inside the
-test or verified by hand; tolerances are pinned here and nowhere else.
+Every expected value is either computed by an independent reference, from
+`reference.py` or inside the test, or verified by hand; tolerances are pinned
+here and nowhere else.
 """
 
 import json
@@ -11,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import reference as ref
 from nightbev.bev import DepthContext, bev_pool, refine_bev
 from nightbev.cli import main as cli_main
 from nightbev.core import (
@@ -20,7 +22,7 @@ from nightbev.core import (
     bilinear_sample_grad,
     finite_diff_check,
 )
-from nightbev.geometry import BevSpec, CameraMatrix, illumination_field, project_point
+from nightbev.geometry import BevSpec, illumination_field, project_point
 from nightbev.guided_sampling import build_guidance, modulate_offsets
 from nightbev.illumination import illumination_factor, retinex_enhance
 from nightbev.losses import total_loss, weighted_ce, weighted_ce_grad
@@ -37,47 +39,6 @@ def ok(criterion: int, message: str) -> None:
 # --------------------------------------------------------------------------
 
 
-def _snap(values: np.ndarray) -> np.ndarray:
-    # Dyadic grid keeps every group sum exact, so differently ordered
-    # summations in oracle and implementation cannot diverge by rounding.
-    return np.clip(np.rint(values * 2048.0), 1, 2048) / 2048.0
-
-
-def _oracle_sigma_all_edges(factors: np.ndarray, bins: int) -> np.ndarray:
-    edges = np.arange(1, bins + 1, dtype=np.float64) / bins
-    mask = factors[None, :] <= edges[:, None]
-    k = mask.sum(axis=1).astype(np.float64)
-    sum0 = (mask * factors[None, :]).sum(axis=1)
-    n = float(factors.size)
-    total = factors.sum()
-    om0 = k / n
-    om1 = 1.0 - om0
-    mu0 = np.where(k > 0, sum0 / np.maximum(k, 1.0), 0.0)
-    rest = n - k
-    mu1 = np.where(rest > 0, (total - sum0) / np.maximum(rest, 1.0), 0.0)
-    mu_t = om0 * mu0 + om1 * mu1
-    d0 = mu0 - mu_t
-    d1 = mu1 - mu_t
-    sigma = om0 * (d0 * d0) + om1 * (d1 * d1)
-    return np.where((k == 0) | (k == n), 0.0, sigma)
-
-
-def _oracle_sigma_at(factors: np.ndarray, t: float) -> float:
-    below = factors[factors <= t]
-    above = factors[factors > t]
-    if below.size == 0 or above.size == 0:
-        return 0.0
-    n = float(factors.size)
-    om0 = below.size / n
-    om1 = 1.0 - om0
-    mu0 = below.sum() / np.maximum(float(below.size), 1.0)
-    mu1 = above.sum() / np.maximum(float(above.size), 1.0)
-    mu_t = om0 * mu0 + om1 * mu1
-    d0 = mu0 - mu_t
-    d1 = mu1 - mu_t
-    return float(om0 * (d0 * d0) + om1 * (d1 * d1))
-
-
 def test_c01_threshold_matches_exhaustive_scan():
     rng = np.random.default_rng(101)
     start = time.perf_counter()
@@ -89,12 +50,11 @@ def test_c01_threshold_matches_exhaustive_scan():
             center = rng.uniform(0.05, 0.95)
             spread = rng.uniform(0.01, 0.08)
             chunks.append(rng.normal(center, spread, size=n // modes + 1))
-        factors = _snap(np.clip(np.concatenate(chunks)[:n], 0.001, 1.0))
+        factors = ref.dyadic(np.clip(np.concatenate(chunks)[:n], 0.001, 1.0))
 
         report = otsu_threshold(FactorPopulation(factors, bins=256))
-        sigma = _oracle_sigma_all_edges(factors, 256)
-        assert report.sigma_b2 == sigma.max()
-        assert _oracle_sigma_at(factors, report.t_star) == report.sigma_b2
+        assert report.sigma_b2 == ref.otsu_scan(factors, 256).max()
+        assert ref.otsu_sigma(factors, report.t_star) == report.sigma_b2
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"threshold criterion took {elapsed:.2f}s"
     ok(1, f"200 populations, exact sigma match with exhaustive scan in {elapsed:.2f}s")
@@ -214,10 +174,7 @@ def test_c06_projection_identity():
     behind = 0
     worst = 0.0
     while checked < 100:
-        m = rng.normal(size=(3, 4))
-        if abs(np.linalg.det(m[:, :3])) < 0.1:
-            continue
-        cam = CameraMatrix(m)
+        cam = ref.random_camera(rng)
         pt = rng.uniform(-5.0, 5.0, size=3)
         proj = project_point(cam, *pt)
         expected = cam.matrix @ np.append(pt, 1.0)
@@ -239,21 +196,12 @@ def test_c06_projection_identity():
 # --------------------------------------------------------------------------
 
 
-def _random_scene(rng):
-    while True:
-        m = rng.normal(size=(3, 4))
-        if abs(np.linalg.det(m[:, :3])) > 0.1:
-            break
-    cam = CameraMatrix(m)
-    spec = BevSpec(x_range=(-2, 2), y_range=(-2, 2), z_range=(0, 2), voxel=0.5)
-    return cam, spec
-
-
 def test_c07_illumination_field():
     rng = np.random.default_rng(107)
     covered_any = False
     for _ in range(20):
-        cam, spec = _random_scene(rng)
+        cam = ref.random_camera(rng)
+        spec = BevSpec(x_range=(-2, 2), y_range=(-2, 2), z_range=(0, 2), voxel=0.5)
 
         c = float(rng.uniform(0.05, 1.0))
         const_field = illumination_field(Tensor3.full(1, 6, 8, c), cam, spec, n_z=5)
@@ -279,7 +227,7 @@ def test_c07_illumination_field():
 
 def test_c08_bev_pool_conservation():
     rng = np.random.default_rng(108)
-    cam = CameraMatrix(np.hstack([np.eye(3), np.zeros((3, 1))]))
+    cam = ref.identity_camera()
     spec = BevSpec(x_range=(-3, 3), y_range=(-3, 3), z_range=(0, 3), voxel=1.0)
 
     logits = rng.normal(size=(4, 3, 4))
@@ -288,19 +236,7 @@ def test_c08_bev_pool_conservation():
     centers = np.array([0.6, 1.7, 2.9, 4.1])
     dc = DepthContext(f_ctx=ones, depth=depth, bin_centers=centers)
     mass_grid = bev_pool(dc, cam, spec).data[0]
-
-    # Independent recount: per-point solve, plain loops, same (b, v, u) order.
-    recount = np.zeros_like(mass_grid)
-    a = cam.matrix[:, :3]
-    t = cam.matrix[:, 3]
-    for b in range(4):
-        for v in range(3):
-            for u in range(4):
-                pt = np.linalg.solve(a, centers[b] * np.array([u + 0.5, v + 0.5, 1.0]) - t)
-                fx = (pt[0] - spec.x_range[0]) / spec.voxel
-                fy = (pt[1] - spec.y_range[0]) / spec.voxel
-                if 0 <= fx < spec.nx and 0 <= fy < spec.ny:
-                    recount[int(fx), int(fy)] += depth.data[b, v, u]
+    recount = ref.bev_pool(dc, cam, spec)[0]  # plain loops, same (b, v, u) order
     assert np.array_equal(mass_grid, recount), "scattered mass differs from recount"
     assert mass_grid.sum() == recount.sum()
     assert mass_grid.sum() > 0
@@ -357,23 +293,10 @@ def test_c10_miou_oracle():
         a = rng.integers(0, 5, size=(16, 16, 8))
         b = rng.integers(0, 5, size=(16, 16, 8))
         report = miou(OccupancyGrid(a, names), OccupancyGrid(b, names))
-
-        inter = [0] * 5
-        union = [0] * 5
-        for x in range(16):
-            for y in range(16):
-                for z in range(8):
-                    p, g = a[x, y, z], b[x, y, z]
-                    if p == g:
-                        inter[p] += 1
-                        union[p] += 1
-                    else:
-                        union[p] += 1
-                        union[g] += 1
-        ious = [inter[m] / union[m] for m in range(5) if union[m] > 0]
+        inter, union, expected = ref.miou(a, b, 5)
         assert list(report.intersections) == inter
         assert list(report.unions) == union
-        assert report.miou == sum(ious) / len(ious)
+        assert report.miou == expected
 
     gt = OccupancyGrid(np.array([0, 0, 1, 1]).reshape(1, 1, 4), ("free", "a"))
     pred = OccupancyGrid(np.array([0, 1, 1, 1]).reshape(1, 1, 4), ("free", "a"))

@@ -115,7 +115,7 @@ def test_every_key_reaches_its_field():
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 @given(obj=json_values)
 @example(obj={"bev": {"voxel": 5e-324}})
 @example(obj={"ambient": 2**1100})
@@ -126,7 +126,7 @@ def test_arbitrary_json_returns_or_raises_value_error(kind, obj):
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_one_broken_key_returns_or_raises_value_error(kind, data):
     _parses_or_rejects(PARSERS[kind], _mutated(VALID[kind], data))

@@ -110,7 +110,7 @@ def read_or_value_error(reader, path, data: bytes) -> None:
 
 
 class TestReadersRaiseOnlyValueError:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(
         reader=st.sampled_from(sorted(READERS)),
         prefix=st.sampled_from([b"", b"P5", b"P6", b"P6 2 2 255\n", b'{"dtype":"f32","shape":']),
@@ -120,7 +120,7 @@ class TestReadersRaiseOnlyValueError:
     def test_arbitrary_bytes(self, probe, reader, prefix, data):
         read_or_value_error(READERS[reader], probe, prefix + data)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(field=st.sampled_from(["dtype", "shape", 0, 2]), value=JSON_VALUES)
     @example("dtype", [])
     def test_raw_header_with_one_field_mutated(self, probe, field, value):
@@ -131,7 +131,7 @@ class TestReadersRaiseOnlyValueError:
             header[field] = value
         read_or_value_error(read_raw_tensor, probe, json.dumps(header).encode() + b"\n" + bytes(24))
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(
         magic=st.sampled_from([b"P5", b"P6"]),
         field=st.integers(0, 3),

@@ -16,17 +16,7 @@ from nightbev.geometry import (
     project_points,
     sample_heights,
 )
-
-
-def identity_camera(last_col=(0.0, 0.0, 0.0)) -> CameraMatrix:
-    return CameraMatrix(np.hstack([np.eye(3), np.array(last_col).reshape(3, 1)]))
-
-
-def random_camera(rng) -> CameraMatrix:
-    while True:
-        m = rng.normal(size=(3, 4))
-        if abs(np.linalg.det(m[:, :3])) > 0.1:
-            return CameraMatrix(m)
+from reference import column_camera, identity_camera, random_camera
 
 
 class TestCameraMatrix:
@@ -148,15 +138,6 @@ class TestSampleHeights:
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError, match="n_z"):
             sample_heights(BevSpec(), 0)
-
-
-def column_camera() -> CameraMatrix:
-    # u = x/y, v = z/y, depth = y: vertical samples sweep image rows.
-    m = np.zeros((3, 4))
-    m[0, 0] = 1.0
-    m[1, 2] = 1.0
-    m[2, 1] = 1.0
-    return CameraMatrix(m)
 
 
 class TestIlluminationField:

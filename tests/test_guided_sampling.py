@@ -1,10 +1,13 @@
 """Guidance map, offset generation/modulation, and deformable warping."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from nightbev.core import PixelCoord, Tensor3, bilinear_sample, finite_diff_check
 from nightbev.guided_sampling import (
     ConvParams,
@@ -18,66 +21,9 @@ from nightbev.guided_sampling import (
     kernel_grid,
     modulate_offsets,
 )
-from nightbev.pipeline import PipelineConfig, build_params, encode_image
-
-
-def conv_of(out_c, in_c, k=3, kernel=None, bias=None):
-    kernel = np.zeros((out_c, in_c, k, k)) if kernel is None else kernel
-    bias = np.zeros(out_c) if bias is None else bias
-    return ConvParams(kernel, bias)
-
-
-def conv_oracle(x, params):
-    """The whole-map per-tap einsum loop: the conv before it ran in bands."""
-    k = params.kernel_size
-    r = k // 2
-    padded = np.pad(x.data, ((0, 0), (r, r), (r, r)), mode="edge")
-    h, w = x.height, x.width
-    out = np.zeros((params.out_channels, h, w), dtype=np.float64)
-    for dy in range(k):
-        for dx in range(k):
-            window = padded[:, dy : dy + h, dx : dx + w]
-            out += np.einsum("oi,ihw->ohw", params.kernel[:, :, dy, dx], window)
-    out += params.bias[:, None, None]
-    return out
-
-
-def pool_oracle(a):
-    """Stride-2 2x2 average pooling of the whole map at once."""
-    c, h, w = a.shape
-    return a.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
-
-
-def fused_kernel(kernel):
-    """Conv + 2x2 average pool as one (k+1)x(k+1) kernel, summed entry by entry:
-    0.25 * (((K[a, b] + K[a, b-1]) + K[a-1, b]) + K[a-1, b-1]), +0.0 outside K."""
-    o, i, k, _ = kernel.shape
-    fused = np.empty((o, i, k + 1, k + 1))
-    for a in range(k + 1):
-        for b in range(k + 1):
-            terms = [
-                kernel[:, :, a - p, b - q] if 0 <= a - p < k and 0 <= b - q < k else np.zeros((o, i))
-                for p in (0, 1)
-                for q in (0, 1)
-            ]
-            fused[:, :, a, b] = (((terms[0] + terms[1]) + terms[2]) + terms[3]) * 0.25
-    return fused
-
-
-def fused_oracle(x, params):
-    """`conv_oracle` then `pool_oracle` as one stride-2 conv: `fused_kernel` on the
-    same padded map, whole map per tap, taps and channels in `conv_oracle`'s order."""
-    kernel = fused_kernel(params.kernel)
-    r = params.kernel_size // 2
-    padded = np.pad(x.data, ((0, 0), (r, r), (r, r)), mode="edge")
-    h, w = x.height // 2, x.width // 2
-    out = np.zeros((params.out_channels, h, w), dtype=np.float64)
-    for dy in range(kernel.shape[2]):
-        for dx in range(kernel.shape[3]):
-            window = padded[:, dy : dy + 2 * h : 2, dx : dx + 2 * w : 2]
-            out += np.einsum("oi,ihw->ohw", kernel[:, :, dy, dx], window)
-    out += params.bias[:, None, None]
-    return out
+from nightbev.pipeline import PipelineConfig, build_params, encode_image, enhance_stage, igs_stage
+from nightbev.scene import Light, SceneConfig, gen_scene
+from reference import conv_params
 
 
 def assert_near_conv_then_pool(got, old):
@@ -86,7 +32,7 @@ def assert_near_conv_then_pool(got, old):
 
 
 def random_conv(rng, out_c, in_c, k=3):
-    return conv_of(
+    return conv_params(
         out_c, in_c, k, kernel=rng.normal(0, 0.4, size=(out_c, in_c, k, k)), bias=rng.normal(size=out_c)
     )
 
@@ -109,20 +55,11 @@ class TestConv2dReplicate:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
         x = Tensor3(rng.normal(size=(2, 5, 6)))
-        params = conv_of(
+        params = conv_params(
             3, 2, kernel=rng.normal(size=(3, 2, 3, 3)), bias=rng.normal(size=3)
         )
         got = conv2d_replicate(x, params)
-        padded = np.pad(x.data, ((0, 0), (1, 1), (1, 1)), mode="edge")
-        for o in range(3):
-            for y in range(x.height):
-                for w in range(x.width):
-                    acc = params.bias[o]
-                    for i in range(2):
-                        for dy in range(3):
-                            for dx in range(3):
-                                acc += params.kernel[o, i, dy, dx] * padded[i, y + dy, w + dx]
-                    assert got.data[o, y, w] == pytest.approx(acc, rel=1e-12)
+        assert got.data.tobytes() == ref.conv2d(x, params.kernel, params.bias).tobytes()
 
     def test_one_by_one_kernel(self):
         rng = np.random.default_rng(5)
@@ -134,7 +71,7 @@ class TestConv2dReplicate:
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError, match="input channels"):
-            conv2d_replicate(Tensor3.zeros(2, 3, 3), conv_of(1, 3))
+            conv2d_replicate(Tensor3.zeros(2, 3, 3), conv_params(1, 3))
 
 
 class TestBandedConv:
@@ -155,13 +92,13 @@ class TestBandedConv:
         rng = np.random.default_rng([out_c, in_c, k, h, w])
         x = Tensor3(rng.normal(size=(in_c, h, w)))
         params = random_conv(rng, out_c, in_c, k)
-        full = conv_oracle(x, params)
+        full = ref.conv2d(x, params.kernel, params.bias)
         assert conv2d_replicate(x, params).data.tobytes() == full.tobytes()
         pooled = conv2d_pool2(x, params).data
-        assert pooled.tobytes() == fused_oracle(x, params).tobytes()
-        assert_near_conv_then_pool(pooled, pool_oracle(full))
+        assert pooled.tobytes() == ref.conv2d_pool2(x, params).tobytes()
+        assert_near_conv_then_pool(pooled, ref.avg_pool2(full))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         seed=st.integers(0, 2**32 - 1),
         out_c=st.integers(1, 9),
@@ -175,19 +112,19 @@ class TestBandedConv:
         rng = np.random.default_rng(seed)
         x = Tensor3(rng.normal(size=(in_c, 2 * half_h, w)))
         params = random_conv(rng, out_c, in_c, k)
-        full = conv_oracle(x, params)
-        fused = fused_oracle(x, params)
+        full = ref.conv2d(x, params.kernel, params.bias)
+        fused = ref.conv2d_pool2(x, params)
         pooled = conv2d_pool2(x, params).data
         assert pooled.tobytes() == fused.tobytes()
-        assert_near_conv_then_pool(pooled, pool_oracle(full))
+        assert_near_conv_then_pool(pooled, ref.avg_pool2(full))
         banded = _conv_bands(x, params.kernel, params.bias, 1, rows)
         assert banded.tobytes() == full.tobytes()
-        strided = _conv_bands(x, fused_kernel(params.kernel), params.bias, 2, rows)
+        strided = _conv_bands(x, ref.pool_kernel(params.kernel), params.bias, 2, rows)
         assert strided.tobytes() == fused.tobytes()
 
     SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.7e308, -1.7e308]
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         seed=st.integers(0, 2**32 - 1),
         shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)),
@@ -206,10 +143,10 @@ class TestBandedConv:
         kernel *= 0.9 / np.abs(kernel).sum(axis=(1, 2, 3), keepdims=True)
         tiny = rng.uniform(size=kernel.shape) < 0.3
         kernel[tiny] = rng.choice(self.SPECIAL[:6], size=int(tiny.sum()))
-        params = conv_of(out_c, in_c, k, kernel=kernel, bias=rng.normal(size=out_c))
-        assert _pool2_kernel(params.kernel).tobytes() == fused_kernel(params.kernel).tobytes()
+        params = conv_params(out_c, in_c, k, kernel=kernel, bias=rng.normal(size=out_c))
+        assert _pool2_kernel(params.kernel).tobytes() == ref.pool_kernel(params.kernel).tobytes()
         got = conv2d_pool2(Tensor3(x), params).data
-        assert got.tobytes() == fused_oracle(Tensor3(x), params).tobytes()
+        assert got.tobytes() == ref.conv2d_pool2(Tensor3(x), params).tobytes()
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("w", [2, 4])
@@ -217,32 +154,33 @@ class TestBandedConv:
         # Every tap reads -0.0 and the bias is -0.0: the sum before the bias is +0.0,
         # and +0.0 + -0.0 stays +0.0.
         x = Tensor3.full(2, 2, w, -0.0)
-        params = conv_of(3, 2, k, kernel=np.ones((3, 2, k, k)), bias=np.full(3, -0.0))
+        params = conv_params(3, 2, k, kernel=np.ones((3, 2, k, k)), bias=np.full(3, -0.0))
         got = conv2d_pool2(x, params).data
-        assert got.tobytes() == fused_oracle(x, params).tobytes() == np.zeros((3, 1, w // 2)).tobytes()
+        assert got.tobytes() == ref.conv2d_pool2(x, params).tobytes() == np.zeros((3, 1, w // 2)).tobytes()
 
     @pytest.mark.parametrize("h, w", [(64, 96), (448, 800), (128, 192), (8, 4)])
     def test_encode_image_equals_conv_then_pool(self, h, w):
         params = build_params(PipelineConfig(), 2, 8)
         x = Tensor3(np.random.default_rng(h).uniform(size=(3, h, w)))
         got = encode_image(x, params.enc1, params.enc2).data
-        fused = fused_oracle(Tensor3(fused_oracle(x, params.enc1)), params.enc2)
+        fused = ref.conv2d_pool2(Tensor3(ref.conv2d_pool2(x, params.enc1)), params.enc2)
         assert got.tobytes() == fused.tobytes()
-        f1 = pool_oracle(conv_oracle(x, params.enc1))
-        assert_near_conv_then_pool(got, pool_oracle(conv_oracle(Tensor3(f1), params.enc2)))
+        f1 = ref.avg_pool2(ref.conv2d(x, params.enc1.kernel, params.enc1.bias))
+        f2 = ref.avg_pool2(ref.conv2d(Tensor3(f1), params.enc2.kernel, params.enc2.bias))
+        assert_near_conv_then_pool(got, f2)
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ValueError, match="^pooling needs even dims, got 5x6$"):
-            conv2d_pool2(Tensor3.zeros(1, 5, 6), conv_of(2, 1))
+            conv2d_pool2(Tensor3.zeros(1, 5, 6), conv_params(2, 1))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError, match="input channels"):
-            conv2d_pool2(Tensor3.zeros(2, 4, 4), conv_of(1, 3))
+            conv2d_pool2(Tensor3.zeros(2, 4, 4), conv_params(1, 3))
 
     @pytest.mark.parametrize("conv", [conv2d_replicate, conv2d_pool2])
     def test_non_finite_output_rejected(self, conv):
         x = Tensor3.full(1, 4, 4, 1e308)
-        params = conv_of(1, 1, kernel=np.full((1, 1, 3, 3), 10.0))
+        params = conv_params(1, 1, kernel=np.full((1, 1, 3, 3), 10.0))
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="^Tensor3 values must be finite$"):
                 conv(x, params)
@@ -289,14 +227,14 @@ class TestBuildGuidance:
 class TestGenerateOffsets:
     def test_zero_parameters(self):
         i = Tensor3.full(1, 3, 3, 0.7)
-        dp, dw = generate_offsets(i, conv_of(3, 1))
+        dp, dw = generate_offsets(i, conv_params(3, 1))
         np.testing.assert_array_equal(dp.data, 0.0)
         np.testing.assert_array_equal(dw.data, 0.5)
 
     def test_bias_only(self):
         i = Tensor3.full(1, 3, 3, 0.7)
         dp, dw = generate_offsets(
-            i, conv_of(3, 1, bias=np.array([1.0, -1.0, 0.0]))
+            i, conv_params(3, 1, bias=np.array([1.0, -1.0, 0.0]))
         )
         np.testing.assert_array_equal(dp.data[0], 1.0)
         np.testing.assert_array_equal(dp.data[1], -1.0)
@@ -307,19 +245,19 @@ class TestGenerateOffsets:
         i = Tensor3.full(1, 4, 4, c)
         kernel = np.zeros((3, 1, 3, 3))
         kernel[:, 0, 1, 1] = 1.0
-        dp, dw = generate_offsets(i, conv_of(3, 1, kernel=kernel))
+        dp, dw = generate_offsets(i, conv_params(3, 1, kernel=kernel))
         np.testing.assert_allclose(dp.data, c, rtol=1e-12)
         np.testing.assert_allclose(dw.data, sigmoid(c), rtol=1e-12)
 
     def test_channel_contract_enforced(self):
         i = Tensor3.full(1, 3, 3, 0.5)
         with pytest.raises(ValueError, match="3"):
-            generate_offsets(i, conv_of(4, 1))
+            generate_offsets(i, conv_params(4, 1))
 
     def test_weights_strictly_inside_unit_interval(self):
         i = Tensor3.full(1, 3, 3, 1.0)
         _, dw = generate_offsets(
-            i, conv_of(3, 1, bias=np.array([0.0, 0.0, 80.0]))
+            i, conv_params(3, 1, bias=np.array([0.0, 0.0, 80.0]))
         )
         assert (dw.data > 0.0).all() and (dw.data < 1.0).all()
 
@@ -456,3 +394,28 @@ class TestGuidedWarp:
             guided_warp(f, Tensor3.zeros(3, 4, 4), Tensor3.zeros(1, 4, 4), [1.0])
         with pytest.raises(ValueError, match="spatial"):
             guided_warp(f, Tensor3.zeros(2, 3, 4), Tensor3.zeros(1, 3, 4), [1.0])
+
+
+def test_darker_quartile_gets_larger_offsets():
+    """PAPER.md: 2D-IGS assigns larger offsets to darker regions. On 40 desk scenes
+    lit by two dim lights, with parameter seeds 0 and 1, the mean offset length over
+    the darkest quartile of I' exceeds the mean over its brightest quartile."""
+    failures = []
+    for scene_seed, param_seed in itertools.product(range(40), (0, 1)):
+        rng = np.random.default_rng(scene_seed)
+        lights = tuple(
+            Light(rng.uniform(0, 96), rng.uniform(0, 64), rng.uniform(0.2, 0.8), rng.uniform(6, 20))
+            for _ in range(2)
+        )
+        bundle = gen_scene(SceneConfig(seed=scene_seed, random_boxes=3, lights=lights))
+        pc = PipelineConfig(seed=param_seed)
+        params = build_params(pc, len(bundle.classes), bundle.bev.nz)
+        illum, _, _, enhanced, _ = enhance_stage(pc, bundle.image, None)
+        f_img = encode_image(enhanced, params.enc1, params.enc2)
+        i_prime, _, dp_mod, _ = igs_stage(pc, params, illum, f_img)
+        length = np.hypot(dp_mod.data[0::2], dp_mod.data[1::2]).mean(axis=0)
+        lo, hi = np.quantile(i_prime.data[0], [0.25, 0.75])
+        dark, bright = length[i_prime.data[0] <= lo].mean(), length[i_prime.data[0] >= hi].mean()
+        if not dark > bright:
+            failures.append((scene_seed, param_seed, dark / bright))
+    assert failures == []

@@ -394,7 +394,7 @@ class TestRunPipeline:
 class TestClassArgmax:
     """The head's per-class label passes against `argmax` over the class axis."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         seed=st.integers(0, 2**32 - 1),
         dims=st.tuples(st.integers(1, 4), st.integers(1, 140), st.integers(1, 5), st.integers(1, 5)),
@@ -451,7 +451,7 @@ def scene_configs():
 
 
 class TestRerunProperty:
-    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=12, suppress_health_check=[HealthCheck.too_slow])
     @given(cfg=scene_configs(), seed=st.integers(0, 2**16), n_z=st.integers(1, 4))
     def test_reruns_are_bit_identical(self, cfg, seed, n_z):
         pc = PipelineConfig(seed=seed, n_z=n_z)

@@ -1,13 +1,10 @@
 """Each pixel convention has one implementation; these pin it to the bytes of
-the copies it replaced.
-
-The references below are the earlier bodies, unchanged but for silenced
-cast warnings: a bilinear sampler with one boolean-masked gather per corner,
-a gradient that reads its corners through a closure, an illumination field
-that builds, projects and floors its own column grid, a projection that
-divides by a safe depth everywhere, and a column grid projected in one call.
-The projection reference forms its product in the order the projection
-promises, since a BLAS product's bits depend on the CPU's kernel.
+the references in `reference.py`, which are the earlier bodies it replaced: a
+bilinear sampler with one boolean-masked gather per corner, a gradient that
+reads its corners one by one, an illumination field and a column grid
+projected in one call, and a projection that divides by a safe depth
+everywhere. The projection reference forms its product in the order the
+projection promises, since a BLAS product's bits depend on the CPU's kernel.
 """
 
 import os
@@ -24,6 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import nightbev.geometry
+import reference as ref
 from nightbev.core import PixelCoord, Tensor3, bilinear_sample_grad, bilinear_sample_many
 from nightbev.geometry import (
     COLUMN_BLOCK,
@@ -37,123 +35,9 @@ from nightbev.geometry import (
     sample_heights,
 )
 from nightbev.pipeline import PipelineConfig, build_params
+from reference import overhead_camera
 
 INF = float("inf")
-
-
-def masked_bilinear_sample_many(f, u, v):
-    """Reference: one masked gather per corner, skipping corners off the map."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    u, v = np.broadcast_arrays(u, v)
-    data = f.data.astype(np.float64, copy=False)
-    c, h, w = data.shape
-
-    x0 = np.floor(u)
-    y0 = np.floor(v)
-    with np.errstate(invalid="ignore"):  # non-finite positions give junk, masked below
-        wx = u - x0
-        wy = v - y0
-        x0i = x0.astype(np.int64)
-        y0i = y0.astype(np.int64)
-
-    out = np.zeros((c,) + u.shape, dtype=np.float64)
-    corners = (
-        (0, 0, (1.0 - wx) * (1.0 - wy)),
-        (1, 0, wx * (1.0 - wy)),
-        (0, 1, (1.0 - wx) * wy),
-        (1, 1, wx * wy),
-    )
-    for dx, dy, wgt in corners:
-        xi = x0i + dx
-        yi = y0i + dy
-        m = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-        if m.any():
-            out[:, m] += wgt[m] * data[:, yi[m], xi[m]]
-    return out
-
-
-def closure_bilinear_sample_grad(f, at):
-    """Reference: value and partials with corners read one by one."""
-    u = float(at[0])
-    v = float(at[1])
-    data = f.data.astype(np.float64, copy=False)
-    c, h, w = data.shape
-    x0 = int(np.floor(u))
-    y0 = int(np.floor(v))
-    wx = u - x0
-    wy = v - y0
-
-    def pix(xi, yi):
-        if 0 <= xi < w and 0 <= yi < h:
-            return data[:, yi, xi]
-        return np.zeros(c, dtype=np.float64)
-
-    f00 = pix(x0, y0)
-    f10 = pix(x0 + 1, y0)
-    f01 = pix(x0, y0 + 1)
-    f11 = pix(x0 + 1, y0 + 1)
-
-    value = (
-        (1.0 - wx) * (1.0 - wy) * f00
-        + wx * (1.0 - wy) * f10
-        + (1.0 - wx) * wy * f01
-        + wx * wy * f11
-    )
-    du = (1.0 - wy) * (f10 - f00) + wy * (f11 - f01)
-    dv = (1.0 - wx) * (f01 - f00) + wx * (f11 - f10)
-    return value, du, dv
-
-
-def safe_depth_project_points(m, pts):
-    """Reference: ((x*a + y*b) + z*c) + t broadcast over the matrix rows, then a
-    division by a safe depth everywhere."""
-    pts = np.asarray(pts, dtype=np.float64)
-    a = m.matrix[:, :3]
-    t = m.matrix[:, 3]
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite points
-        x, y, z = (pts[..., k, None] for k in range(3))
-        h = ((x * a[:, 0] + y * a[:, 1]) + z * a[:, 2]) + t
-        depth = h[..., 2]
-        valid = depth > DEPTH_EPS
-        safe = np.where(valid, depth, 1.0)
-        u = np.where(valid, h[..., 0] / safe, 0.0)
-        v = np.where(valid, h[..., 1] / safe, 0.0)
-    return u, v, depth, valid
-
-
-def full_grid_column_pixels(m, spec, n_z, height, width):
-    """Reference: the pixel index of the whole column grid projected in one call."""
-    pts = np.empty((spec.nx, spec.ny, n_z, 3))
-    pts[..., 0] = spec.x_centers()[:, None, None]
-    pts[..., 1] = spec.y_centers()[None, :, None]
-    pts[..., 2] = sample_heights(spec, n_z)
-    u, v, _, valid = safe_depth_project_points(m, pts)
-    iu = np.floor(u)
-    iv = np.floor(v)
-    in_map = valid & (iu >= 0) & (iu <= width - 1) & (iv >= 0) & (iv <= height - 1)
-    pixel = np.full(u.shape, -1, dtype=np.int64)
-    pixel[in_map] = (iv[in_map] * width + iu[in_map]).astype(np.int64)
-    return pixel
-
-
-def floor_illumination_field(i, m, spec, n_z):
-    """Reference: the field with its own column grid, projection and floor gate."""
-    heights = sample_heights(spec, n_z)
-    gx, gy, gz = np.meshgrid(spec.x_centers(), spec.y_centers(), heights, indexing="ij")
-    pts = np.stack([gx, gy, gz], axis=-1)
-    u, v, _, valid = project_points(m, pts)
-
-    with np.errstate(invalid="ignore"):
-        iu = np.floor(u).astype(np.int64)
-        iv = np.floor(v).astype(np.int64)
-    in_image = valid & (iu >= 0) & (iu <= i.width - 1) & (iv >= 0) & (iv <= i.height - 1)
-    values = np.zeros_like(u)
-    if in_image.any():
-        values[in_image] = i.data[0, iv[in_image], iu[in_image]]
-    counts = in_image.sum(axis=-1)
-    sums = values.sum(axis=-1)
-    return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
 
 
 def map_data(channels, height, width):
@@ -192,7 +76,7 @@ def map_and_points(draw, finite=False):
 
 
 class TestBilinearOracle:
-    @settings(max_examples=250, deadline=None)
+    @settings(max_examples=250)
     @given(map_and_points())
     @example((Tensor3(np.full((1, 1, 1), -0.0)), np.array([0.0, -0.0, 0.5]), np.array([0.0, 0.0, -0.5])))
     @example((Tensor3(np.full((2, 1, 1), 3.0)), np.array([-INF, INF, 0.0]), np.array([0.0, 0.0, INF])))
@@ -200,17 +84,17 @@ class TestBilinearOracle:
         f, u, v = case
         out = bilinear_sample_many(f, u, v)
         assert out.shape == (f.channels, u.size)
-        assert out.tobytes() == masked_bilinear_sample_many(f, u, v).tobytes()
+        assert out.tobytes() == ref.bilinear_sample_many(f, u, v).tobytes()
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(map_and_points())
     def test_broadcast_shapes_match_reference(self, case):
         f, u, v = case
         u2, v2 = u[:, None], v[None, :3]
-        assert bilinear_sample_many(f, u2, v2).tobytes() == masked_bilinear_sample_many(f, u2, v2).tobytes()
+        assert bilinear_sample_many(f, u2, v2).tobytes() == ref.bilinear_sample_many(f, u2, v2).tobytes()
         one = bilinear_sample_many(f, u[0], v[0])
         assert one.shape == (f.channels,)
-        assert one.tobytes() == masked_bilinear_sample_many(f, u[0], v[0]).tobytes()
+        assert one.tobytes() == ref.bilinear_sample_many(f, u[0], v[0]).tobytes()
 
     def test_non_finite_positions_read_positive_zero_without_warnings(self):
         f = Tensor3(np.full((2, 3, 4), -0.5))
@@ -228,37 +112,20 @@ class TestBilinearOracle:
 
 
 class TestBilinearGradOracle:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(map_and_points(finite=True))
     @example((Tensor3(np.full((1, 1, 1), -0.0)), np.array([0.0, -0.0]), np.array([-0.0, 0.5])))
     def test_value_and_partials_equal_reference_bytes(self, case):
         f, u, v = case
         for at in zip(u, v):
             got = bilinear_sample_grad(f, PixelCoord(*at))
-            expected = closure_bilinear_sample_grad(f, at)
+            expected = ref.bilinear_sample_grad(f, at)
             for g, e in zip(got, expected):
                 assert np.asarray(g).tobytes() == np.asarray(e).tobytes()
 
 
-def overhead_view(spec, h, w, f_scale, shift, tilt):
-    """A camera above the grid looking down; f_scale 1 frames the grid in an h x w map."""
-    xc, yc = np.mean(spec.x_range), np.mean(spec.y_range)
-    top = spec.z_range[1] + 5.0
-    span_x = spec.x_range[1] - spec.x_range[0]
-    span_y = spec.y_range[1] - spec.y_range[0]
-    f = 0.9 * min(w / span_x, h / span_y) * 5.0 * f_scale
-    cu, cv = w / 2 + shift[0], h / 2 + shift[1]
-    return CameraMatrix(
-        [
-            [f, 0.0, -cu, -f * xc + cu * top],
-            [0.0, -f, -cv, f * yc + cv * top],
-            [tilt, 0.0, -1.0, top],  # a tilt leans the image plane; depth may turn negative
-        ]
-    )
-
-
 class TestIlluminationFieldOracle:
-    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
     @given(
         cells=st.tuples(st.integers(1, 8), st.integers(1, 8)),
         n_z=st.integers(1, 6),
@@ -269,20 +136,15 @@ class TestIlluminationFieldOracle:
         data=st.data(),
     )
     def test_bytes_equal_reference(self, cells, n_z, hw, f_scale, shift, tilt, data):
-        spec = BevSpec(
-            x_range=(-1.0, -1.0 + 0.5 * cells[0]),
-            y_range=(2.0, 2.0 + 0.5 * cells[1]),
-            z_range=(-1.0, 2.0),
-            voxel=0.5,
-        )
+        spec = ref.small_grid(cells)
         i = Tensor3(data.draw(map_data(1, *hw)))
         try:
-            m = overhead_view(spec, *hw, f_scale, shift, tilt)
+            m = overhead_camera(spec, *hw, f_scale, shift, tilt)
         except ValueError as exc:  # the 3x3 block's determinant is f * (f - cu * tilt)
             assert "singular" in str(exc)
             reject()
         field = illumination_field(i, m, spec, n_z)
-        assert field.tobytes() == floor_illumination_field(i, m, spec, n_z).tobytes()
+        assert field.tobytes() == ref.illumination_field(i, m, spec, n_z).tobytes()
 
 
 def assert_same_bytes(got, expected):
@@ -290,53 +152,22 @@ def assert_same_bytes(got, expected):
         assert g.dtype == e.dtype and g.shape == e.shape and g.tobytes() == e.tobytes()
 
 
-@st.composite
-def grid_views(draw):
-    """A small BEV grid, a camera looking at it from above or drawn at random, and a map size."""
-    cells = draw(st.tuples(st.integers(1, 9), st.integers(1, 9)))
-    spec = BevSpec(
-        x_range=(-1.0, -1.0 + 0.5 * cells[0]),
-        y_range=(2.0, 2.0 + 0.5 * cells[1]),
-        z_range=(-1.0, 2.0),
-        voxel=0.5,
-    )
-    hw = draw(st.tuples(st.integers(1, 10), st.integers(1, 10)))
-    try:
-        if draw(st.booleans()):
-            m = overhead_view(
-                spec,
-                *hw,
-                draw(st.floats(0.2, 6.0)),
-                draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))),
-                draw(st.sampled_from([0.0, 0.3, -1.5, -3.0])),
-            )
-        else:
-            m = CameraMatrix(draw(arrays(np.float64, (3, 4), elements=st.floats(-4.0, 4.0))))
-    except ValueError as exc:
-        assert "singular" in str(exc)
-        reject()
-    return spec, m, hw
-
-
 class TestColumnPixels:
     def test_projection_floors_and_gate(self):
         spec = BevSpec(x_range=(-1.0, 3.0), y_range=(2.0, 5.0), z_range=(-1.0, 2.0), voxel=0.5)
-        m = overhead_view(spec, 6, 7, 1.6, (1.0, -0.5), -3.0)
+        m = overhead_camera(spec, 6, 7, 1.6, (1.0, -0.5), -3.0)
         pixel = column_pixels(m, spec, 4, 6, 7)
-        heights = sample_heights(spec, 4)
-        gx, gy, gz = np.meshgrid(spec.x_centers(), spec.y_centers(), heights, indexing="ij")
-        u, v, _, valid = project_points(m, np.stack([gx, gy, gz], axis=-1))
+        u, v, valid, in_map = ref.column_samples(m, spec, 4, 6, 7)
         iu, iv = np.floor(u), np.floor(v)
-        in_map = valid & (iu >= 0) & (iu < 7) & (iv >= 0) & (iv < 6)
         assert pixel.dtype == np.int64 and pixel.shape == (8, 6, 4)
         np.testing.assert_array_equal(pixel >= 0, in_map)
         np.testing.assert_array_equal(pixel[in_map], iv[in_map] * 7 + iu[in_map])
         np.testing.assert_array_equal(pixel[~in_map], -1)
         assert not valid.all() and 0 < in_map.sum() < valid.sum()
 
-    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
     @given(
-        view=grid_views(),
+        view=ref.grid_views(),
         n_z=st.integers(1, 6),
         block=st.sampled_from([1, 2, 3, 5, 7, 16, 40, COLUMN_BLOCK]),
     )
@@ -344,7 +175,7 @@ class TestColumnPixels:
         spec, m, (h, w) = view
         with mock.patch.object(nightbev.geometry, "COLUMN_BLOCK", block):
             got = column_pixels(m, spec, n_z, h, w)
-        assert_same_bytes([got], [full_grid_column_pixels(m, spec, n_z, h, w)])
+        assert_same_bytes([got], [ref.column_pixels(m, spec, n_z, h, w)])
 
     @pytest.mark.parametrize(
         "ny,n_z,nx",
@@ -358,9 +189,9 @@ class TestColumnPixels:
     def test_block_boundaries_at_the_real_block_size(self, ny, n_z, nx):
         half_y = 0.125 * ny
         spec = BevSpec(x_range=(0.0, 0.25 * nx), y_range=(-half_y, half_y), z_range=(-1.0, 2.0), voxel=0.25)
-        m = overhead_view(spec, 48, 64, 2.0, (2.0, -1.0), 0.3)
+        m = overhead_camera(spec, 48, 64, 2.0, (2.0, -1.0), 0.3)
         got = column_pixels(m, spec, n_z, 48, 64)
-        assert_same_bytes([got], [full_grid_column_pixels(m, spec, n_z, 48, 64)])
+        assert_same_bytes([got], [ref.column_pixels(m, spec, n_z, 48, 64)])
         assert 0 < (got >= 0).sum() < got.size
 
     @pytest.mark.parametrize(
@@ -382,7 +213,7 @@ class TestColumnPixels:
         spec = BevSpec(x_range=(x0, x0 + 0.25 * nx), y_range=(-half_y, half_y), z_range=(-1.0, 2.0), voxel=0.25)
         m = CameraMatrix([[0.0, 0.0625, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [lean, 0.0, -lean, DEPTH_EPS]])
         got = column_pixels(m, spec, n_z, 48, 64)
-        assert_same_bytes([got], [full_grid_column_pixels(m, spec, n_z, 48, 64)])
+        assert_same_bytes([got], [ref.column_pixels(m, spec, n_z, 48, 64)])
         _, _, depth, valid = project_points(m, [spec.x_centers()[0], spec.y_centers()[0], z_k])
         assert depth == DEPTH_EPS and not valid
         assert 0 < (got >= 0).sum() < got.size
@@ -401,7 +232,7 @@ class TestProjectPointsBits:
             with warnings.catch_warnings():  # inf / inf in front of the camera is NaN
                 warnings.simplefilter("ignore", RuntimeWarning)
                 got = [np.asarray(a) for a in project_points(m, pts)]
-            assert_same_bytes(got, [np.asarray(a) for a in safe_depth_project_points(m, pts)])
+            assert_same_bytes(got, [np.asarray(a) for a in ref.project_points(m, pts)])
             u, v, _, valid = got
             for a in (u, v):  # +0.0, not -0.0, wherever the sample is invalid
                 assert not np.signbit(a[~valid]).any() and (a[~valid] == 0.0).all()
@@ -409,7 +240,7 @@ class TestProjectPointsBits:
         assert not valid[0] and valid[1]  # depth exactly DEPTH_EPS is not in front of the camera
         assert not valid[2:6].any()
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         matrix=arrays(np.float64, (3, 4), elements=st.floats(-4.0, 4.0)),
         pts=arrays(
@@ -431,7 +262,7 @@ class TestProjectPointsBits:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             u, v, depth, valid = [np.asarray(a) for a in project_points(m, pts)]
-        ref_u, ref_v, ref_depth, ref_valid = [np.asarray(a) for a in safe_depth_project_points(m, pts)]
+        ref_u, ref_v, ref_depth, ref_valid = [np.asarray(a) for a in ref.project_points(m, pts)]
         assert_same_bytes([u, v, valid], [ref_u, ref_v, ref_valid])
         assert depth.dtype == ref_depth.dtype and depth.shape == ref_depth.shape
         assert depth[valid].tobytes() == ref_depth[valid].tobytes()
@@ -486,7 +317,7 @@ class TestSameBytesOnEveryBlasKernel:
             return {"m": m.matrix, "pts": rng.normal(size=(4096, 3)) * 10.0}
         spec = BevSpec(x_range=(0.0, 16.0), y_range=(-8.0, 8.0), z_range=(-1.0, 2.0), voxel=0.5)
         return {
-            "m": overhead_view(spec, 24, 32, 1.0, (0.3, -0.2), 0.05).matrix,
+            "m": overhead_camera(spec, 24, 32, 1.0, (0.3, -0.2), 0.05).matrix,
             "ranges": [spec.x_range, spec.y_range, spec.z_range],
             "voxel": spec.voxel,
             "n_z": 4,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from nightbev.geometry import BevSpec
 from nightbev.scene import (
     Box,
@@ -136,35 +137,6 @@ class TestGenScene:
         assert 0 <= center.v <= cfg.height
 
 
-def meshgrid_occupancy_labels(cfg: SceneConfig, boxes) -> np.ndarray:
-    """Reference: every box tested against full (X, Y, Z) grids of cell centres."""
-    spec = cfg.bev
-    gx, gy, gz = np.meshgrid(spec.x_centers(), spec.y_centers(), spec.z_centers(), indexing="ij")
-    labels = np.zeros(gx.shape, dtype=np.int64)
-    for box in boxes:
-        lo, hi = box.bounds()
-        inside = (
-            (gx >= lo[0]) & (gx <= hi[0])
-            & (gy >= lo[1]) & (gy <= hi[1])
-            & (gz >= lo[2]) & (gz <= hi[2])
-        )
-        labels[inside] = box.cls
-    return labels
-
-
-def meshgrid_light_field(cfg: SceneConfig) -> np.ndarray:
-    """Reference: the light field over full (H, W) grids of columns and rows."""
-    h, w = cfg.height, cfg.width
-    cols, rows = np.meshgrid(
-        np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64), indexing="xy"
-    )
-    raw = np.full((h, w), cfg.ambient, dtype=np.float64)
-    for light in cfg.lights:
-        d2 = (cols - light.u) ** 2 + (rows - light.v) ** 2
-        raw += light.intensity / (1.0 + d2 / (light.radius**2))
-    return raw
-
-
 # Box centres in quarter metres and sizes in half metres put every face on a
 # multiple of 0.25 m, so about half of them land exactly on a cell centre (odd
 # multiples of 0.25 m); the wide centre range puts some boxes partly or wholly
@@ -182,7 +154,7 @@ _LIGHTS = st.lists(
 
 
 class TestPerAxisGridsMatchMeshgrids:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(raw=_BOXES)
     @example(raw=[((5, 0, 0), (2, 2, 2), 1)])  # faces at 0.75 and 1.75 m: cell centres
     @example(raw=[((-12, -12, -12), (1, 1, 1), 2), ((28, 28, 28), (3, 3, 3), 3)])  # outside
@@ -193,11 +165,11 @@ class TestPerAxisGridsMatchMeshgrids:
         ]
         cfg = SceneConfig(bev=QUARTER_GRID)
         got = _occupancy_labels(cfg, boxes)
-        expected = meshgrid_occupancy_labels(cfg, boxes)
+        expected = ref.occupancy_labels(cfg, boxes)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         hw=st.tuples(st.integers(4, 20), st.integers(4, 20)),
         ambient=st.floats(0.01, 1.0),
@@ -209,7 +181,7 @@ class TestPerAxisGridsMatchMeshgrids:
             height=hw[0], width=hw[1], ambient=ambient, lights=tuple(Light(*a) for a in raw)
         )
         got = _light_field(cfg)
-        expected = meshgrid_light_field(cfg)
+        expected = ref.light_field(cfg)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference as ref
 from nightbev.core import Tensor3
 from nightbev.illumination import retinex_enhance
 from nightbev.selective import (
@@ -13,36 +14,6 @@ from nightbev.selective import (
     otsu_threshold,
     selective_enhance,
 )
-
-
-def brute_force_scan(factors, bins):
-    """Independent exhaustive scan over all bin edges, plain Python loops."""
-    n = len(factors)
-    best_sigma = -1.0
-    sigmas = []
-    for k in range(1, bins + 1):
-        t = k / bins
-        below = [f for f in factors if f <= t]
-        above = [f for f in factors if f > t]
-        if not below or not above:
-            sigmas.append(0.0)
-            continue
-        om0 = len(below) / n
-        om1 = 1.0 - om0
-        mu0 = sum(below) / len(below)
-        mu1 = sum(above) / len(above)
-        mu_t = om0 * mu0 + om1 * mu1
-        d0 = mu0 - mu_t
-        d1 = mu1 - mu_t
-        sigmas.append(om0 * (d0 * d0) + om1 * (d1 * d1))
-    best_sigma = max(sigmas)
-    return sigmas, best_sigma
-
-
-def snapped(rng, values):
-    """Snap factors onto a dyadic grid so group sums are rounding-free."""
-    grid = np.clip(np.rint(np.asarray(values) * 2048.0), 1, 2048)
-    return grid / 2048.0
 
 
 class TestFactorPopulation:
@@ -65,10 +36,9 @@ class TestOtsuThreshold:
     def test_two_cluster_hand_case(self):
         pop = FactorPopulation(np.array([0.2, 0.2, 0.8, 0.8]))
         report = otsu_threshold(pop)
-        sigmas, best = brute_force_scan([0.2, 0.2, 0.8, 0.8], 256)
         assert report.t_star == 0.5  # midpoint of the maximizing plateau
         assert report.sigma_b2 == pytest.approx(0.09, abs=1e-12)
-        assert report.sigma_b2 == best
+        assert report.sigma_b2 == ref.otsu_scan([0.2, 0.2, 0.8, 0.8], 256).max()
         assert not report.degenerate
 
     def test_degenerate_population(self):
@@ -79,8 +49,7 @@ class TestOtsuThreshold:
 
     def test_bimodal_maximizer_between_modes(self):
         rng = np.random.default_rng(23)
-        factors = snapped(
-            rng,
+        factors = ref.dyadic(
             np.concatenate(
                 [
                     rng.normal(0.15, 0.03, size=500),
@@ -90,21 +59,19 @@ class TestOtsuThreshold:
         )
         report = otsu_threshold(FactorPopulation(factors))
         assert 0.2 < report.t_star < 0.8
-        _, best = brute_force_scan(list(factors), 256)
-        assert report.sigma_b2 == best
+        assert report.sigma_b2 == ref.otsu_scan(factors, 256).max()
 
     def test_sigma_dominates_every_edge(self):
         rng = np.random.default_rng(29)
         for _ in range(5):
-            factors = snapped(rng, rng.uniform(0.02, 1.0, size=120))
+            factors = ref.dyadic(rng.uniform(0.02, 1.0, size=120))
             pop = FactorPopulation(factors, bins=64)
             report = otsu_threshold(pop)
-            sigmas, _ = brute_force_scan(list(factors), 64)
-            assert all(report.sigma_b2 >= s for s in sigmas)
+            assert (report.sigma_b2 >= ref.otsu_scan(factors, 64)).all()
 
     def test_duplication_leaves_threshold_unchanged(self):
         rng = np.random.default_rng(31)
-        factors = snapped(rng, rng.uniform(0.05, 0.95, size=60))
+        factors = ref.dyadic(rng.uniform(0.05, 0.95, size=60))
         single = otsu_threshold(FactorPopulation(factors))
         doubled = otsu_threshold(FactorPopulation(np.concatenate([factors, factors])))
         assert doubled.t_star == single.t_star
@@ -112,7 +79,7 @@ class TestOtsuThreshold:
 
     def test_report_invariants(self):
         rng = np.random.default_rng(37)
-        factors = snapped(rng, rng.uniform(0.05, 0.95, size=80))
+        factors = ref.dyadic(rng.uniform(0.05, 0.95, size=80))
         report = otsu_threshold(FactorPopulation(factors))
         assert report.omega0 + report.omega1 == pytest.approx(1.0, abs=1e-12)
         recombined = report.omega0 * report.mu0 + report.omega1 * report.mu1
@@ -120,8 +87,8 @@ class TestOtsuThreshold:
 
     def test_inter_class_variance_matches_scan(self):
         rng = np.random.default_rng(41)
-        factors = snapped(rng, rng.uniform(0.05, 0.95, size=50))
-        sigmas, _ = brute_force_scan(list(factors), 32)
+        factors = ref.dyadic(rng.uniform(0.05, 0.95, size=50))
+        sigmas = ref.otsu_scan(factors, 32)
         for k in range(1, 33):
             assert inter_class_variance(factors, k / 32) == sigmas[k - 1]
 
