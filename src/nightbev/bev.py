@@ -136,9 +136,12 @@ def bev_pool(dc: DepthContext, m: CameraMatrix, spec: BevSpec) -> Tensor3:
     # Contributions flatten in (bin, row, column) order; bincount accumulates
     # sequentially in that order, keeping per-cell sums bit-stable.
     flat_cell = ix * ny + iy
+    # Each in-range pair's depth mass and pixel; products are formed only there.
+    mass = dc.depth.data[in_range]
+    pix = np.flatnonzero(in_range) % (h * w)
     out = np.zeros((dc.f_ctx.channels, nx, ny), dtype=np.float64)
     for c in range(dc.f_ctx.channels):
-        contrib = (dc.depth.data * dc.f_ctx.data[c][None])[in_range]
+        contrib = mass * dc.f_ctx.data[c].ravel().take(pix)
         out[c] = np.bincount(flat_cell, weights=contrib, minlength=nx * ny).reshape(
             nx, ny
         )

@@ -22,6 +22,7 @@ import numpy as np
 # Raw tensor file dtype tags -> little-endian numpy dtypes.
 RAW_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 _MAX_HEADER_BYTES = 4096
+LEVEL_BLOCK_BYTES = 1 << 20  # about 1 MiB: the size of one block of `level_blocks`
 
 
 class PixelCoord(NamedTuple):
@@ -40,6 +41,13 @@ def frozen_array(value, what: str, dtype=np.float64) -> np.ndarray:
         raise ValueError(f"{what} must be finite")
     arr.flags.writeable = False
     return arr
+
+
+def level_blocks(levels: int, level_bytes: int) -> list[slice]:
+    """Consecutive blocks of whole levels, in order, about `LEVEL_BLOCK_BYTES`
+    each and at least one level, when each level holds `level_bytes`."""
+    step = max(1, LEVEL_BLOCK_BYTES // level_bytes)
+    return [slice(start, start + step) for start in range(0, levels, step)]
 
 
 @dataclass(frozen=True)

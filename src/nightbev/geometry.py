@@ -28,7 +28,8 @@ class CameraMatrix:
         m = frozen_array(self.matrix, "camera matrix")
         if m.shape != (3, 4):
             raise ValueError(f"camera matrix must be 3x4, got {m.shape}")
-        det = float(np.linalg.det(m[:, :3]))
+        with np.errstate(all="ignore"):  # LU of a block with subnormals divides by zero
+            det = float(np.linalg.det(m[:, :3]))
         if not np.isfinite(det) or abs(det) < 1e-12:
             raise ValueError("camera matrix 3x3 block is singular")
         object.__setattr__(self, "matrix", m)

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import level_blocks
+
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -78,16 +80,14 @@ def _class_sum(term, start: int, n: int) -> np.ndarray:
     return _class_sum(term, start, half) + _class_sum(term, start + half, n - half)
 
 
-def _ce_terms(logits, labels, weights):
-    """Loss plus the per-voxel max and log-sum-exp the gradient reuses.
+def _ce_block(block, labels, weights, out):
+    """Writes each voxel's weighted term of a (..., n_cla) block into `out`.
 
-    Every per-voxel array is computed one class plane `logits[..., k]` at a
-    time, in the memory layout of those planes, with no copy of the labels in
-    that layout; the per-voxel terms, weighted in the labels' C order, are
-    then summed once in C order of the leading axes.
+    Every per-voxel array is computed one class plane of the block at a time,
+    in the memory layout of those planes. Returns the block's per-voxel max
+    and log-sum-exp, which the gradient reuses.
     """
-    logits, labels, weights = _check_logits(logits, labels, weights)
-    planes = [logits[..., k] for k in range(logits.shape[-1])]
+    planes = np.moveaxis(block, -1, 0)  # class-first view
     peak = np.copy(planes[0], order="K")
     for plane in planes[1:]:
         np.maximum(peak, plane, out=peak)
@@ -103,9 +103,28 @@ def _ce_terms(logits, labels, weights):
     for k in range(1, len(planes)):
         np.copyto(picked, planes[k], where=np.equal(labels, k, out=is_k))
     picked -= peak
-    per_voxel = weights[labels]
-    per_voxel *= np.subtract(lse, picked, out=picked)
-    return float(per_voxel.ravel(order="C").sum()), peak, lse, labels, weights
+    np.multiply(weights[labels], np.subtract(lse, picked, out=picked), out=out)
+    return peak, lse
+
+
+def _weighted_ce(logits, labels, weights, on_block=None) -> float:
+    """The loss, in `level_blocks` along the first leading axis.
+
+    Each block's labels and per-voxel terms are contiguous in C order, and
+    each of its class planes is a set of contiguous runs for the head's
+    (Z, n_cla, X, Y) layout, so a block's work stays in cache. The blocks
+    write their weighted terms into one per-voxel array, which is summed
+    once in C order. `on_block(block, labels, weights, peak, lse)` sees every
+    block after its terms are written.
+    """
+    logits, labels, weights = _check_logits(logits, labels, weights)
+    per_voxel = np.empty(labels.shape)
+    for rows in level_blocks(len(labels), logits.nbytes // len(labels)):
+        block, block_labels = logits[rows], labels[rows]
+        peak, lse = _ce_block(block, block_labels, weights, per_voxel[rows])
+        if on_block is not None:
+            on_block(block, block_labels, weights, peak, lse)
+    return float(per_voxel.ravel(order="C").sum())
 
 
 def weighted_ce(logits, labels, weights) -> float:
@@ -114,20 +133,23 @@ def weighted_ce(logits, labels, weights) -> float:
     `logits` is (..., n_cla), any strides, and `labels` holds the class id of
     each voxel, shape (...); voxels are summed in C order of the leading axes.
     """
-    return _ce_terms(logits, labels, weights)[0]
+    return _weighted_ce(logits, labels, weights)
 
 
 def weighted_ce_grad(logits, labels, weights) -> tuple[float, np.ndarray]:
     """Weighted cross-entropy of (n_vox, n_cla) logits plus its gradient."""
     if np.ndim(logits) != 2:
         raise ValueError("weighted_ce_grad needs (n_vox, n_cla) logits")
-    loss, peak, lse, labels, weights = _ce_terms(logits, labels, weights)
-    n = peak.shape[0]
-    softmax = np.exp((np.asarray(logits, dtype=np.float64) - peak[:, None]) - lse[:, None])
-    grad = softmax
-    grad[np.arange(n), labels] -= 1.0
-    grad *= weights[labels][:, None]
-    return loss, grad
+    grads = []
+
+    def softmax_grad(block, labels, weights, peak, lse):
+        grad = np.exp((block - peak[:, None]) - lse[:, None])
+        grad[np.arange(len(grad)), labels] -= 1.0
+        grad *= weights[labels][:, None]
+        grads.append(grad)
+
+    loss = _weighted_ce(logits, labels, weights, softmax_grad)
+    return loss, np.concatenate(grads)
 
 
 def total_loss(ce: float, aux_sem: float, aux_geo: float, cfg: LossConfig = LossConfig()) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 from .bev import AttentionParams, bev_pool, depth_bin_centers, depth_context_split
 from .bev import refine_bev, residual_query
 from .core import Tensor3, frozen_array, json_block, json_list, json_path, read_json
-from .core import read_raw_tensor
+from .core import level_blocks, read_raw_tensor
 from .formats import write_artifacts
 from .geometry import field_to_tensor, illumination_field
 from .guided_sampling import ConvParams, build_guidance, conv2d_pool2, generate_offsets
@@ -372,15 +372,17 @@ def igs_stage(
     return i_prime, g, dp_mod, warped
 
 
-def _class_argmax(zgrid: np.ndarray) -> np.ndarray:
+def _class_argmax(zgrid: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """`zgrid.argmax(axis=1)`, as one pass per class over the (Z, X, Y) planes.
 
     Class k takes over where it beats the running max, or is NaN where that
     is not, so the first maximum and the first NaN win, as in `argmax`. Every
     earlier label is below k, so `maximum(labels, k * wins)` sets exactly those.
+    The labels go into `out` when it is given.
     """
     best = zgrid[:, 0].copy()
-    labels = np.zeros(best.shape, dtype=np.min_scalar_type(zgrid.shape[1] - 1))
+    labels = np.empty(best.shape, np.min_scalar_type(zgrid.shape[1] - 1)) if out is None else out
+    labels[...] = 0
     wins = np.empty(best.shape, dtype=bool)
     for k in range(1, zgrid.shape[1]):
         plane = zgrid[:, k]
@@ -390,6 +392,31 @@ def _class_argmax(zgrid: np.ndarray) -> np.ndarray:
         np.maximum(labels, np.multiply(wins, k, dtype=labels.dtype), out=labels)
         np.maximum(best, plane, out=best)
     return labels
+
+
+def head_stage(
+    f_bev: Tensor3, weights: np.ndarray, bias: np.ndarray, classes: tuple[str, ...]
+) -> tuple[OccupancyGrid, np.ndarray, np.ndarray]:
+    """Channel-to-height head: the predicted grid, and the logits as two views.
+
+    The (Z·n_cla, X, Y) logits are formed in `level_blocks` of whole
+    z-levels: the einsum over the rows of those levels, the bias, then the
+    labels of those levels. Returns the grid, an (X, Y, Z, n_cla) view of the
+    logits and the (Z·n_cla, X, Y) logits.
+    """
+    n_cla = len(classes)
+    _, nx, ny = f_bev.data.shape
+    grid_z = weights.shape[0] // n_cla
+    logits = np.empty((weights.shape[0], nx, ny))
+    zgrid = logits.reshape(grid_z, n_cla, nx, ny)
+    labels = np.empty((grid_z, nx, ny), dtype=np.min_scalar_type(n_cla - 1))
+    for levels in level_blocks(grid_z, logits.nbytes // grid_z):
+        rows = slice(levels.start * n_cla, levels.stop * n_cla)
+        np.einsum("oc,cxy->oxy", weights[rows], f_bev.data, out=logits[rows])
+        logits[rows] += bias[rows, None, None]
+        _class_argmax(zgrid[levels], out=labels[levels])
+    pred = OccupancyGrid(labels.transpose(1, 2, 0), classes)  # (X, Y, Z)
+    return pred, zgrid.transpose(2, 3, 0, 1), logits
 
 
 @dataclass
@@ -500,16 +527,11 @@ def run_pipeline(
     # Illumination-weighted refinement.
     f_bev = stages.run("refine", refine_bev, q, q_res, s_field)
 
-    # Channel-to-height prediction head.
-    def _head():
-        logits = np.einsum("oc,cxy->oxy", params.head_weights, f_bev.data)
-        logits += params.head_bias[:, None, None]
-        zgrid = logits.reshape(grid_z, n_cla, spec.nx, spec.ny)
-        labels = _class_argmax(zgrid).transpose(1, 2, 0)  # (X, Y, Z)
-        return OccupancyGrid(labels, bundle.classes), zgrid.transpose(2, 3, 0, 1), logits
-
-    # vox_logits is an (X, Y, Z, n_cla) view of the head's (Z, n_cla, X, Y) logits.
-    pred, vox_logits, head_logits = stages.run("head", _head)
+    # Channel-to-height prediction head; vox_logits is an (X, Y, Z, n_cla)
+    # view of the head's (Z, n_cla, X, Y) logits.
+    pred, vox_logits, head_logits = stages.run(
+        "head", head_stage, f_bev, params.head_weights, params.head_bias, bundle.classes
+    )
 
     # Losses against the ground truth grid.
     def _loss():

@@ -7,6 +7,7 @@ import pytest
 
 from nightbev.bev import AttentionParams, DepthContext
 from nightbev.core import (
+    LEVEL_BLOCK_BYTES,
     PixelCoord,
     Tensor3,
     bilinear_sample,
@@ -14,6 +15,7 @@ from nightbev.core import (
     bilinear_sample_many,
     finite_diff_check,
     frozen_array,
+    level_blocks,
     read_raw_tensor,
     write_raw_tensor,
 )
@@ -156,6 +158,15 @@ class TestFrozenArray:
     def test_integer_dtype_is_not_checked_for_finiteness(self):
         arr = frozen_array([[1, 2], [3, 4]], "labels", np.int64)
         assert arr.dtype == np.int64 and not arr.flags.writeable
+
+
+class TestLevelBlocks:
+    def test_blocks_cover_every_level_once_in_order(self):
+        blocks = level_blocks(7, LEVEL_BLOCK_BYTES // 3)
+        assert [np.arange(7)[b].tolist() for b in blocks] == [[0, 1, 2], [3, 4, 5], [6]]
+
+    def test_a_level_larger_than_a_block_is_one_block(self):
+        assert [np.arange(3)[b].tolist() for b in level_blocks(3, 5 * LEVEL_BLOCK_BYTES)] == [[0], [1], [2]]
 
 
 class TestBilinearSample:

@@ -1,6 +1,7 @@
 """Projection, BEV grid spec, height sampling, and the illumination field."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,15 @@ class TestCameraMatrix:
         m[0, 0] = m[1, 1] = 1.0  # rank-2 left block
         with pytest.raises(ValueError, match="singular"):
             CameraMatrix(m)
+
+    def test_rejects_subnormal_singular_block_without_a_warning(self):
+        # np.linalg.det warns "divide by zero" on this block unless told not to.
+        block = [[-0.0, -0.0, 4.0], [-5e-324, 4.0, -1.0], [5e-324, 4.0, 2.2250738585072014e-308]]
+        m = np.hstack([block, np.zeros((3, 1))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="singular"):
+                CameraMatrix(m)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="3x4"):

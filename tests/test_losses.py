@@ -1,12 +1,15 @@
 """Class weighting, weighted cross-entropy, and the composite loss."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nightbev.core
+import nightbev.losses
 import reference as ref
 from nightbev.core import finite_diff_check
 from nightbev.losses import (
@@ -196,10 +199,58 @@ class TestWeightedCeOracle:
             got = weighted_ce(logits, labels, weights)
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
 
+    def test_eight_classes_add_through_eight_accumulators(self):
+        # Seven exp terms of about 8.5e-17 each vanish when added one by one onto
+        # 1.0, so that order gives a loss of exactly 0; numpy's eight
+        # accumulators add them up first, and the loss is a few ulps above 0.
+        logits = np.array([[0.0] + [-37.0] * 7])
+        loss = weighted_ce(logits, [0], np.ones(8))
+        assert loss > 0.0
+        assert np.float64(loss).tobytes() == np.float64(ref.weighted_ce(logits, [0], np.ones(8))).tobytes()
+
     def test_head_layout_is_not_copied_by_the_caller(self):
         logits, labels, weights = ce_case(0, (6, 5, 4), 4, "normal", True)
         assert not logits.flags.c_contiguous and not logits.flags.f_contiguous
         assert weighted_ce(logits, labels, weights) == ref.weighted_ce(logits, labels, weights)
+
+    @pytest.mark.parametrize("head_layout", [True, False])
+    @pytest.mark.parametrize("n_cla", [3, 9])
+    def test_blocks_with_a_short_last_one(self, monkeypatch, head_layout, n_cla):
+        # (5, 3, 5) voxels: 5 levels of 15 voxels along the first axis, so two
+        # levels per block give blocks of 2, 2 and 1.
+        logits, labels, weights = ce_case(11, (5, 3, 5), n_cla, "special", head_layout)
+        monkeypatch.setattr(nightbev.core, "LEVEL_BLOCK_BYTES", (2 * 15 + 7) * n_cla * 8)
+        sizes = []
+        block_ce = nightbev.losses._ce_block
+        monkeypatch.setattr(nightbev.losses, "_ce_block", lambda b, *a: sizes.append(b.shape) or block_ce(b, *a))
+        with np.errstate(all="ignore"):
+            want = ref.weighted_ce(logits, labels, weights)
+            got = weighted_ce(logits, labels, weights)
+        assert sizes == [(k, 3, 5, n_cla) for k in (2, 2, 1)]
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+    def test_gradient_is_the_same_in_blocks(self, monkeypatch):
+        logits, labels, weights = ce_case(12, (37,), 5, "normal", False)
+        whole = weighted_ce_grad(logits, labels, weights)
+        monkeypatch.setattr(nightbev.core, "LEVEL_BLOCK_BYTES", 8 * 5 * 8)  # blocks of 8 voxels
+        loss, grad = weighted_ce_grad(logits, labels, weights)
+        assert loss == whole[0] and grad.tobytes() == whole[1].tobytes()
+
+    def test_peak_memory_below_two_full_grid_arrays(self):
+        # The bev_wide head layout: a (200, 200, 16, 4) view of (16, 4, 200, 200)
+        # logits. Only the per-voxel terms span the grid.
+        rng = np.random.default_rng(13)
+        stored = rng.normal(size=(16, 4, 200, 200))
+        logits = stored.transpose(2, 3, 0, 1)
+        labels = rng.integers(0, 4, size=(200, 200, 16))
+        weights = rng.uniform(0.5, 2.0, size=4)
+        tracemalloc.start()
+        try:
+            weighted_ce(logits, labels, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 200 * 200 * 16 * 8
 
     def test_labels_must_match_leading_shape(self):
         with pytest.raises(ValueError, match="labels of shape"):

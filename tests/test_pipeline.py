@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
+import nightbev.core
 import nightbev.formats
 import nightbev.pipeline
 from nightbev.core import Tensor3, read_raw_tensor, write_raw_tensor
@@ -26,6 +27,7 @@ from nightbev.pipeline import (
     build_params,
     encode_image,
     eval_batch,
+    head_stage,
     resolve_t_star,
     run_pipeline,
 )
@@ -420,6 +422,28 @@ class TestClassArgmax:
         rows = [[1.0, 3.0, 3.0], [nan, 5.0, nan], [0.0, nan, nan], [-0.0, 0.0, -1.0], [2.0, 2.0, nan]]
         zgrid = np.array(rows).T.reshape(1, 3, 1, 5)
         np.testing.assert_array_equal(_class_argmax(zgrid).ravel(), [1, 0, 1, 0, 2])
+
+
+class TestHeadStage:
+    """The head in blocks of z-levels against one whole-grid einsum and argmax."""
+
+    @pytest.mark.parametrize("grid_z,levels", [(5, 2), (7, 3), (4, 1), (3, 5)])
+    def test_bytes_equal_whole_grid(self, monkeypatch, grid_z, levels):
+        rng = np.random.default_rng(grid_z)
+        classes, c, nx, ny = ("free", "box", "wall"), 8, 9, 11
+        n_cla = len(classes)
+        monkeypatch.setattr(nightbev.core, "LEVEL_BLOCK_BYTES", (levels * n_cla * nx * ny + 5) * 8)
+        weights = rng.normal(size=(grid_z * n_cla, c))
+        bias = rng.normal(size=grid_z * n_cla)
+        f_bev = Tensor3(rng.normal(size=(c, nx, ny)))
+        pred, vox_logits, logits = head_stage(f_bev, weights, bias, classes)
+        want = np.einsum("oc,cxy->oxy", weights, f_bev.data)
+        want += bias[:, None, None]
+        assert logits.tobytes() == want.tobytes()
+        zgrid = want.reshape(grid_z, n_cla, nx, ny)
+        np.testing.assert_array_equal(pred.labels, _class_argmax(zgrid).transpose(1, 2, 0))
+        assert np.shares_memory(vox_logits, logits)
+        np.testing.assert_array_equal(vox_logits, zgrid.transpose(2, 3, 0, 1))
 
 
 def scene_configs():
