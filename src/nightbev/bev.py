@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3, bilinear_sample_many, frozen_array
+from .core import Tensor3, bilinear_sample_many, frozen_array, level_blocks
 from .geometry import BevSpec, CameraMatrix, column_pixels, pixel_centers
 from .geometry import project_points, sample_heights
 from .guided_sampling import ConvParams, conv2d_replicate
@@ -54,9 +54,11 @@ class DepthContext:
 
 
 def _softmax(logits: np.ndarray, axis: int) -> np.ndarray:
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    """Softmax along `axis` in one new array, each step computed in place."""
+    out = logits - logits.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def depth_context_split(f_in: Tensor3, params: ConvParams, bin_centers: np.ndarray) -> DepthContext:
@@ -117,31 +119,38 @@ def bev_pool(dc: DepthContext, m: CameraMatrix, spec: BevSpec) -> Tensor3:
     the containing cell (heights collapse). Out-of-range mass is dropped.
     """
     h, w = dc.depth.height, dc.depth.width
-    a_inv = np.linalg.inv(m.matrix[:, :3])
+    a_inv = np.linalg.inv(m.matrix[:, :3])[:2]  # world x and y rows; z is never read
     t = m.matrix[:, 3]
-
-    d = dc.bin_centers
     uv1 = pixel_centers(h, w)
-    rhs = d[:, None, None, None] * uv1[None] - t[None, :, None, None]  # (D, 3, h, w)
-    xy = np.einsum("ij,bjhw->bihw", a_inv[:2], rhs)  # world x and y; z is never read
-
-    fx = (xy[:, 0] - spec.x_range[0]) / spec.voxel
-    fy = (xy[:, 1] - spec.y_range[0]) / spec.voxel
     nx, ny = spec.nx, spec.ny
-    in_range = (fx >= 0) & (fx < nx) & (fy >= 0) & (fy < ny)
 
-    # Cast only in-range coordinates (out-of-range ones may overflow int64).
-    ix = np.floor(fx[in_range]).astype(np.int64)
-    iy = np.floor(fy[in_range]).astype(np.int64)
-    # Contributions flatten in (bin, row, column) order; bincount accumulates
-    # sequentially in that order, keeping per-cell sums bit-stable.
-    flat_cell = ix * ny + iy
+    # Back-project in blocks of whole depth bins, each about LEVEL_BLOCK_BYTES of
+    # `rhs`, so no (D, 3, h, w) map exists. Each block keeps its in-range
+    # contributions in (bin, row, column) order, and the blocks come in bin order.
+    cells, points = [], []
+    for bins in level_blocks(dc.depth.channels, 3 * h * w * 8):
+        d = dc.bin_centers[bins]
+        rhs = d[:, None, None, None] * uv1[None] - t[None, :, None, None]  # (bins, 3, h, w)
+        xy = np.einsum("ij,bjhw->bihw", a_inv, rhs)
+        fx = (xy[:, 0] - spec.x_range[0]) / spec.voxel
+        fy = (xy[:, 1] - spec.y_range[0]) / spec.voxel
+        in_range = (fx >= 0) & (fx < nx) & (fy >= 0) & (fy < ny)
+        # Cast only in-range coordinates (out-of-range ones may overflow int64).
+        ix = np.floor(fx[in_range]).astype(np.int64)
+        iy = np.floor(fy[in_range]).astype(np.int64)
+        cells.append(ix * ny + iy)
+        points.append(np.flatnonzero(in_range) + bins.start * h * w)  # flat (bin, row, column)
+    flat_cell, point = np.concatenate(cells), np.concatenate(points)
+    del cells, points  # freed before mass and pixel are formed
     # Each in-range pair's depth mass and pixel; products are formed only there.
-    mass = dc.depth.data[in_range]
-    pix = np.flatnonzero(in_range) % (h * w)
+    mass = dc.depth.data.ravel().take(point)
+    pix = np.remainder(point, h * w, out=point)
+    # bincount accumulates sequentially in (bin, row, column) order, keeping
+    # per-cell sums bit-stable.
     out = np.zeros((dc.f_ctx.channels, nx, ny), dtype=np.float64)
     for c in range(dc.f_ctx.channels):
-        contrib = mass * dc.f_ctx.data[c].ravel().take(pix)
+        contrib = dc.f_ctx.data[c].ravel().take(pix)
+        contrib *= mass
         out[c] = np.bincount(flat_cell, weights=contrib, minlength=nx * ny).reshape(
             nx, ny
         )

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Tensor3, write_json, write_raw_tensor
+from .core import Tensor3, level_blocks, write_json, write_raw_tensor
 from .metrics import write_iou_csv
 
 
@@ -74,8 +74,16 @@ def read_ppm(path) -> Tensor3:
     return _read_pnm(path, b"P6", 3)
 
 
-def _to_bytes(plane: np.ndarray) -> np.ndarray:
-    return np.rint(np.clip(plane, 0.0, 1.0) * 255.0).astype(np.uint8)
+def _write_rows(fh, data: np.ndarray) -> None:
+    """Write a (C, H, W) array as 8-bit samples, pixels interleaved row by row:
+    each value clipped to [0,1], scaled by 255 and rounded. It runs in blocks of
+    whole rows of about `LEVEL_BLOCK_BYTES`, so no full-size temporary exists."""
+    c, h, w = data.shape
+    for rows in level_blocks(h, 8 * c * w):
+        scaled = np.clip(data[:, rows], 0.0, 1.0)
+        scaled *= 255.0
+        np.rint(scaled, out=scaled)
+        fh.write(scaled.astype(np.uint8).transpose(1, 2, 0).tobytes())
 
 
 def write_pgm(t, path) -> None:
@@ -91,18 +99,16 @@ def write_pgm(t, path) -> None:
     h, w = plane.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(_to_bytes(plane).tobytes())
+        _write_rows(fh, plane[None])
 
 
 def write_ppm(t: Tensor3, path) -> None:
     """Write a 3 x H x W tensor as binary PPM, scaled by 255."""
     if t.channels != 3:
         raise ValueError(f"PPM requires 3 channels, got {t.channels}")
-    h, w = t.height, t.width
-    interleaved = _to_bytes(t.data).transpose(1, 2, 0)
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(interleaved).tobytes())
+        fh.write(f"P6\n{t.width} {t.height}\n255\n".encode("ascii"))
+        _write_rows(fh, t.data)
 
 
 def write_artifacts(out_dir, artifacts) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3, bilinear_sample_many, frozen_array
+from .core import LEVEL_BLOCK_BYTES, Tensor3, bilinear_sample_many, frozen_array
 from .illumination import ILLUMINATION_FLOOR
 
 
@@ -99,10 +99,11 @@ def _conv_bands(
 def conv2d_replicate(x: Tensor3, params: ConvParams) -> Tensor3:
     """2D cross-correlation with edge-replicated padding.
 
-    One band of the whole height: the offset and depth convs have few input
-    channels, so more, shorter bands would only add per-call overhead.
+    Runs in bands of about `LEVEL_BLOCK_BYTES` of output rows, so each tap's
+    einsum writes a band-sized buffer that stays in cache, not a full-size one.
     """
-    return Tensor3(_conv_bands(x, params.kernel, params.bias, 1, x.height))
+    rows = max(1, LEVEL_BLOCK_BYTES // (8 * params.out_channels * x.width))
+    return Tensor3(_conv_bands(x, params.kernel, params.bias, 1, rows))
 
 
 def _pool2_kernel(kernel: np.ndarray) -> np.ndarray:
@@ -221,6 +222,12 @@ def kernel_grid(k_points: int) -> np.ndarray:
     return np.array(grid, dtype=np.float64)
 
 
+# Sample points (K per pixel) per band of `guided_warp`: each `bilinear_sample_many`
+# call then holds a few (C, 8192) temporaries, 0.5 MiB each at C = 8, instead of
+# whole-map samples.
+_WARP_POINTS = 8192
+
+
 def guided_warp(
     f_img: Tensor3, dp_mod: Tensor3, dw: Tensor3, point_weights
 ) -> Tensor3:
@@ -246,18 +253,24 @@ def guided_warp(
             f"expected {k_points} kernel point weights, got {weights.shape}"
         )
     base = kernel_grid(k_points)
-    ys, xs = np.meshgrid(
-        np.arange(f_img.height, dtype=np.float64),
-        np.arange(f_img.width, dtype=np.float64),
-        indexing="ij",
-    )
-    acc = np.zeros(
-        (f_img.channels, f_img.height, f_img.width), dtype=np.float64
-    )
-    for k in range(k_points):
-        us = xs + base[k, 0] + dp_mod.data[2 * k]
-        vs = ys + base[k, 1] + dp_mod.data[2 * k + 1]
-        sampled = bilinear_sample_many(f_img, us, vs)
-        acc += weights[k] * (dw.data[k] * sampled)
-    # Keep untouched pixels bit-identical (x + -0.0 would flip signed zeros).
-    return Tensor3(np.where(acc == 0.0, f_img.data, f_img.data + acc))
+    h, w = f_img.height, f_img.width
+    cols = np.arange(w, dtype=np.float64)
+    acc = np.zeros((f_img.channels, h, w), dtype=np.float64)
+    # Bands of whole rows, about _WARP_POINTS sample points each: one gather per band
+    # for all K points, then each point's term added in k order, as over the whole map.
+    rows = max(1, _WARP_POINTS // (k_points * w))
+    for r0 in range(0, h, rows):
+        band = slice(r0, r0 + rows)
+        ys = np.arange(r0, min(r0 + rows, h), dtype=np.float64)[:, None]
+        us = cols + base[:, 0, None, None] + dp_mod.data[0::2, band]  # (K, rows, w)
+        vs = ys + base[:, 1, None, None] + dp_mod.data[1::2, band]
+        sampled = bilinear_sample_many(f_img, us, vs)  # (C, K, rows, w)
+        acc_band = acc[:, band]
+        for k in range(k_points):
+            acc_band += weights[k] * (dw.data[k, band] * sampled[:, k])
+        # The residual: untouched pixels keep the input's bits (x + -0.0 would
+        # flip signed zeros).
+        untouched = acc_band == 0.0
+        acc_band += f_img.data[:, band]
+        np.copyto(acc_band, f_img.data[:, band], where=untouched)
+    return Tensor3(acc)

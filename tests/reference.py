@@ -279,6 +279,27 @@ def conv2d_pool2(x, params):
     return conv2d(x, pool_kernel(params.kernel), params.bias, 2)
 
 
+def softmax(logits, axis):
+    """Softmax along `axis`: shift by the max, exp, divide by the sum."""
+    e = np.exp(logits - logits.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def guided_warp(f, dp_mod, dw, point_weights):
+    """2D-IGS over the whole map, one kernel point at a time: point k, at offset
+    (dx, dy) of the row-major square kernel, samples p + (dx, dy) + offset_k; its
+    term point_weights[k] * (dw[k] * sample) adds in k order, and the sum adds
+    onto the feature wherever it is not zero."""
+    half = int(np.sqrt(dw.channels)) // 2
+    base = [(dx, dy) for dy in range(-half, half + 1) for dx in range(-half, half + 1)]
+    ys, xs = np.meshgrid(np.arange(f.height, dtype=np.float64), np.arange(f.width, dtype=np.float64), indexing="ij")
+    acc = np.zeros(f.shape)
+    for k, (dx, dy) in enumerate(base):
+        sampled = bilinear_sample_many(f, xs + float(dx) + dp_mod.data[2 * k], ys + float(dy) + dp_mod.data[2 * k + 1])
+        acc += point_weights[k] * (dw.data[k] * sampled)
+    return np.where(acc == 0.0, f.data, f.data + acc)
+
+
 def bev_pool(dc, m, spec):
     """Lift-splat in plain loops: in (bin, row, column) order, each point's depth
     mass times its context adds into the cell holding its world x and y."""

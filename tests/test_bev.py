@@ -19,7 +19,7 @@ from nightbev.bev import (
     refine_bev,
     residual_query,
 )
-from nightbev.core import PixelCoord, Tensor3, bilinear_sample, bilinear_sample_many
+from nightbev.core import PixelCoord, Tensor3, bilinear_sample, bilinear_sample_many, level_blocks
 from nightbev.geometry import BevSpec, CameraMatrix, sample_heights
 from nightbev.guided_sampling import ConvParams
 from nightbev.scene import SceneConfig, default_camera
@@ -32,6 +32,17 @@ def make_dc(f_ctx, depth, d_min=1.0, d_max=20.0) -> DepthContext:
         depth=depth,
         bin_centers=depth_bin_centers(d_min, d_max, depth.channels),
     )
+
+
+def hires_pool_case(channels):
+    """hires_near's 112 x 200 feature map with 16 depth bins, seen by the scene camera
+    of a 112 x 200 image over the desk grid."""
+    rng = np.random.default_rng(channels)
+    logits = rng.normal(size=(16, 112, 200))
+    depth = Tensor3(np.exp(logits) / np.exp(logits).sum(axis=0, keepdims=True))
+    dc = make_dc(Tensor3(rng.normal(size=(channels, 112, 200))), depth)
+    spec = BevSpec(x_range=(0.0, 8.0), y_range=(-4.0, 4.0), z_range=(-1.0, 2.2), voxel=0.4)
+    return dc, default_camera(SceneConfig(height=112, width=200, bev=spec)), spec
 
 
 class TestDepthBinCenters:
@@ -84,6 +95,17 @@ class TestDepthContextSplit:
         params = ref.conv_params(3, 2, kernel=kernel)
         dc = depth_context_split(f, params, depth_bin_centers(1.0, 20.0, 2))
         np.testing.assert_allclose(dc.f_ctx.data[0], 2.0 * f.data[1], rtol=1e-12)
+
+    def test_bytes_equal_whole_map_references(self):
+        # 8 context channels and 16 bins over an 8 x 50 x 800 feature: the 1x1 conv
+        # runs in several bands, the last one short, and the softmax works in place.
+        rng = np.random.default_rng(13)
+        f = Tensor3(rng.normal(size=(8, 50, 800)))
+        params = ref.conv_params(24, 8, 1, kernel=rng.normal(size=(24, 8, 1, 1)), bias=rng.normal(size=24))
+        dc = depth_context_split(f, params, depth_bin_centers(1.0, 20.0, 16))
+        raw = ref.conv2d(f, params.kernel, params.bias)
+        assert dc.f_ctx.data.tobytes() == raw[:8].tobytes()
+        assert dc.depth.data.tobytes() == ref.softmax(raw[8:], axis=0).tobytes()
 
     def test_wrong_kernel_size_rejected(self):
         f = Tensor3.zeros(1, 2, 2)
@@ -214,6 +236,25 @@ class TestBevPool:
             voxel=voxel,
         )
         assert bev_pool(dc, cam, spec).data.tobytes() == ref.bev_pool(dc, cam, spec).tobytes()
+
+    def test_bytes_equal_loop_reference_across_bin_blocks(self):
+        # 16 bins over a 112 x 200 map back-project in several blocks of whole bins,
+        # about a third of the pairs in range of the grid.
+        dc, cam, spec = hires_pool_case(2)
+        assert len(level_blocks(16, 3 * 112 * 200 * 8)) > 1
+        assert bev_pool(dc, cam, spec).data.tobytes() == ref.bev_pool(dc, cam, spec).tobytes()
+
+    def test_peak_memory_below_one_back_projection(self):
+        # No (D, 3, h, w) map of back-projected points exists: one block of bins at a
+        # time, then the in-range contributions alone.
+        dc, cam, spec = hires_pool_case(8)
+        tracemalloc.start()
+        try:
+            bev_pool(dc, cam, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 3 * 112 * 200 * 8
 
     def test_linearity_in_context(self):
         rng = np.random.default_rng(19)

@@ -1,13 +1,14 @@
 """PGM/PPM codec round trips and header validation, and the readers' errors."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nightbev.core import Tensor3, read_raw_tensor
+from nightbev.core import LEVEL_BLOCK_BYTES, Tensor3, read_raw_tensor
 from nightbev.formats import read_pgm, read_ppm, write_pgm, write_ppm
 
 
@@ -87,6 +88,50 @@ class TestPpm:
     def test_wrong_channel_count_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="3 channels"):
             write_ppm(Tensor3.zeros(1, 2, 2), tmp_path / "i.ppm")
+
+
+def one_shot_pnm(magic: bytes, data: np.ndarray) -> bytes:
+    """The whole (C, H, W) map encoded at once, pixels interleaved."""
+    c, h, w = data.shape
+    samples = np.rint(np.clip(data, 0.0, 1.0) * 255.0).astype(np.uint8)
+    return magic + f"\n{w} {h}\n255\n".encode() + samples.transpose(1, 2, 0).tobytes()
+
+
+class TestRowBlocks:
+    """The writers encode blocks of about LEVEL_BLOCK_BYTES of float64 rows: 54 rows
+    of a 3 x 800 PPM, 163 of an 800-wide PGM."""
+
+    @staticmethod
+    def values(rng, shape):
+        # Out-of-range values and exact halves of a step, which rint sends to even.
+        data = rng.uniform(-0.2, 1.2, size=shape)
+        half = rng.uniform(size=shape) < 0.2
+        data[half] = (rng.integers(0, 255, size=int(half.sum())) + 0.5) / 255.0
+        return data
+
+    def test_ppm_bytes_equal_one_shot_encoding(self, tmp_path):
+        data = self.values(np.random.default_rng(7), (3, 130, 800))
+        assert 130 % (LEVEL_BLOCK_BYTES // (8 * 3 * 800))
+        write_ppm(Tensor3(data), tmp_path / "i.ppm")
+        assert (tmp_path / "i.ppm").read_bytes() == one_shot_pnm(b"P6", data)
+
+    def test_pgm_bytes_equal_one_shot_encoding(self, tmp_path):
+        data = self.values(np.random.default_rng(11), (1, 400, 800))
+        assert 400 % (LEVEL_BLOCK_BYTES // (8 * 800))
+        write_pgm(Tensor3(data), tmp_path / "t.pgm")
+        write_pgm(data[0], tmp_path / "a.pgm")
+        assert (tmp_path / "t.pgm").read_bytes() == (tmp_path / "a.pgm").read_bytes() == one_shot_pnm(b"P5", data)
+
+    def test_ppm_peak_memory_below_one_plane(self, tmp_path):
+        # hires_near's 448 x 800 image: no full-size float64 or interleaved temporary.
+        img = Tensor3(np.random.default_rng(13).uniform(size=(3, 448, 800)))
+        tracemalloc.start()
+        try:
+            write_ppm(img, tmp_path / "i.ppm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 448 * 800 * 8
 
 
 READERS = {"raw": read_raw_tensor, "pgm": read_pgm, "ppm": read_ppm}

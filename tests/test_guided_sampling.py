@@ -1,6 +1,7 @@
 """Guidance map, offset generation/modulation, and deformable warping."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from nightbev.core import PixelCoord, Tensor3, bilinear_sample, finite_diff_check
+from nightbev.core import LEVEL_BLOCK_BYTES, PixelCoord, Tensor3, bilinear_sample, finite_diff_check
 from nightbev.guided_sampling import (
+    _WARP_POINTS,
     ConvParams,
     _conv_bands,
     _pool2_kernel,
@@ -97,6 +99,20 @@ class TestBandedConv:
         pooled = conv2d_pool2(x, params).data
         assert pooled.tobytes() == ref.conv2d_pool2(x, params).tobytes()
         assert_near_conv_then_pool(pooled, ref.avg_pool2(full))
+
+    @pytest.mark.parametrize(
+        "out_c, in_c, k, h, w", [(27, 1, 3, 50, 800), (24, 8, 1, 50, 800), (9, 3, 5, 131, 160)]
+    )
+    def test_replicate_bands_end_short(self, out_c, in_c, k, h, w):
+        # conv2d_replicate runs in bands of about LEVEL_BLOCK_BYTES of output rows:
+        # 6 rows for the first two cases (9 bands, the last of 2 rows), 91 for the last.
+        rows = LEVEL_BLOCK_BYTES // (8 * out_c * w)
+        assert 0 < rows < h and h % rows
+        rng = np.random.default_rng([out_c, in_c, k, h, w])
+        x = Tensor3(rng.normal(size=(in_c, h, w)))
+        params = random_conv(rng, out_c, in_c, k)
+        full = ref.conv2d(x, params.kernel, params.bias)
+        assert conv2d_replicate(x, params).data.tobytes() == full.tobytes()
 
     @settings(max_examples=60)
     @given(
@@ -387,6 +403,42 @@ class TestGuidedWarp:
             analytic = w_point * dw_val * np.array([du.sum(), dv.sum()])
             err = finite_diff_check(scalar, base_off, 1e-5, analytic)
             assert err < 1e-3
+
+    # (channels, K, h, w): bands of 37, 40 and 4 rows, each ending on a short band,
+    # bands of one row (K * w points past the band size), and a map smaller than one band.
+    @pytest.mark.parametrize(
+        "c, k_points, h, w", [(2, 9, 50, 24), (3, 1, 45, 200), (8, 9, 30, 200), (1, 25, 7, 400), (2, 9, 5, 6)]
+    )
+    def test_bytes_equal_whole_map_reference(self, c, k_points, h, w):
+        rows = max(1, _WARP_POINTS // (k_points * w))
+        assert rows == 1 or h % rows
+        rng = np.random.default_rng([c, k_points, h, w])
+        data = rng.normal(size=(c, h, w))
+        data[:, ::3, ::4] = -0.0  # pixels whose residual is exactly zero keep these
+        f = Tensor3(data)
+        dp = Tensor3(rng.normal(scale=3.0, size=(2 * k_points, h, w)))  # some points off the map
+        mod = rng.uniform(0.05, 0.95, size=(k_points, h, w))
+        mod[:, ::3, ::4] = 0.0
+        weights = rng.normal(size=k_points)
+        got = guided_warp(f, dp, Tensor3(mod), weights).data
+        assert got.tobytes() == ref.guided_warp(f, dp, Tensor3(mod), weights).tobytes()
+
+    def test_peak_memory_below_six_feature_maps(self):
+        # hires_near's 8 x 112 x 200 feature with 9 kernel points: the samples of one
+        # band of rows exist at a time, never the K whole-map samples.
+        c, h, w = 8, 112, 200
+        rng = np.random.default_rng(47)
+        f = Tensor3(rng.normal(size=(c, h, w)))
+        dp = Tensor3(rng.normal(scale=2.0, size=(18, h, w)))
+        dw = Tensor3(rng.uniform(0.05, 0.95, size=(9, h, w)))
+        weights = rng.normal(size=9)
+        tracemalloc.start()
+        try:
+            guided_warp(f, dp, dw, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * c * h * w * 8
 
     def test_shape_mismatches_rejected(self):
         f = Tensor3.zeros(1, 4, 4)

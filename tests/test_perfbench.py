@@ -53,10 +53,12 @@ def test_other_workloads_run_correct_and_report_every_metric(workload):
     run_and_check(workload)
 
 
-def test_hires_near_keeps_its_bytes_on_the_generic_blas_kernel():
-    """The pin holds when OpenBLAS is forced to its generic kernel; hires_near's
-    image is large enough that a projection through BLAS showed the kernel."""
-    run_and_check("hires_near", {**os.environ, "OPENBLAS_CORETYPE": "Prescott"})
+@pytest.mark.parametrize("workload", ["desk_eval", "hires_near", "bev_wide"])
+def test_pin_holds_on_the_generic_blas_kernel(workload):
+    """Each pin holds when OpenBLAS is forced to its generic kernel. hires_near's
+    image is large enough that a projection through BLAS showed the kernel; the
+    stages' einsums run on blocks whose shapes differ from workload to workload."""
+    run_and_check(workload, {**os.environ, "OPENBLAS_CORETYPE": "Prescott"})
 
 
 def test_traced_desk_eval_fires_every_hook():

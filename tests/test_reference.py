@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import reference as ref
-from nightbev.bev import DepthContext, _softmax, depth_bin_centers
+from nightbev.bev import DepthContext, depth_bin_centers
 from nightbev.core import Tensor3
 from nightbev.geometry import BevSpec, CameraMatrix
-from nightbev.guided_sampling import _sigmoid_open, build_guidance, guided_warp, modulate_offsets
+from nightbev.guided_sampling import _sigmoid_open, build_guidance, modulate_offsets
 from nightbev.illumination import estimate_illumination
 from nightbev.losses import class_weights_from_labels
 from nightbev.pipeline import PipelineConfig, build_params, run_pipeline
@@ -55,11 +55,11 @@ def reference_run(pc, bundle):
     k = pc.igs_k
     dp_mod = modulate_offsets(Tensor3(raw[: 2 * k]), guidance)
     dw = Tensor3(_sigmoid_open(raw[2 * k :]))
-    f_warped = guided_warp(f_img, dp_mod, dw, params.igs_point_weights)
+    f_warped = Tensor3(ref.guided_warp(f_img, dp_mod, dw, params.igs_point_weights))
     split = ref.conv2d(f_warped, params.depth_conv.kernel, params.depth_conv.bias)
     centers = depth_bin_centers(pc.depth_min, pc.depth_max, pc.depth_bins)
     c = pc.depth_c_ctx
-    dc = DepthContext(Tensor3(split[:c]), Tensor3(_softmax(split[c:], axis=0)), centers)
+    dc = DepthContext(Tensor3(split[:c]), Tensor3(ref.softmax(split[c:], axis=0)), centers)
     q = ref.bev_pool(dc, bev_camera, spec)
     q_res, _ = ref.residual_query(Tensor3(q), dc.f_ctx, bev_camera, spec, pc.n_z, params.attn)
     s_field = ref.illumination_field(illum, field_camera, spec, pc.n_z)
