@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3, bilinear_sample_many, frozen_array, level_blocks
+from .core import Tensor3, bilinear_sample_many, frozen_array, level_blocks, ordered_sum
 from .geometry import BevSpec, CameraMatrix, column_pixels, pixel_centers
 from .geometry import project_points, sample_heights
 from .guided_sampling import ConvParams, conv2d_replicate
@@ -53,11 +53,12 @@ class DepthContext:
         object.__setattr__(self, "bin_centers", centers)
 
 
-def _softmax(logits: np.ndarray, axis: int) -> np.ndarray:
-    """Softmax along `axis` in one new array, each step computed in place."""
-    out = logits - logits.max(axis=axis, keepdims=True)
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over axis 0 in one new array, each step computed in place; the
+    denominator is an `ordered_sum`."""
+    out = logits - logits.max(axis=0)
     np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+    out /= ordered_sum(out)
     return out
 
 
@@ -78,7 +79,7 @@ def depth_context_split(f_in: Tensor3, params: ConvParams, bin_centers: np.ndarr
         raise ValueError("split conv kernel must be 1x1")
     raw = conv2d_replicate(f_in, params)
     f_ctx = Tensor3(raw.data[:c_ctx])
-    depth = Tensor3(_softmax(raw.data[c_ctx:], axis=0))
+    depth = Tensor3(_softmax(raw.data[c_ctx:]))
     return DepthContext(f_ctx=f_ctx, depth=depth, bin_centers=bin_centers)
 
 
@@ -210,11 +211,7 @@ def residual_query(
     q_in = q.data.reshape(q.channels, nx * ny)[:, lit]
     off = _channel_sum(params.offset_weights, q_in)  # (2K, lit cells)
     logits = _channel_sum(params.attn_weights, q_in)  # (K, lit cells)
-    e = np.exp(logits - logits.max(axis=0))
-    total = np.zeros(lit.size)
-    for k in range(k_points):
-        total += e[k]
-    attn = e / total
+    attn = _softmax(logits)
 
     us = u[:, None] + off[0::2, ref].T  # (refs, K)
     vs = v[:, None] + off[1::2, ref].T

@@ -16,9 +16,10 @@ import numpy as np
 from .formats import read_ppm, write_artifacts
 from .geometry import field_to_tensor, illumination_field
 from .illumination import load_illumination
-from .pipeline import PipelineConfig, StageError, build_params, check_image_size, eval_batch
-from .pipeline import check_injected_size, encode_image, enhance_stage, igs_stage, illumination_map
-from .pipeline import injected_map, offset_magnitude, population_factors, run_pipeline
+from .pipeline import PipelineConfig, StageError, _Stages, _with_fixed_t_star, build_params
+from .pipeline import check_image_size, check_injected_size, encode_image, enhance_stage, eval_batch
+from .pipeline import igs_stage, illumination_map, injected_map, offset_magnitude
+from .pipeline import population_factors, run_pipeline
 from .scene import SceneConfig, gen_scene, load_scene, save_scene
 from .selective import FactorPopulation, factor_histogram, otsu_threshold
 
@@ -38,7 +39,10 @@ def _cmd_enhance(args) -> int:
     image = read_ppm(args.image)
     # A standalone image takes its map from --illum, never from the config.
     injected = load_illumination(args.illum, pc.estimator.floor) if args.illum else None
-    illum, t_star, lam, enhanced_img, enhanced = enhance_stage(pc, image, injected)
+    check_injected_size(injected, image.height, image.width)
+    illum, t_star, lam, enhanced_img, enhanced = _Stages().run(
+        "enhance", enhance_stage, _with_fixed_t_star(pc), image, injected
+    )
     write_artifacts(args.out, [
         ("enhanced.ppm", enhanced_img),
         ("illumination.pgm", illum),
@@ -71,9 +75,13 @@ def _cmd_igs(args) -> int:
     injected = injected_map(pc)
     check_image_size(bundle.image.height, bundle.image.width, injected)
     params = build_params(pc, len(bundle.classes), bundle.bev.nz)
-    illum, _, _, enhanced_img, _ = enhance_stage(pc, bundle.image, injected)
-    f_img = encode_image(enhanced_img, params.enc1, params.enc2)
-    _, guidance, dp_mod, warped = igs_stage(pc, params, illum, f_img)
+    pc = _with_fixed_t_star(pc)
+    stages = _Stages()
+    illum, _, _, enhanced_img, _ = stages.run("enhance", enhance_stage, pc, bundle.image, injected)
+    f_img = stages.run("encode", encode_image, enhanced_img, params.enc1, params.enc2)
+    _, guidance, dp_mod, warped = stages.run(
+        "guided_sampling", igs_stage, pc, params, illum, f_img
+    )
     write_artifacts(args.out, [
         ("guidance.pgm", guidance),
         ("offset_mag.pgm", offset_magnitude(dp_mod)),
@@ -88,8 +96,10 @@ def _cmd_illum_field(args) -> int:
     bundle = load_scene(args.scene)
     injected = injected_map(pc)
     check_injected_size(injected, bundle.image.height, bundle.image.width)
-    field = illumination_field(
-        illumination_map(pc, bundle.image, injected), bundle.camera, bundle.bev, pc.n_z
+    stages = _Stages()
+    illum = stages.run("enhance", illumination_map, pc, bundle.image, injected)
+    field = stages.run(
+        "illumination_field", illumination_field, illum, bundle.camera, bundle.bev, pc.n_z
     )
     write_artifacts(args.out, [("s_field.rt", field_to_tensor(field)), ("s_field.pgm", field)])
     print(f"illumination field written to {args.out}")

@@ -50,6 +50,19 @@ def level_blocks(levels: int, level_bytes: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, levels, step)]
 
 
+def ordered_sum(a: np.ndarray) -> np.ndarray:
+    """`a.sum(axis=0)` with the terms added one by one from +0.0 in index order.
+
+    numpy adds along a run that is contiguous in memory pairwise, so a (K, 1)
+    array sums in another order than a (K, 2) one; here each element's bits do
+    not depend on the sizes of the other axes.
+    """
+    total = np.zeros(a.shape[1:])
+    for term in a:
+        total += term
+    return total
+
+
 @dataclass(frozen=True)
 class Tensor3:
     """Immutable dense C x H x W tensor of finite values, stored by `frozen_array`
@@ -240,23 +253,11 @@ def read_raw_tensor(path) -> Tensor3:
             line = fh.readline(_MAX_HEADER_BYTES)
             if not line.endswith(b"\n"):
                 raise ValueError("malformed raw tensor header (no newline)")
-            try:
-                header = json.loads(line.decode("ascii"))
-            except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
+            try:  # bad UTF-8 or JSON, nested too deep, or a bad key
+                header = _RAW_HEADER(json.loads(line.decode("ascii")), "")
+            except (ValueError, RecursionError) as exc:
                 raise ValueError(f"malformed raw tensor header: {exc}") from exc
-            if not isinstance(header, dict) or "dtype" not in header or "shape" not in header:
-                raise ValueError("raw tensor header must carry 'dtype' and 'shape'")
-            tag = header["dtype"]
-            if type(tag) is not str or tag not in RAW_DTYPES:
-                raise ValueError(f"unsupported raw tensor dtype {tag!r}")
-            shape = header["shape"]
-            if (
-                type(shape) is not list
-                or len(shape) != 3
-                or not all(type(s) is int and s > 0 for s in shape)
-            ):
-                raise ValueError(f"bad raw tensor shape {shape!r}")
-            dt = RAW_DTYPES[tag]
+            dt, shape = header["dtype"], header["shape"]
             expected = shape[0] * shape[1] * shape[2] * dt.itemsize
             payload = fh.read()
             if len(payload) != expected:
@@ -335,3 +336,20 @@ def json_block(table: dict, build: Callable = dict, required: bool = False) -> C
             raise ValueError(f"{path}: {exc}") from exc
 
     return convert
+
+
+def _raw_dtype(value, path: str) -> np.dtype:
+    tag = _convert(str, value, path)
+    if tag not in RAW_DTYPES:
+        raise ValueError(f"{path}: must be one of {', '.join(RAW_DTYPES)}")
+    return RAW_DTYPES[tag]
+
+
+def _positive(value, path: str) -> int:
+    if _convert(int, value, path) < 1:
+        raise ValueError(f"{path}: must be >= 1")
+    return value
+
+
+# The raw tensor header: {"dtype": "f32" or "f64", "shape": [C, H, W]}, nothing else.
+_RAW_HEADER = json_block({"dtype": _raw_dtype, "shape": json_list(_positive, 3)}, required=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LEVEL_BLOCK_BYTES, Tensor3, bilinear_sample_many, frozen_array
+from .core import LEVEL_BLOCK_BYTES, Tensor3, bilinear_sample_many, frozen_array, ordered_sum
 from .illumination import ILLUMINATION_FLOOR
 
 
@@ -160,7 +160,9 @@ def build_guidance(
         )
     fh = i.height // target_h
     fw = i.width // target_w
-    pooled = i.data[0].reshape(target_h, fh, target_w, fw).mean(axis=(1, 3))
+    # Each block's mean adds its rows' columns, then the rows, in index order.
+    blocks = i.data[0].reshape(target_h, fh, target_w, fw).transpose(3, 1, 0, 2)
+    pooled = ordered_sum(ordered_sum(blocks)) / (fh * fw)
     pooled = np.clip(pooled, floor, 1.0)
     inv = 1.0 / pooled
     lo = inv.min()

@@ -9,6 +9,7 @@ zero.
 
 from __future__ import annotations
 
+import shutil
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 from .bev import AttentionParams, bev_pool, depth_bin_centers, depth_context_split
 from .bev import refine_bev, residual_query
 from .core import Tensor3, frozen_array, json_block, json_list, json_path, read_json
-from .core import level_blocks, read_raw_tensor
+from .core import level_blocks, ordered_sum, read_raw_tensor
 from .formats import write_artifacts
 from .geometry import field_to_tensor, illumination_field
 from .guided_sampling import ConvParams, build_guidance, conv2d_pool2, generate_offsets
@@ -309,33 +310,18 @@ def check_injected_size(injected: Tensor3 | None, height: int, width: int) -> No
         raise ValueError(f"illumination_file is {h}x{w}, image is {height}x{width}")
 
 
-def _preflight(
-    pc: PipelineConfig, scenes: list[tuple[str, tuple[str, ...], int, int, int]]
-) -> tuple[PipelineConfig, Tensor3 | None, dict[int, ResolvedParams]]:
-    """Refuse what the pipeline cannot run, before any stage or output.
+def _check_scene(classes: tuple, height: int, width: int, injected: Tensor3 | None) -> None:
+    """Refuse a scene the head or the encoder cannot run, or an injected map of another size."""
+    if len(classes) < 2:
+        raise ValueError("pipeline needs at least 2 classes for the prediction head")
+    check_image_size(height, width, injected)
 
-    Each scene is (error prefix, class table, height, width, grid height).
-    Loads the injected map, checks every scene against one class table of at
-    least 2 classes, the encoder stride and the map, and builds the
-    parameters per grid height; then fixes t*. Returns `pc` with t* fixed,
-    the injected map (or None) and the parameters by grid height.
-    """
-    injected = injected_map(pc)
-    params: dict[int, ResolvedParams] = {}
-    for where, classes, height, width, grid_z in scenes:
-        try:
-            if classes != scenes[0][1]:
-                raise ValueError("uses a different class table")
-            if len(classes) < 2:
-                raise ValueError("pipeline needs at least 2 classes for the prediction head")
-            check_image_size(height, width, injected)
-            if grid_z not in params:
-                params[grid_z] = build_params(pc, len(classes), grid_z)
-        except ValueError as exc:
-            raise ValueError(f"{where}{exc}") from exc
-    if pc.t_star.fixed is None:
-        pc = replace(pc, t_star=TStarSource(fixed=resolve_t_star(pc)))
-    return pc, injected, params
+
+def _with_fixed_t_star(pc: PipelineConfig) -> PipelineConfig:
+    """`pc` with t* resolved once into a fixed threshold."""
+    if pc.t_star.fixed is not None:
+        return pc
+    return replace(pc, t_star=TStarSource(fixed=resolve_t_star(pc)))
 
 
 def encode_image(x: Tensor3, enc1: ConvParams, enc2: ConvParams) -> Tensor3:
@@ -486,16 +472,16 @@ def run_pipeline(
 ) -> RunReport:
     """Execute the full pipeline on one scene and write artifacts to out_dir.
 
-    `_preflight` checks the scene, loads the injected map, builds the
-    parameters and resolves t*; then every stage runs; only then is anything
-    written, so a failure at any point leaves no output directory behind.
+    First the injected map is read, the scene checked against it, the
+    parameters built and t* resolved; then every stage runs; only then is
+    anything written, so a failure at any point leaves no output directory.
     """
     n_cla = len(bundle.classes)
     spec = bundle.bev
-    grid_z = spec.nz
-    scene = ("", bundle.classes, bundle.image.height, bundle.image.width, grid_z)
-    pc, injected, params_by_z = _preflight(pc, [scene])
-    params = params_by_z[grid_z]
+    injected = injected_map(pc)
+    _check_scene(bundle.classes, bundle.image.height, bundle.image.width, injected)
+    params = build_params(pc, n_cla, spec.nz)
+    pc = _with_fixed_t_star(pc)
     stages = _Stages()
     # Selective enhancement.
     illum, t_star, lam, enhanced_img, enhanced = stages.run(
@@ -577,12 +563,12 @@ def run_pipeline(
         enhanced=enhanced,
         t_star=t_star,
         ce=ce,
-        ce_per_voxel=ce / (spec.nx * spec.ny * grid_z),
+        ce_per_voxel=ce / (spec.nx * spec.ny * spec.nz),
         aux_sem=aux_sem,
         aux_geo=aux_geo,
         total=total,
         iou=iou,
-        grid_dims=(spec.nx, spec.ny, grid_z),
+        grid_dims=(spec.nx, spec.ny, spec.nz),
         timings=stages.timings,
         manifest=[name for name, _ in artifacts],
     )
@@ -592,8 +578,8 @@ def run_pipeline(
 
 def offset_magnitude(dp_mod: Tensor3) -> np.ndarray:
     """Mean per-point offset length, scaled by its max for PGM preview."""
-    d = dp_mod.data
-    mags = np.sqrt(d[0::2] ** 2 + d[1::2] ** 2).mean(axis=0)
+    lengths = np.sqrt(dp_mod.data[0::2] ** 2 + dp_mod.data[1::2] ** 2)  # (K, H, W)
+    mags = ordered_sum(lengths) / len(lengths)
     peak = mags.max()
     return mags / peak if peak > 0 else mags
 
@@ -601,32 +587,45 @@ def offset_magnitude(dp_mod: Tensor3) -> np.ndarray:
 def eval_batch(scene_dirs, pc: PipelineConfig, out_dir) -> IoUReport:
     """Run the pipeline over scenes and micro-average IoU counts across them.
 
-    One `_preflight` over every scene manifest checks them all, loads the
-    injected map, builds the parameters per grid height and resolves t* once,
-    before the first scene runs, so a bad scene, map, parameter file or map
-    population fails with nothing written. Each scene then runs through
-    `run_pipeline` with that fixed t*. The first scene's run creates
-    `out_dir`, so a stage failure there leaves nothing either; a later one
-    leaves the earlier scenes' directories.
+    Before any scene runs, the manifests must share one class table of at least
+    2 classes and sizes the encoder can pool, and t* is resolved once. A scene's
+    errors name it; a failure removes `out_dir` if this call created it.
     """
     dirs = [Path(d) for d in scene_dirs]
     if not dirs:
         raise ValueError("eval needs at least one scene")
     manifests = [read_manifest(d) for d in dirs]
-    pc, _, _ = _preflight(pc, [
-        (f"scene {d}: ", m["classes"], m["height"], m["width"], m["bev"].nz)
-        for d, m in zip(dirs, manifests)
-    ])
+    classes = manifests[0]["classes"]
+    for d, m in zip(dirs, manifests):
+        try:
+            if m["classes"] != classes:
+                raise ValueError("uses a different class table")
+            _check_scene(classes, m["height"], m["width"], None)
+        except ValueError as exc:
+            raise ValueError(f"scene {d}: {exc}") from exc
+    pc = _with_fixed_t_star(pc)
     out = Path(out_dir)
-    reports = [
-        run_pipeline(pc, load_scene(d), out / f"scene_{i:03d}") for i, d in enumerate(dirs)
-    ]
-    aggregate = report_from_counts(
-        sum(np.array(r.iou.intersections, dtype=np.int64) for r in reports),
-        sum(np.array(r.iou.unions, dtype=np.int64) for r in reports),
-        manifests[0]["classes"],
-    )
-    scenes = [{"dir": str(d), "miou": r.iou.miou} for d, r in zip(dirs, reports)]
-    summary = {"scenes": scenes, "aggregate_miou": aggregate.miou}
-    write_artifacts(out, [("aggregate.csv", aggregate), ("eval.json", summary)])
+    created = not out.exists()
+    reports = []
+    try:
+        for i, d in enumerate(dirs):
+            try:
+                reports.append(run_pipeline(pc, load_scene(d), out / f"scene_{i:03d}"))
+            except ValueError as exc:
+                raise ValueError(f"scene {d}: {exc}") from exc
+            except StageError as exc:  # keeps its stage, cause and exit code
+                exc.args = (f"scene {d}: {exc}",)
+                raise
+        aggregate = report_from_counts(
+            sum(np.array(r.iou.intersections, dtype=np.int64) for r in reports),
+            sum(np.array(r.iou.unions, dtype=np.int64) for r in reports),
+            classes,
+        )
+        scenes = [{"dir": str(d), "miou": r.iou.miou} for d, r in zip(dirs, reports)]
+        summary = {"scenes": scenes, "aggregate_miou": aggregate.miou}
+        write_artifacts(out, [("aggregate.csv", aggregate), ("eval.json", summary)])
+    except BaseException:  # KeyboardInterrupt too
+        if created:
+            shutil.rmtree(out, ignore_errors=True)
+        raise
     return aggregate

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 import nightbev.bev
@@ -106,6 +106,19 @@ class TestDepthContextSplit:
         raw = ref.conv2d(f, params.kernel, params.bias)
         assert dc.f_ctx.data.tobytes() == raw[:8].tobytes()
         assert dc.depth.data.tobytes() == ref.softmax(raw[8:], axis=0).tobytes()
+
+    def test_one_pixel_map_gets_the_bytes_of_a_wider_one(self):
+        # numpy sums a (16, 1, 1) run pairwise but a (16, 1, 2) array bin by bin;
+        # the softmax denominator adds the bins one by one on every map. One input
+        # channel keeps the conv's own sum out of the comparison.
+        rng = np.random.default_rng(17)
+        params = ref.conv_params(17, 1, 1, kernel=rng.normal(size=(17, 1, 1, 1)), bias=rng.normal(size=17))
+        centers = depth_bin_centers(1.0, 20.0, 16)
+        for _ in range(20):
+            wide = Tensor3(rng.normal(size=(1, 1, 2)))
+            one = depth_context_split(Tensor3(wide.data[:, :, :1]), params, centers)
+            two = depth_context_split(wide, params, centers)
+            assert one.depth.data.tobytes() == two.depth.data[:, :, :1].tobytes()
 
     def test_wrong_kernel_size_rejected(self):
         f = Tensor3.zeros(1, 2, 2)
@@ -379,7 +392,11 @@ class TestResidualQueryOracle:
         self, seed, cells, n_z, k_points, channels, hw, f_scale, shift, tilt, offset_scale
     ):
         def camera(spec, h, w):  # a tilt makes depth vary across the grid
-            return overhead_camera(spec, h, w, f_scale, shift, tilt)
+            try:
+                return overhead_camera(spec, h, w, f_scale, shift, tilt)
+            except ValueError as exc:  # the 3x3 block's determinant is f * (f - cu * tilt)
+                assert "singular" in str(exc)
+                reject()
 
         assert_matches_dense(
             *residual_case(seed, cells, n_z, k_points, channels, hw, camera, offset_scale)

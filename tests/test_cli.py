@@ -307,11 +307,11 @@ class TestInternalError:
 
 class TestReadOnce:
     """An injected illumination map is read once per run: once per command, and
-    once for the `eval` preflight plus once per scene."""
+    once per scene under `eval`."""
 
     @pytest.mark.parametrize(
         "command,reads",
-        [("pipeline", 1), ("igs", 1), ("illum-field", 1), ("enhance", 1), ("eval", 4)],
+        [("pipeline", 1), ("igs", 1), ("illum-field", 1), ("enhance", 1), ("eval", 3)],
     )
     def test_injected_map_reads(self, tmp_path, monkeypatch, scene_config, command, reads):
         scenes = tmp_path / "scenes"
@@ -549,7 +549,8 @@ class TestEncoderStride:
 
 
 class TestFailBeforeOutput:
-    """Batch and population errors exit 2 before any output directory exists."""
+    """Batch and population errors exit 2 and leave no output directory; so does
+    a later scene's bad file, and a later scene's stage failure exits 1."""
 
     def _gen(self, tmp_path, scene_config, name, **changes):
         cfg = json.loads(scene_config.read_text())
@@ -602,17 +603,104 @@ class TestFailBeforeOutput:
             assert f"scene {bad}: " in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["eval", "pipeline"])
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_singular_camera_in_a_later_scene(self, tmp_path, capsys, scene_config, existed):
+        self._gen(tmp_path, scene_config, "s0")
+        bad = self._gen(tmp_path, scene_config, "s1")
+        (bad / "camera.json").write_text(json.dumps({"matrix": [1.0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1]}))
+        out = tmp_path / "eval"
+        if existed:  # an --out the call did not create is left as it is
+            out.mkdir()
+            (out / "keep.txt").write_text("kept")
+        cfg = self._config(tmp_path, 0.45)
+        code = main(["eval", "--config", str(cfg), "--scenes", str(tmp_path / "scenes"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"scene {bad}: {bad / 'camera.json'}: camera matrix 3x3 block is singular" in err
+        assert out.exists() == existed
+        if existed:
+            assert (out / "keep.txt").read_text() == "kept"
+
+    def test_stage_failure_in_a_later_scene(self, tmp_path, capsys, monkeypatch, scene_config):
+        self._gen(tmp_path, scene_config, "s0")
+        bad = self._gen(tmp_path, scene_config, "s1")
+        calls = []
+        real = nightbev.pipeline.refine_bev
+
+        def second_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ValueError("broken refine")
+            return real(*args)
+
+        monkeypatch.setattr(nightbev.pipeline, "refine_bev", second_fails)
+        out = tmp_path / "eval"
+        cfg = self._config(tmp_path, 0.45)
+        code = main(["eval", "--config", str(cfg), "--scenes", str(tmp_path / "scenes"), "--out", str(out)])
+        assert code == 1
+        assert f"scene {bad}: stage 'refine' failed: broken refine" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "pipeline", "enhance", "igs"])
     def test_empty_population(self, tmp_path, capsys, scene_config, command):
         scene = self._gen(tmp_path, scene_config, "s0")
         (tmp_path / "maps").mkdir()
         cfg = self._config(tmp_path, {"population_dir": "maps"})
-        where = ["--scenes", str(tmp_path / "scenes")] if command == "eval" else ["--scene", str(scene)]
+        where = {
+            "eval": ["--scenes", str(tmp_path / "scenes")],
+            "enhance": ["--image", str(scene / "image.ppm")],
+        }.get(command, ["--scene", str(scene)])
         out = tmp_path / "out"
         code = main([command, "--config", str(cfg), *where, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
         assert "no illumination maps" in err
+        assert not out.exists()
+
+
+# (probe id, command, module, function made to fail, the stage the error names)
+STAGE_FAILURE_PROBES = [
+    ("pipeline", "pipeline", nightbev.pipeline, "guided_warp", "guided_sampling"),
+    ("igs", "igs", nightbev.pipeline, "guided_warp", "guided_sampling"),
+    ("enhance", "enhance", nightbev.pipeline, "selective_enhance", "enhance"),
+    ("illum_field_estimate", "illum-field", nightbev.pipeline, "estimate_illumination", "enhance"),
+    ("illum_field", "illum-field", nightbev.cli, "illumination_field", "illumination_field"),
+]
+
+
+class TestStageFailures:
+    """A stage failure exits 1 and names the stage in every command; an input
+    error is checked before the first stage and exits 2."""
+
+    def _args(self, command, scene, pipeline_config):
+        where = ["--image", str(scene / "image.ppm")] if command == "enhance" else ["--scene", str(scene)]
+        return [command, "--config", str(pipeline_config), *where]
+
+    @pytest.mark.parametrize(
+        "command,module,name,stage",
+        [p[1:] for p in STAGE_FAILURE_PROBES],
+        ids=[p[0] for p in STAGE_FAILURE_PROBES],
+    )
+    def test_stage_failure_exits_1(
+        self, tmp_path, capsys, monkeypatch, pipeline_config, scene, command, module, name, stage
+    ):
+        def broken(*args):
+            raise ValueError(f"broken {name}")
+
+        monkeypatch.setattr(module, name, broken)
+        out = tmp_path / "out"
+        code = main([*self._args(command, scene, pipeline_config), "--out", str(out)])
+        assert code == 1
+        assert f"error: stage '{stage}' failed: broken {name}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_illum_map_of_another_size_exits_2(self, tmp_path, capsys, pipeline_config, scene):
+        small = tmp_path / "small.rt"
+        write_raw_tensor(Tensor3.full(1, 32, 48, 0.5), small, dtype="f32")
+        out = tmp_path / "out"
+        args = [*self._args("enhance", scene, pipeline_config), "--illum", str(small)]
+        assert main([*args, "--out", str(out)]) == 2
+        assert "illumination_file is 32x48, image is 64x96" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -16,6 +16,7 @@ from nightbev.core import (
     finite_diff_check,
     frozen_array,
     level_blocks,
+    ordered_sum,
     read_raw_tensor,
     write_raw_tensor,
 )
@@ -167,6 +168,17 @@ class TestLevelBlocks:
 
     def test_a_level_larger_than_a_block_is_one_block(self):
         assert [np.arange(3)[b].tolist() for b in level_blocks(3, 5 * LEVEL_BLOCK_BYTES)] == [[0], [1], [2]]
+
+
+class TestOrderedSum:
+    def test_adds_in_index_order_from_positive_zero(self):
+        terms = np.random.default_rng(23).normal(size=(16, 1, 3))
+        total = 0.0
+        for t in terms[:, 0, 0]:
+            total += t
+        assert ordered_sum(terms[:, :, :1]).tobytes() == np.array([[total]]).tobytes()
+        assert ordered_sum(terms)[:, :1].tobytes() == np.array([[total]]).tobytes()
+        assert not np.signbit(ordered_sum(np.array([-0.0, -0.0])))
 
 
 class TestBilinearSample:
@@ -361,6 +373,24 @@ class TestRawTensorFormat:
         path.write_bytes(b'{"dtype":"f32","shape":[1,1]}\n' + b"\x00" * 4)
         with pytest.raises(ValueError, match="shape"):
             read_raw_tensor(path)
+
+    @pytest.mark.parametrize(
+        "header,where",
+        [
+            (b'{"dtype":"f32","shape":[1,1,1],"order":"C"}', "order: unknown key; known: dtype, shape"),
+            (b'{"dtype":"f32"}', "shape: missing"),
+            (b'{"dtype":"i8","shape":[1,1,1]}', "dtype: must be one of f32, f64"),
+            (b'{"dtype":"f32","shape":[1,0,1]}', "shape[1]: must be >= 1"),
+            (b'{"dtype":"f32","shape":[1,true,1]}', "shape[1]: must be an integer"),
+        ],
+        ids=["unknown_key", "missing_key", "dtype", "zero_dim", "bool_dim"],
+    )
+    def test_header_error_names_the_key(self, tmp_path, header, where):
+        path = tmp_path / "bad.rt"
+        path.write_bytes(header + b"\n" + bytes(4))
+        with pytest.raises(ValueError) as info:
+            read_raw_tensor(path)
+        assert str(info.value) == f"{path}: malformed raw tensor header: {where}"
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "bad.rt"

@@ -235,6 +235,15 @@ class TestBuildGuidance:
         i_prime, _ = build_guidance(i, 1, 1)
         assert i_prime.data[0, 0, 0] == pytest.approx(0.5)
 
+    def test_one_block_map_gets_the_bytes_of_a_wider_one(self):
+        # A block's mean adds its rows' columns, then the rows, on every target size.
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            wide = rng.uniform(0.05, 1.0, size=(1, 4, 8))
+            one, _ = build_guidance(Tensor3(wide[:, :, :4]), 1, 1)
+            two, _ = build_guidance(Tensor3(wide), 1, 2)
+            assert one.data.tobytes() == two.data[:, :, :1].tobytes()
+
     def test_non_divisible_target_rejected(self):
         with pytest.raises(ValueError, match="divide"):
             build_guidance(Tensor3.full(1, 4, 4, 0.5), 3, 2)

@@ -4,7 +4,8 @@ It checks that the harness runs, verifies its outputs and reports every
 metric, and that every output bit is kept: each run's `output_sha256` must
 equal the pin below. A change that alters outputs on purpose updates the pin
 and says why. It gates on no timing, because one short run on a shared
-machine is too noisy for that.
+machine is too noisy for that. The runs are marked `slow`, so
+`pytest -m "not slow"` leaves them out.
 """
 
 import json
@@ -15,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+pytestmark = pytest.mark.slow  # every test here runs the benchmark in a child process
 
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = ("setup_s", "job_ms_p50", "job_ms_tail", "scenes_per_s", "peak_rss_mb", "ok_frac")

@@ -549,6 +549,9 @@ class TestEncodeImage:
         assert peak < 8 * 448 * 800 * 8
 
 
+ONE_CLASS = dict(classes=("free",), random_boxes=0)
+
+
 class TestEvalBatch:
     def test_single_scene_matches_single_run(self, tmp_path):
         sdir = scene_dir(tmp_path)
@@ -603,6 +606,69 @@ class TestEvalBatch:
         with pytest.raises(ValueError, match="at least 2 classes"):
             eval_batch(dirs, PipelineConfig(), tmp_path / "eval")
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize(
+        "first,second,where",
+        [
+            ({}, dict(classes=("free", "crate", "pillar")), "b: uses a different class table"),
+            (ONE_CLASS, ONE_CLASS, "a: pipeline needs at least 2 classes for the prediction head"),
+            ({}, dict(height=62), "b: image 62x96: height and width must be divisible by 4"),
+        ],
+        ids=["class_table", "one_class", "stride"],
+    )
+    def test_manifest_problem_fails_before_any_scene_runs(
+        self, tmp_path, monkeypatch, first, second, where
+    ):
+        def must_not_run(*args, **kwargs):
+            pytest.fail("a scene ran before every manifest was checked")
+
+        dirs = [scene_dir(tmp_path, "a", **first), scene_dir(tmp_path, "b", **second)]
+        monkeypatch.setattr(nightbev.pipeline, "run_pipeline", must_not_run)
+        with pytest.raises(ValueError) as info:
+            eval_batch(dirs, PipelineConfig(), tmp_path / "eval")
+        assert str(info.value) == f"scene {tmp_path}/{where}"
+        assert not (tmp_path / "eval").exists()
+
+    def test_parameters_built_once_per_scene(self, tmp_path, monkeypatch):
+        calls = []
+        real = nightbev.pipeline.build_params
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(nightbev.pipeline, "build_params", counting)
+        eval_batch(batch_dirs(tmp_path), PipelineConfig(), tmp_path / "eval")
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("error", [ValueError("broken refine"), KeyboardInterrupt()])
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_failure_in_a_later_scene(self, tmp_path, monkeypatch, error, existed):
+        """Removes the output directory if the batch created it, and only then."""
+        calls = []
+        real = nightbev.pipeline.refine_bev
+
+        def second_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise error
+            return real(*args)
+
+        out = tmp_path / "eval"
+        if existed:
+            out.mkdir()
+            (out / "keep.txt").write_text("kept")
+        dirs = batch_dirs(tmp_path, 2)
+        monkeypatch.setattr(nightbev.pipeline, "refine_bev", second_fails)
+        with pytest.raises((StageError, KeyboardInterrupt)) as info:
+            eval_batch(dirs, PipelineConfig(), out)
+        if isinstance(error, ValueError):
+            assert str(info.value) == f"scene {dirs[1]}: stage 'refine' failed: broken refine"
+            assert info.value.stage == "refine" and info.value.__cause__ is error
+        assert len(calls) == 2
+        assert out.exists() == existed
+        if existed:
+            assert (out / "keep.txt").read_text() == "kept"
 
 
 def population(tmp_path, levels=(0.1, 0.12, 0.3, 0.82, 0.85)):
