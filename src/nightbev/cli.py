@@ -15,31 +15,32 @@ import numpy as np
 
 from .formats import read_ppm, write_artifacts
 from .geometry import field_to_tensor, illumination_field
-from .illumination import load_illumination
 from .pipeline import PipelineConfig, StageError, _Stages, _with_fixed_t_star, build_params
-from .pipeline import check_image_size, check_injected_size, encode_image, enhance_stage, eval_batch
+from .pipeline import check_image_size, encode_image, enhance_stage, eval_batch
 from .pipeline import igs_stage, illumination_map, injected_map, offset_magnitude
 from .pipeline import population_factors, run_pipeline
 from .scene import SceneConfig, gen_scene, load_scene, save_scene
 from .selective import FactorPopulation, factor_histogram, otsu_threshold
 
 
+def _config(cls, args):
+    """`args.config` parsed as a `cls`, with `--seed` applied if given."""
+    cfg = cls.from_json_file(args.config)
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
+
+
 def _cmd_gen_scene(args) -> int:
-    cfg = SceneConfig.from_json_file(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    bundle = gen_scene(cfg)
+    bundle = gen_scene(_config(SceneConfig, args))
     save_scene(bundle, args.out)
     print(f"scene written to {args.out}")
     return 0
 
 
 def _cmd_enhance(args) -> int:
-    pc = PipelineConfig.from_json_file(args.config, seed_override=args.seed)
+    pc = _config(PipelineConfig, args)
     image = read_ppm(args.image)
     # A standalone image takes its map from --illum, never from the config.
-    injected = load_illumination(args.illum, pc.estimator.floor) if args.illum else None
-    check_injected_size(injected, image.height, image.width)
+    injected = injected_map(args.illum, pc.estimator.floor, image, "--illum")
     illum, t_star, lam, enhanced_img, enhanced = _Stages().run(
         "enhance", enhance_stage, _with_fixed_t_star(pc), image, injected
     )
@@ -70,10 +71,10 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_igs(args) -> int:
-    pc = PipelineConfig.from_json_file(args.config, seed_override=args.seed)
+    pc = _config(PipelineConfig, args)
     bundle = load_scene(args.scene)
-    injected = injected_map(pc)
-    check_image_size(bundle.image.height, bundle.image.width, injected)
+    check_image_size(bundle.image.height, bundle.image.width)
+    injected = injected_map(pc.illumination_file, pc.estimator.floor, bundle.image)
     params = build_params(pc, len(bundle.classes), bundle.bev.nz)
     pc = _with_fixed_t_star(pc)
     stages = _Stages()
@@ -92,10 +93,9 @@ def _cmd_igs(args) -> int:
 
 
 def _cmd_illum_field(args) -> int:
-    pc = PipelineConfig.from_json_file(args.config, seed_override=args.seed)
+    pc = _config(PipelineConfig, args)
     bundle = load_scene(args.scene)
-    injected = injected_map(pc)
-    check_injected_size(injected, bundle.image.height, bundle.image.width)
+    injected = injected_map(pc.illumination_file, pc.estimator.floor, bundle.image)
     stages = _Stages()
     illum = stages.run("enhance", illumination_map, pc, bundle.image, injected)
     field = stages.run(
@@ -107,7 +107,7 @@ def _cmd_illum_field(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    pc = PipelineConfig.from_json_file(args.config, seed_override=args.seed)
+    pc = _config(PipelineConfig, args)
     bundle = load_scene(args.scene)
     report = run_pipeline(pc, bundle, args.out, dump_intermediates=args.dump_intermediates)
     print(
@@ -119,7 +119,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    pc = PipelineConfig.from_json_file(args.config, seed_override=args.seed)
+    pc = _config(PipelineConfig, args)
     scenes_root = Path(args.scenes)
     if not scenes_root.is_dir():
         raise ValueError(f"scene directory missing: {scenes_root}")
@@ -143,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, config=True):
         if config:
             p.add_argument("--config", required=True, help="JSON config file")
+            p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
 
     p = sub.add_parser("gen-scene", help="generate a synthetic night scene")
     common(p)

@@ -242,11 +242,12 @@ def read_json(path):
             raise ValueError(f"{path}: {exc}") from exc
 
 
-def read_raw_tensor(path) -> Tensor3:
+def read_raw_tensor(path, shape: tuple[int, int, int] | None = None) -> Tensor3:
     """Read the raw tensor format, f32 or f64 on disk, into a float64 Tensor3.
 
     An f32 payload's values are held exactly, since every float32 is a float64.
-    A malformed file raises ValueError naming it.
+    A malformed file, or one whose [C, H, W] is not `shape` when that is given,
+    raises ValueError naming it, e.g. `<path>: must be [1, 4, 4], got [1, 2, 2]`.
     """
     with open(path, "rb") as fh:
         try:
@@ -257,12 +258,14 @@ def read_raw_tensor(path) -> Tensor3:
                 header = _RAW_HEADER(json.loads(line.decode("ascii")), "")
             except (ValueError, RecursionError) as exc:
                 raise ValueError(f"malformed raw tensor header: {exc}") from exc
-            dt, shape = header["dtype"], header["shape"]
-            expected = shape[0] * shape[1] * shape[2] * dt.itemsize
+            dt, got = header["dtype"], header["shape"]
+            if shape is not None and got != tuple(shape):
+                raise ValueError(f"must be {list(shape)}, got {list(got)}")
+            expected = got[0] * got[1] * got[2] * dt.itemsize
             payload = fh.read()
             if len(payload) != expected:
                 raise ValueError(f"raw tensor payload is {len(payload)} bytes, expected {expected}")
-            arr = np.frombuffer(payload, dtype=dt).reshape(shape)
+            arr = np.frombuffer(payload, dtype=dt).reshape(got)
             return Tensor3(arr)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc

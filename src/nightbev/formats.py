@@ -4,61 +4,48 @@ and `write_artifacts`, the one writer of every output file."""
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 
-from .core import Tensor3, level_blocks, write_json, write_raw_tensor
+from .core import _MAX_HEADER_BYTES, Tensor3, level_blocks, write_json, write_raw_tensor
 from .metrics import write_iou_csv
 
 
-def _read_token(fh) -> bytes:
-    tok = b""
-    while True:
-        ch = fh.read(1)
-        if not ch:
-            raise ValueError("unexpected end of file in PNM header")
-        if ch in b" \t\r\n":
-            if tok:
-                return tok
-            continue
-        if ch == b"#":
-            while ch and ch != b"\n":
-                ch = fh.read(1)
-            if tok:
-                return tok
-            continue
-        tok += ch
-
-
-def _read_header(fh, magic: bytes) -> tuple[int, int]:
-    got = _read_token(fh)
-    if got != magic:
-        raise ValueError(f"expected {magic.decode()} file, got magic {got!r}")
-    try:
-        width = int(_read_token(fh))
-        height = int(_read_token(fh))
-        maxval = int(_read_token(fh))
-    except ValueError as exc:
-        raise ValueError(f"malformed PNM header: {exc}") from exc
-    if width <= 0 or height <= 0:
-        raise ValueError(f"bad PNM dimensions {width}x{height}")
-    if maxval != 255:
-        raise ValueError(f"only 8-bit PNM supported (maxval 255), got {maxval}")
-    return width, height
+# Whitespace or a `#` comment running to the end of its line.
+_SEP = rb"(?:[ \t\r\n]|#[^\n]*\n)"
+# A PNM header: the magic, then width, height and maxval in ASCII decimal, each
+# token preceded by separators, and one separator after maxval.
+_PNM_HEADER = re.compile(_SEP + rb"*([^ \t\r\n#]+)" + (_SEP + rb"+([0-9]+)") * 3 + _SEP)
 
 
 def _read_pnm(path, magic: bytes, channels: int) -> Tensor3:
-    """A binary PNM's channels x H x W values in [0,1]; errors name the file."""
+    """A binary PNM's channels x H x W values in [0,1]; errors name the file.
+
+    The header must match `_PNM_HEADER` within the first `_MAX_HEADER_BYTES`."""
     with open(path, "rb") as fh:
         try:
-            width, height = _read_header(fh, magic)
+            header = _PNM_HEADER.match(fh.read(_MAX_HEADER_BYTES))
+            if header is None:
+                raise ValueError(
+                    f"malformed PNM header: no magic, width, height and maxval"
+                    f" in the first {_MAX_HEADER_BYTES} bytes"
+                )
+            if header[1] != magic:
+                raise ValueError(f"expected {magic.decode()} file, got magic {header[1]!r}")
+            width, height, maxval = map(int, header.groups()[1:])
+            if width <= 0 or height <= 0:
+                raise ValueError(f"bad PNM dimensions {width}x{height}")
+            if maxval != 255:
+                raise ValueError(f"only 8-bit PNM supported (maxval 255), got {maxval}")
             size = width * height * channels
             # Compare with the file first, so a header alone never sizes a read.
-            if os.fstat(fh.fileno()).st_size - fh.tell() < size:
+            if os.fstat(fh.fileno()).st_size - header.end() < size:
                 raise ValueError(f"truncated {magic.decode()} payload")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+        fh.seek(header.end())
         payload = fh.read(size)
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
     return Tensor3(arr.transpose(2, 0, 1) / 255.0)

@@ -121,14 +121,12 @@ class PipelineConfig:
             raise ValueError(f"depth.d_min: {exc}") from exc
 
     @classmethod
-    def from_json_file(cls, path, seed_override: int | None = None) -> "PipelineConfig":
+    def from_json_file(cls, path) -> "PipelineConfig":
         path = Path(path)
-        return cls.from_dict(read_json(path), base_dir=path.parent, seed_override=seed_override)
+        return cls.from_dict(read_json(path), base_dir=path.parent)
 
     @classmethod
-    def from_dict(
-        cls, obj: dict, base_dir: Path = Path("."), seed_override: int | None = None
-    ) -> "PipelineConfig":
+    def from_dict(cls, obj: dict, base_dir: Path = Path(".")) -> "PipelineConfig":
         """Parse the JSON form; relative paths resolve against `base_dir`.
 
         A bad key or value raises ValueError naming its dotted key path.
@@ -168,8 +166,6 @@ class PipelineConfig:
         for name in nested.keys() & fields.keys():
             for key, value in fields[name].items():
                 kwargs[f"{short.get(name, name)}_{short.get(key, key)}"] = value
-        if seed_override is not None:
-            kwargs["seed"] = int(seed_override)
         return cls(**kwargs)
 
 
@@ -229,13 +225,10 @@ def _param_table(
 
 def _load_param(block: str, param: _Param, path: Path) -> np.ndarray:
     """A raw tensor file of exactly the declared layout, reshaped to the parameter's shape."""
-    key = f"{block}.source.files.{param.name}"
     try:
-        t = read_raw_tensor(path)  # its errors name the path
+        t = read_raw_tensor(path, param.layout)  # its errors name the path
     except (OSError, ValueError) as exc:
-        raise ValueError(f"{key}: {exc}") from exc
-    if t.shape != param.layout:
-        raise ValueError(f"{key}: {path}: must be {list(param.layout)}, got {list(t.shape)}")
+        raise ValueError(f"{block}.source.files.{param.name}: {exc}") from exc
     return t.data.reshape(param.shape)
 
 
@@ -284,37 +277,37 @@ def population_factors(maps_dir, floor: float = ILLUMINATION_FLOOR) -> list[floa
 ENCODER_STRIDE = 4  # encode_image pools twice by 2
 
 
-def injected_map(pc: PipelineConfig) -> Tensor3 | None:
-    """`pc.illumination_file` loaded, if one is set; the one read of it per run."""
-    if pc.illumination_file is None:
+def injected_map(
+    path, floor: float, image: Tensor3, source: str = "illumination_file"
+) -> Tensor3 | None:
+    """The injected map at `path` clamped into (floor, 1], or None if `path` is:
+    the one read of it per run. It must be as large as `image`; every error
+    names `source`, the config key or flag the path came from."""
+    if path is None:
         return None
     try:
-        return load_illumination(pc.illumination_file, pc.estimator.floor)  # errors name the path
+        injected = load_illumination(path, floor)  # errors name the path
     except (OSError, ValueError) as exc:
-        raise ValueError(f"illumination_file: {exc}") from exc
+        raise ValueError(f"{source}: {exc}") from exc
+    if (injected.height, injected.width) != (image.height, image.width):
+        size, want = (f"{t.height}x{t.width}" for t in (injected, image))
+        raise ValueError(f"{source} is {size}, image is {want}")
+    return injected
 
 
-def check_image_size(height: int, width: int, injected: Tensor3 | None) -> None:
-    """Refuse an image the encoder cannot pool, or an injected map of another size."""
+def check_image_size(height: int, width: int) -> None:
+    """Refuse an image the encoder cannot pool."""
     if height % ENCODER_STRIDE or width % ENCODER_STRIDE:
         raise ValueError(
             f"image {height}x{width}: height and width must be divisible by {ENCODER_STRIDE}"
         )
-    check_injected_size(injected, height, width)
 
 
-def check_injected_size(injected: Tensor3 | None, height: int, width: int) -> None:
-    """Refuse an injected map that is not height x width."""
-    if injected is not None and (injected.height, injected.width) != (height, width):
-        h, w = injected.height, injected.width
-        raise ValueError(f"illumination_file is {h}x{w}, image is {height}x{width}")
-
-
-def _check_scene(classes: tuple, height: int, width: int, injected: Tensor3 | None) -> None:
-    """Refuse a scene the head or the encoder cannot run, or an injected map of another size."""
+def _check_scene(classes: tuple, height: int, width: int) -> None:
+    """Refuse a scene the head or the encoder cannot run."""
     if len(classes) < 2:
         raise ValueError("pipeline needs at least 2 classes for the prediction head")
-    check_image_size(height, width, injected)
+    check_image_size(height, width)
 
 
 def _with_fixed_t_star(pc: PipelineConfig) -> PipelineConfig:
@@ -472,14 +465,14 @@ def run_pipeline(
 ) -> RunReport:
     """Execute the full pipeline on one scene and write artifacts to out_dir.
 
-    First the injected map is read, the scene checked against it, the
-    parameters built and t* resolved; then every stage runs; only then is
+    First the scene is checked, the injected map read and checked against it,
+    the parameters built and t* resolved; then every stage runs; only then is
     anything written, so a failure at any point leaves no output directory.
     """
     n_cla = len(bundle.classes)
     spec = bundle.bev
-    injected = injected_map(pc)
-    _check_scene(bundle.classes, bundle.image.height, bundle.image.width, injected)
+    _check_scene(bundle.classes, bundle.image.height, bundle.image.width)
+    injected = injected_map(pc.illumination_file, pc.estimator.floor, bundle.image)
     params = build_params(pc, n_cla, spec.nz)
     pc = _with_fixed_t_star(pc)
     stages = _Stages()
@@ -600,7 +593,7 @@ def eval_batch(scene_dirs, pc: PipelineConfig, out_dir) -> IoUReport:
         try:
             if m["classes"] != classes:
                 raise ValueError("uses a different class table")
-            _check_scene(classes, m["height"], m["width"], None)
+            _check_scene(classes, m["height"], m["width"])
         except ValueError as exc:
             raise ValueError(f"scene {d}: {exc}") from exc
     pc = _with_fixed_t_star(pc)

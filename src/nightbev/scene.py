@@ -354,12 +354,10 @@ def load_scene(scene_dir) -> SceneBundle:
     camera = CameraMatrix.from_json_file(files["camera"])
     classes = manifest["classes"]
     bev = manifest["bev"]
-    grid = _read_grid(files["occupancy"], (bev.nz, bev.nx, bev.ny), "occupancy").data
+    grid = read_raw_tensor(files["occupancy"], (bev.nz, bev.nx, bev.ny)).data
     if not ((grid >= 0) & (grid < len(classes)) & (grid == np.rint(grid))).all():
         raise ValueError(f"{files['occupancy']}: labels must be integers in [0, {len(classes)})")
-    illumination = _read_grid(
-        files["illumination"], (1, image.height, image.width), "illumination"
-    )
+    illumination = read_raw_tensor(files["illumination"], (1, image.height, image.width))
     return SceneBundle(
         image=image,
         camera=camera,
@@ -369,11 +367,3 @@ def load_scene(scene_dir) -> SceneBundle:
         classes=classes,
     )
 
-
-def _read_grid(path, shape: tuple[int, int, int], what: str) -> Tensor3:
-    """A raw tensor file of the given shape; errors name the file."""
-    t = read_raw_tensor(path)
-    if t.shape != shape:
-        want, got = ("x".join(map(str, s)) for s in (shape, t.shape))
-        raise ValueError(f"{path}: {what} must be {want}, got {got}")
-    return t

@@ -1,5 +1,6 @@
 """CLI subcommands, flags, and exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 import nightbev.cli
 import nightbev.illumination
 import nightbev.pipeline
-from nightbev.cli import main
+from nightbev.cli import build_parser, main
 from nightbev.core import Tensor3, read_raw_tensor, write_raw_tensor
 from nightbev.formats import write_pgm
 from nightbev.illumination import load_illumination
@@ -220,6 +221,36 @@ class TestNegativeSeed:
         assert not out.exists()
 
 
+class TestSeedFlag:
+    def test_subcommands_that_take_seed(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        takes = {
+            name for name, p in sub.choices.items()
+            if any("--seed" in a.option_strings for a in p._actions)
+        }
+        assert takes == {"gen-scene", "enhance", "igs", "illum-field", "pipeline", "eval"}
+        assert set(sub.choices) - takes == {"threshold"}
+
+    def test_pipeline_seed_equals_config_seed(self, tmp_path, pipeline_config, scene):
+        config7 = tmp_path / "seed7.json"
+        config7.write_text(json.dumps({**json.loads(pipeline_config.read_text()), "seed": 7}))
+        flag, key = tmp_path / "flag", tmp_path / "key"
+        common = ["pipeline", "--scene", str(scene), "--dump-intermediates"]
+        assert main([*common, "--config", str(pipeline_config), "--seed", "7", "--out", str(flag)]) == 0
+        assert main([*common, "--config", str(config7), "--out", str(key)]) == 0
+        names = sorted(p.name for p in flag.iterdir())
+        assert names == sorted(p.name for p in key.iterdir())
+        for name in names:
+            if name == "report.json":  # its stage timings differ from run to run
+                reports = [json.loads((d / name).read_text()) for d in (flag, key)]
+                for report in reports:
+                    del report["timings"]
+                assert reports[0] == reports[1]
+            else:
+                assert (flag / name).read_bytes() == (key / name).read_bytes(), name
+
+
 class TestPipelineCommand:
     def test_full_run_writes_report(self, tmp_path, pipeline_config, scene):
         out = tmp_path / "run"
@@ -328,7 +359,7 @@ class TestReadOnce:
             calls.append(path)
             return load_illumination(path, *args, **kwargs)
 
-        for module in (nightbev.illumination, nightbev.pipeline, nightbev.cli):
+        for module in (nightbev.illumination, nightbev.pipeline):
             monkeypatch.setattr(module, "load_illumination", counting)
         where = {
             "eval": ["--scenes", str(scenes)],
@@ -453,13 +484,13 @@ def _relabel(value):
 OCC, ILLUM = "occupancy_gt.rt", "illumination_gt.rt"
 # (probe id, grid file, edit of its values, text the error names)
 SCENE_GRID_PROBES = [
-    ("few-heights", OCC, lambda d: d[:4], f"{OCC}: occupancy must be 8x20x20, got 4x20x20"),
-    ("narrow", OCC, lambda d: d[:, :, :10], "occupancy must be 8x20x20, got 8x20x10"),
+    ("few-heights", OCC, lambda d: d[:4], f"{OCC}: must be [8, 20, 20], got [4, 20, 20]"),
+    ("narrow", OCC, lambda d: d[:, :, :10], "must be [8, 20, 20], got [8, 20, 10]"),
     ("fraction", OCC, _relabel(1.4), f"{OCC}: labels must be integers in [0, 4)"),
     ("negative", OCC, _relabel(-1.0), "labels must be integers in [0, 4)"),
     ("no-such-class", OCC, _relabel(4.0), "labels must be integers in [0, 4)"),
-    ("small-map", ILLUM, lambda d: d[:, :4, :4], f"{ILLUM}: illumination must be 1x64x96, got 1x4x4"),
-    ("three-channels", ILLUM, lambda d: d.repeat(3, axis=0), "must be 1x64x96, got 3x64x96"),
+    ("small-map", ILLUM, lambda d: d[:, :4, :4], f"{ILLUM}: must be [1, 64, 96], got [1, 4, 4]"),
+    ("three-channels", ILLUM, lambda d: d.repeat(3, axis=0), "must be [1, 64, 96], got [3, 64, 96]"),
 ]
 
 
@@ -700,7 +731,29 @@ class TestStageFailures:
         out = tmp_path / "out"
         args = [*self._args("enhance", scene, pipeline_config), "--illum", str(small)]
         assert main([*args, "--out", str(out)]) == 2
-        assert "illumination_file is 32x48, image is 64x96" in capsys.readouterr().err
+        assert "--illum is 32x48, image is 64x96" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content,what",
+        [
+            (None, "No such file or directory"),
+            (b"not a tensor", "malformed raw tensor header"),
+            (b'{"dtype":"f64","shape":[3,1,1]}\n' + bytes(24), "illumination map must have 1 channel"),
+        ],
+        ids=["missing", "malformed", "three-channels"],
+    )
+    def test_unreadable_illum_map_exits_2_naming_the_flag(
+        self, tmp_path, capsys, pipeline_config, scene, content, what
+    ):
+        bad = tmp_path / "bad.rt"
+        if content is not None:
+            bad.write_bytes(content)
+        out = tmp_path / "out"
+        args = [*self._args("enhance", scene, pipeline_config), "--illum", str(bad)]
+        assert main([*args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: --illum: " in err and str(bad) in err and what in err
         assert not out.exists()
 
 

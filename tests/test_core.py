@@ -392,6 +392,15 @@ class TestRawTensorFormat:
             read_raw_tensor(path)
         assert str(info.value) == f"{path}: malformed raw tensor header: {where}"
 
+    def test_shape_when_given_must_match(self, tmp_path):
+        t = Tensor3(np.arange(6, dtype=np.float64).reshape(1, 2, 3))
+        path = tmp_path / "t.rt"
+        write_raw_tensor(t, path)
+        np.testing.assert_array_equal(read_raw_tensor(path, (1, 2, 3)).data, t.data)
+        with pytest.raises(ValueError) as info:
+            read_raw_tensor(path, (1, 3, 2))
+        assert str(info.value) == f"{path}: must be [1, 3, 2], got [1, 2, 3]"
+
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "bad.rt"
         path.write_bytes(b'{"dtype":"f32","shape":[1,1,2]}\n' + b"\x00" * 4)

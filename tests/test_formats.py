@@ -36,6 +36,34 @@ class TestPgm:
         assert back.data[0, 0, 0] == 0.0
         assert back.data[0, 0, 1] == 1.0
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"P5\n2 1\n255\n",
+            b"# made by hand\nP5\n2 1\n255\n",
+            b"P5# a comment straight after the magic\n2#and after the width\n1 255\n",
+            b"P5\t2\r\n1\r255\t",
+            b"P5 2 1 255# a comment ending maxval\n",
+        ],
+        ids=["plain", "comment_before_magic", "comment_after_token", "tabs_and_crs", "comment_after_maxval"],
+    )
+    def test_header_forms_read_the_same_pixels(self, tmp_path, header):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(header + b"\x00\xff")
+        np.testing.assert_array_equal(read_pgm(path).data, [[[0.0, 1.0]]])
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"P5\n+2 1\n255\n", b"P5\n2_0 1\n255\n", b"P5\n" + b"#" * 4096 + b"\n2 1\n255\n"],
+        ids=["plus_sign", "underscore", "longer_than_the_cap"],
+    )
+    def test_header_outside_the_grammar_rejected(self, tmp_path, header):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(header + bytes(20))
+        with pytest.raises(ValueError) as info:
+            read_pgm(path)
+        assert str(info.value).startswith(f"{path}: malformed PNM header")
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")

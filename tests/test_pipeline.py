@@ -74,11 +74,6 @@ class TestPipelineConfig:
         assert pc.depth_bins == 8
         assert pc.loss.alpha == 1.0
 
-    def test_seed_override(self, tmp_path):
-        path = tmp_path / "pc.json"
-        path.write_text(json.dumps({"seed": 1}))
-        assert PipelineConfig.from_json_file(path, seed_override=9).seed == 9
-
     def test_missing_parameter_file_rejected(self, tmp_path):
         cfg = {"igs": {"source": {"files": {"kernel": "nope.rt"}}}}
         path = tmp_path / "pc.json"
