@@ -8,6 +8,7 @@ computed maps can be injected through `load_illumination` instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -71,13 +72,10 @@ def estimate_illumination(x: Tensor3, cfg: EstimatorConfig = EstimatorConfig()) 
 
 
 def load_illumination(path, floor: float = ILLUMINATION_FLOOR) -> Tensor3:
-    """Load an illumination map from a raw tensor or PGM file, clamped into (floor, 1]."""
-    with open(path, "rb") as fh:
-        magic = fh.read(2)
-    if magic == b"P5":
-        t = read_pgm(path)
-    else:
-        t = read_raw_tensor(path)
+    """Load an illumination map clamped into (floor, 1]: a `*.pgm` file as PGM,
+    any other file as a raw tensor. The readers are looked up on every call, so
+    a module attribute rebound later (a timing wrapper, say) sees every read."""
+    t = read_pgm(path) if Path(path).suffix == ".pgm" else read_raw_tensor(path)
     if t.channels != 1:
         raise ValueError(f"{path}: illumination map must have 1 channel, got {t.channels}")
     return Tensor3(np.clip(t.data, floor, 1.0))

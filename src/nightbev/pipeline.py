@@ -351,26 +351,25 @@ def igs_stage(
     return i_prime, g, dp_mod, warped
 
 
-def _class_argmax(zgrid: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _class_argmax(zgrid: np.ndarray, out: np.ndarray) -> np.ndarray:
     """`zgrid.argmax(axis=1)`, as one pass per class over the (Z, X, Y) planes.
 
     Class k takes over where it beats the running max, or is NaN where that
     is not, so the first maximum and the first NaN win, as in `argmax`. Every
-    earlier label is below k, so `maximum(labels, k * wins)` sets exactly those.
-    The labels go into `out` when it is given.
+    earlier label is below k, so `maximum(out, k * wins)` sets exactly those.
+    The labels go into `out`, which is returned.
     """
     best = zgrid[:, 0].copy()
-    labels = np.empty(best.shape, np.min_scalar_type(zgrid.shape[1] - 1)) if out is None else out
-    labels[...] = 0
+    out[...] = 0
     wins = np.empty(best.shape, dtype=bool)
     for k in range(1, zgrid.shape[1]):
         plane = zgrid[:, k]
         np.less_equal(plane, best, out=wins)
         np.logical_not(wins, out=wins)  # greater, or one of the two is NaN
         wins &= best == best
-        np.maximum(labels, np.multiply(wins, k, dtype=labels.dtype), out=labels)
+        np.maximum(out, np.multiply(wins, k, dtype=out.dtype), out=out)
         np.maximum(best, plane, out=best)
-    return labels
+    return out
 
 
 def head_stage(

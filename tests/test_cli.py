@@ -324,6 +324,50 @@ class TestEvalCommand:
         assert len(summary["scenes"]) == 2
 
 
+    def test_directory_without_scenes_exits_2_naming_it(self, tmp_path, capsys, pipeline_config):
+        empty = tmp_path / "empty"
+        (empty / "notes").mkdir(parents=True)  # a subdirectory without scene.json
+        out = tmp_path / "eval"
+        code = main(["eval", "--config", str(pipeline_config), "--scenes", str(empty), "--out", str(out)])
+        assert code == 2
+        assert f"error: no scene directory (holding scene.json) in {empty}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestCommentLedPgm:
+    """A PGM whose header starts with a comment is read wherever a map is: as
+    `--illum`, as `illumination_file` and in a `t_star.population_dir`. Each
+    run reports what the same maps without the comment give."""
+
+    @pytest.mark.parametrize("where", ["--illum", "illumination_file", "population_dir"])
+    def test_runs_as_the_plain_maps(self, tmp_path, scene, where):
+        reports = []
+        for lead in (b"", b"# made by hand\n"):
+            maps = tmp_path / f"maps{len(lead)}"
+            maps.mkdir()
+            for k, value in enumerate((0.1, 0.3, 0.7, 0.9)):
+                path = maps / f"m{k}.pgm"
+                write_pgm(Tensor3.full(1, 64, 96, value), path)
+                path.write_bytes(lead + path.read_bytes())
+            cfg = tmp_path / "pc.json"
+            t_star = {"population_dir": str(maps)} if where == "population_dir" else 0.45
+            injected = {"illumination_file": str(maps / "m1.pgm")} if where == "illumination_file" else {}
+            cfg.write_text(json.dumps({"t_star": t_star, **injected}))
+            out = tmp_path / f"out{len(lead)}"
+            if where == "--illum":
+                args = ["enhance", "--image", str(scene / "image.ppm"), "--illum", str(maps / "m1.pgm")]
+            else:
+                args = ["pipeline", "--scene", str(scene)]
+            assert main([*args, "--config", str(cfg), "--out", str(out)]) == 0
+            report = json.loads(next(out.glob("*report.json")).read_text())
+            report.pop("timings", None)
+            reports.append(report)
+        assert reports[1] == reports[0]
+        # The maps set the number: the injected map's mean, or t* between the population's levels.
+        key, want = ("t_star", 255 / 512) if where == "population_dir" else ("lambda", 76 / 255)
+        assert reports[0][key] == pytest.approx(want)
+
+
 class TestInternalError:
     def test_key_error_is_a_bug_not_a_validation_error(self, tmp_path, monkeypatch, capsys):
         def broken(maps_dir):

@@ -1,10 +1,13 @@
 """Illumination estimation, Retinex enhancement, and the brightness factor."""
 
+import builtins
+import re
+
 import numpy as np
 import pytest
 
 from nightbev.core import Tensor3, write_raw_tensor
-from nightbev.formats import write_pgm
+from nightbev.formats import read_pgm, write_pgm
 from nightbev.illumination import (
     EstimatorConfig,
     box_blur,
@@ -83,6 +86,14 @@ class TestBoxBlur:
                 assert got[y, x] == pytest.approx(window.mean(), abs=1e-12)
 
 
+def write_map(path) -> None:
+    """A 2x2 map of 0.5 in the codec `path`'s suffix names."""
+    if path.suffix == ".pgm":
+        write_pgm(np.full((2, 2), 0.5), path)
+    else:
+        write_raw_tensor(Tensor3.full(1, 2, 2, 0.5), path, dtype="f32")
+
+
 class TestLoadIllumination:
     def test_raw_tensor_values(self, tmp_path):
         path = tmp_path / "i.rt"
@@ -115,6 +126,48 @@ class TestLoadIllumination:
         path.write_bytes(b"garbage")
         with pytest.raises(ValueError):
             load_illumination(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"# made by hand\nP5 2 1 255\n",
+            b"P5# a comment straight after the magic\n2#and after the width\n1 255\n",
+            b"P5\t2\r\n1\r255\t",
+        ],
+        ids=["comment_before_magic", "comment_after_token", "tabs_and_crs"],
+    )
+    def test_pgm_header_forms_load_as_read_pgm_reads_them(self, tmp_path, header):
+        path = tmp_path / "i.pgm"
+        path.write_bytes(header + b"\x00\x80")
+        out = load_illumination(path)
+        np.testing.assert_array_equal(out.data, np.clip(read_pgm(path).data, 0.01, 1.0))
+        np.testing.assert_array_equal(out.data, [[[0.01, 128 / 255]]])
+
+    @pytest.mark.parametrize(
+        "written,name,error",
+        [("m.rt", "i.pgm", "malformed PNM header"), ("m.pgm", "i.rt", "malformed raw tensor header")],
+        ids=["raw_tensor_named_pgm", "pgm_named_rt"],
+    )
+    def test_file_in_the_other_codec_rejected_naming_it(self, tmp_path, written, name, error):
+        write_map(tmp_path / written)
+        path = (tmp_path / written).rename(tmp_path / name)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {error}"):
+            load_illumination(path)
+
+    @pytest.mark.parametrize("name", ["i.pgm", "i.rt"])
+    def test_each_map_opened_once(self, tmp_path, monkeypatch, name):
+        path = tmp_path / name
+        write_map(path)
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        load_illumination(path)
+        assert opened == [path]
 
 
 class TestRetinexEnhance:
