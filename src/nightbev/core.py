@@ -103,29 +103,37 @@ class Tensor3:
         return cls(np.full((channels, height, width), float(value)))
 
 
-def _bilinear_corners(f: Tensor3, x0, y0) -> Iterator[np.ndarray]:
-    """The four (C, *coords) corner values around floored positions (x0, y0).
+def zero_bordered(f: Tensor3) -> np.ndarray:
+    """`f`'s (C, H+2, W+2) values inside a one-pixel zero border: the table
+    every bilinear gather reads, which a caller sampling one map in many calls
+    builds once."""
+    return np.pad(f.data, ((0, 0), (1, 1), (1, 1)))
+
+
+def _bilinear_corners(padded: np.ndarray, x0, y0) -> Iterator[np.ndarray]:
+    """The four (C, *coords) corner values around floored positions (x0, y0),
+    read from a map's `zero_bordered` table.
 
     Pixel centers sit at integer coordinates; corners come one at a time in
-    the order (x0, y0), (x0 + 1, y0), (x0, y0 + 1), (x0 + 1, y0 + 1). The
-    map is padded once with a one-pixel zero border and every corner index
-    is clipped into it, so a corner off the map reads +0.0.
+    the order (x0, y0), (x0 + 1, y0), (x0, y0 + 1), (x0 + 1, y0 + 1). Every
+    corner index is clipped into the border, so a corner off the map reads +0.0.
     """
-    c, h, w = f.shape
-    padded = np.pad(f.data, ((0, 0), (1, 1), (1, 1))).reshape(c, -1)
+    c, h, w = padded.shape[0], padded.shape[1] - 2, padded.shape[2] - 2
+    flat = padded.reshape(c, -1)
     cols = [np.clip(x0 + d, -1, w).astype(np.int64) + 1 for d in (0, 1)]
     rows = [(np.clip(y0 + d, -1, h).astype(np.int64) + 1) * (w + 2) for d in (0, 1)]
     for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        yield np.take(padded, rows[dy] + cols[dx], axis=1)
+        yield np.take(flat, rows[dy] + cols[dx], axis=1)
 
 
-def bilinear_sample_many(f: Tensor3, u, v) -> np.ndarray:
+def bilinear_sample_many(f: Tensor3, u, v, padded: np.ndarray | None = None) -> np.ndarray:
     """Bilinear interpolation at many continuous positions at once.
 
     `u`/`v` are broadcast-compatible arrays of column/row coordinates; the
     result has shape (C, *coords). Pixel centers sit at integer coordinates;
     positions outside [0, W-1] x [0, H-1] read virtual zero pixels, and a
-    non-finite position reads 0.
+    non-finite position reads 0. `padded`, if given, is `zero_bordered(f)`,
+    so a caller sampling `f` in many calls pads it once.
     """
     u, v = np.broadcast_arrays(np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64))
     # A non-finite position moves two pixels off the map, where every corner reads 0.
@@ -135,9 +143,10 @@ def bilinear_sample_many(f: Tensor3, u, v) -> np.ndarray:
     y0 = np.floor(v)
     wx, wy = u - x0, v - y0
     ax, ay = 1.0 - wx, 1.0 - wy
+    corners = _bilinear_corners(zero_bordered(f) if padded is None else padded, x0, y0)
     # Summing into +0.0 keeps a -0.0 corner term from surfacing as -0.0.
     out = np.zeros((f.channels,) + u.shape, dtype=np.float64)
-    for wgt, corner in zip((ax * ay, wx * ay, ax * wy, wx * wy), _bilinear_corners(f, x0, y0)):
+    for wgt, corner in zip((ax * ay, wx * ay, ax * wy, wx * wy), corners):
         out += wgt * corner
     return out
 
@@ -162,7 +171,7 @@ def bilinear_sample_grad(
     y0 = math.floor(v)
     wx = u - x0
     wy = v - y0
-    f00, f10, f01, f11 = _bilinear_corners(f, float(x0), float(y0))
+    f00, f10, f01, f11 = _bilinear_corners(zero_bordered(f), float(x0), float(y0))
 
     value = (
         (1.0 - wx) * (1.0 - wy) * f00
@@ -212,17 +221,22 @@ def finite_diff_check(
 
 
 def write_raw_tensor(t: Tensor3, path, dtype: str = "f64") -> None:
-    """Write the raw tensor format: one JSON header line, then LE payload (f64 by default)."""
+    """Write the raw tensor format: one JSON header line, then LE payload (f64 by default).
+
+    The payload is written in blocks of whole rows of about `LEVEL_BLOCK_BYTES`,
+    each cast to `dtype` on its own, so no full-size copy of the tensor exists.
+    """
     if dtype not in RAW_DTYPES:
         raise ValueError(f"unknown raw tensor dtype {dtype!r}")
     header = json.dumps(
         {"dtype": dtype, "shape": [t.channels, t.height, t.width]},
         separators=(",", ":"),
     )
-    payload = t.data.astype(RAW_DTYPES[dtype], copy=False).tobytes()
+    rows = t.data.reshape(-1, t.width)  # (C*H, W), a view of the C-ordered data
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
-        fh.write(payload)
+        for block in level_blocks(len(rows), rows[0].nbytes):
+            fh.write(rows[block].astype(RAW_DTYPES[dtype], copy=False))
 
 
 def write_json(obj, path) -> None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LEVEL_BLOCK_BYTES, Tensor3, bilinear_sample_many, frozen_array, ordered_sum
+from .core import zero_bordered
 from .illumination import ILLUMINATION_FLOOR
 
 
@@ -258,6 +259,7 @@ def guided_warp(
     h, w = f_img.height, f_img.width
     cols = np.arange(w, dtype=np.float64)
     acc = np.zeros((f_img.channels, h, w), dtype=np.float64)
+    padded = zero_bordered(f_img)  # once for all bands
     # Bands of whole rows, about _WARP_POINTS sample points each: one gather per band
     # for all K points, then each point's term added in k order, as over the whole map.
     rows = max(1, _WARP_POINTS // (k_points * w))
@@ -266,7 +268,7 @@ def guided_warp(
         ys = np.arange(r0, min(r0 + rows, h), dtype=np.float64)[:, None]
         us = cols + base[:, 0, None, None] + dp_mod.data[0::2, band]  # (K, rows, w)
         vs = ys + base[:, 1, None, None] + dp_mod.data[1::2, band]
-        sampled = bilinear_sample_many(f_img, us, vs)  # (C, K, rows, w)
+        sampled = bilinear_sample_many(f_img, us, vs, padded)  # (C, K, rows, w)
         acc_band = acc[:, band]
         for k in range(k_points):
             acc_band += weights[k] * (dw.data[k, band] * sampled[:, k])

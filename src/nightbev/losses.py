@@ -107,33 +107,43 @@ def _ce_block(block, labels, weights, out):
     return peak, lse
 
 
-def _weighted_ce(logits, labels, weights, on_block=None) -> float:
+def term_sum(per_voxel: np.ndarray) -> float:
+    """The sum of per-voxel terms in C order of their axes, as `weighted_ce` adds them."""
+    return float(per_voxel.ravel(order="C").sum())
+
+
+def _weighted_ce(logits, labels, weights, out=None, on_block=None) -> float:
     """The loss, in `level_blocks` along the first leading axis.
 
     Each block's labels and per-voxel terms are contiguous in C order, and
     each of its class planes is a set of contiguous runs for the head's
     (Z, n_cla, X, Y) layout, so a block's work stays in cache. The blocks
-    write their weighted terms into one per-voxel array, which is summed
-    once in C order. `on_block(block, labels, weights, peak, lse)` sees every
-    block after its terms are written.
+    write their weighted terms into one per-voxel array, `out` if given,
+    which is summed once in C order. `on_block(block, labels, weights, peak,
+    lse)` sees every block after its terms are written.
     """
     logits, labels, weights = _check_logits(logits, labels, weights)
-    per_voxel = np.empty(labels.shape)
+    if out is None:
+        out = np.empty(labels.shape)
+    elif out.shape != labels.shape or out.dtype != np.float64:
+        raise ValueError(f"out must be float64 {labels.shape}, got {out.dtype} {out.shape}")
     for rows in level_blocks(len(labels), logits.nbytes // len(labels)):
         block, block_labels = logits[rows], labels[rows]
-        peak, lse = _ce_block(block, block_labels, weights, per_voxel[rows])
+        peak, lse = _ce_block(block, block_labels, weights, out[rows])
         if on_block is not None:
             on_block(block, block_labels, weights, peak, lse)
-    return float(per_voxel.ravel(order="C").sum())
+    return term_sum(out)
 
 
-def weighted_ce(logits, labels, weights) -> float:
+def weighted_ce(logits, labels, weights, out=None) -> float:
     """Class-weighted cross-entropy summed over voxels (max-shift stabilized).
 
     `logits` is (..., n_cla), any strides, and `labels` holds the class id of
     each voxel, shape (...); voxels are summed in C order of the leading axes.
+    Each voxel's weighted term also goes into `out`, a float64 array of the
+    labels' shape, when one is given.
     """
-    return _weighted_ce(logits, labels, weights)
+    return _weighted_ce(logits, labels, weights, out)
 
 
 def weighted_ce_grad(logits, labels, weights) -> tuple[float, np.ndarray]:
@@ -148,7 +158,7 @@ def weighted_ce_grad(logits, labels, weights) -> tuple[float, np.ndarray]:
         grad *= weights[labels][:, None]
         grads.append(grad)
 
-    loss = _weighted_ce(logits, labels, weights, softmax_grad)
+    loss = _weighted_ce(logits, labels, weights, on_block=softmax_grad)
     return loss, np.concatenate(grads)
 
 

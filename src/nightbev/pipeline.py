@@ -27,13 +27,15 @@ from .guided_sampling import ConvParams, build_guidance, conv2d_pool2, generate_
 from .guided_sampling import guided_warp, kernel_grid, modulate_offsets
 from .illumination import ILLUMINATION_FLOOR, EstimatorConfig, estimate_illumination
 from .illumination import illumination_factor, load_illumination
-from .losses import LossConfig, class_weights_from_labels, total_loss, weighted_ce
+from .losses import LossConfig, class_weights_from_labels, term_sum, total_loss, weighted_ce
 from .metrics import IoUReport, OccupancyGrid, miou, report_from_counts
 from .scene import SceneBundle, load_scene, read_manifest
 from .selective import FactorPopulation, otsu_threshold, selective_enhance
 
-# An auxiliary loss term: called with the (X, Y, Z, n_cla) logits view and the
-# (X, Y, Z) ground-truth labels that `weighted_ce` receives.
+# An auxiliary loss term: called with an (X, Y, Z, n_cla) view of the head's
+# logits and the (X, Y, Z) ground-truth labels. Only a run with a hook (or
+# with dumped intermediates) allocates those full logits; `weighted_ce` over
+# that view equals the run's CE bit for bit.
 AuxLossHook = Callable[[np.ndarray, np.ndarray], float]
 
 REPORT_FILE = "report.json"
@@ -373,28 +375,48 @@ def _class_argmax(zgrid: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def head_stage(
-    f_bev: Tensor3, weights: np.ndarray, bias: np.ndarray, classes: tuple[str, ...]
-) -> tuple[OccupancyGrid, np.ndarray, np.ndarray]:
-    """Channel-to-height head: the predicted grid, and the logits as two views.
+    f_bev: Tensor3,
+    weights: np.ndarray,
+    bias: np.ndarray,
+    gt: OccupancyGrid,
+    keep_logits: bool = False,
+) -> tuple[OccupancyGrid, float, np.ndarray | None]:
+    """Channel-to-height head scored against `gt`: the predicted grid, the
+    weighted CE and, with `keep_logits`, the (Z·n_cla, X, Y) logits, else None.
 
-    The (Z·n_cla, X, Y) logits are formed in `level_blocks` of whole
-    z-levels: the einsum over the rows of those levels, the bias, then the
-    labels of those levels. Returns the grid, an (X, Y, Z, n_cla) view of the
-    logits and the (Z·n_cla, X, Y) logits.
+    One pass over `level_blocks` of whole z-levels: each block's logits (the
+    einsum over the rows of those levels, then the bias), their labels, then
+    their per-voxel `weighted_ce` terms under inverse-frequency class weights.
+    The logits go into the full buffer with `keep_logits`, else into one
+    block-sized buffer that every block reuses. The terms, held per level,
+    are summed once by `term_sum` in C order of (X, Y, Z), so the CE equals
+    `weighted_ce` over the whole (X, Y, Z, n_cla) logits bit for bit.
     """
-    n_cla = len(classes)
+    n_cla = len(gt.class_names)
     _, nx, ny = f_bev.data.shape
     grid_z = weights.shape[0] // n_cla
-    logits = np.empty((weights.shape[0], nx, ny))
-    zgrid = logits.reshape(grid_z, n_cla, nx, ny)
+    if gt.dims != (nx, ny, grid_z):
+        raise ValueError(f"ground truth of {gt.dims} for a head of {(nx, ny, grid_z)}")
+    class_weights = class_weights_from_labels(gt, n_cla)
+    blocks = level_blocks(grid_z, n_cla * nx * ny * 8)
+    step = len(range(grid_z)[blocks[0]])
+    logits = np.empty(((grid_z if keep_logits else step) * n_cla, nx, ny))
     labels = np.empty((grid_z, nx, ny), dtype=np.min_scalar_type(n_cla - 1))
-    for levels in level_blocks(grid_z, logits.nbytes // grid_z):
-        rows = slice(levels.start * n_cla, levels.stop * n_cla)
-        np.einsum("oc,cxy->oxy", weights[rows], f_bev.data, out=logits[rows])
-        logits[rows] += bias[rows, None, None]
-        _class_argmax(zgrid[levels], out=labels[levels])
-    pred = OccupancyGrid(labels.transpose(1, 2, 0), classes)  # (X, Y, Z)
-    return pred, zgrid.transpose(2, 3, 0, 1), logits
+    gt_levels = gt.labels.astype(labels.dtype).transpose(2, 0, 1).copy()  # (Z, X, Y)
+    terms = np.empty((grid_z, nx, ny))
+    for levels in blocks:
+        n = len(range(grid_z)[levels])  # the last block may be short
+        rows = slice(levels.start * n_cla, (levels.start + n) * n_cla)
+        block = logits[rows] if keep_logits else logits[: n * n_cla]
+        np.einsum("oc,cxy->oxy", weights[rows], f_bev.data, out=block)
+        block += bias[rows, None, None]
+        zblock = block.reshape(n, n_cla, nx, ny)
+        _class_argmax(zblock, out=labels[levels])
+        vox_block = zblock.transpose(0, 2, 3, 1)  # (levels, X, Y, n_cla)
+        weighted_ce(vox_block, gt_levels[levels], class_weights, out=terms[levels])
+    ce = term_sum(terms.transpose(1, 2, 0))  # its (X, Y, Z) copy is gone before the grid
+    pred = OccupancyGrid(labels.transpose(1, 2, 0), gt.class_names)  # (X, Y, Z)
+    return pred, ce, logits if keep_logits else None
 
 
 @dataclass
@@ -505,22 +527,24 @@ def run_pipeline(
     # Illumination-weighted refinement.
     f_bev = stages.run("refine", refine_bev, q, q_res, s_field)
 
-    # Channel-to-height prediction head; vox_logits is an (X, Y, Z, n_cla)
-    # view of the head's (Z, n_cla, X, Y) logits.
-    pred, vox_logits, head_logits = stages.run(
-        "head", head_stage, f_bev, params.head_weights, params.head_bias, bundle.classes
+    # Channel-to-height prediction head and weighted CE in one pass. The full
+    # logits exist only for a caller that reads them: the dump or an aux hook.
+    keep_logits = dump_intermediates or aux_sem_hook is not None or aux_geo_hook is not None
+    pred, ce, head_logits = stages.run(
+        "head", head_stage, f_bev, params.head_weights, params.head_bias, bundle.occupancy,
+        keep_logits,
     )
 
-    # Losses against the ground truth grid.
+    # Auxiliary terms and the composite loss.
     def _loss():
-        gt = bundle.occupancy.labels
-        weights = class_weights_from_labels(bundle.occupancy, n_cla)
-        ce = weighted_ce(vox_logits, gt, weights)
+        gt, vox_logits = bundle.occupancy.labels, None
+        if head_logits is not None:  # (X, Y, Z, n_cla) view of the (Z, n_cla, X, Y) logits
+            vox_logits = head_logits.reshape(spec.nz, n_cla, spec.nx, spec.ny).transpose(2, 3, 0, 1)
         a_sem = aux_sem_hook(vox_logits, gt) if aux_sem_hook else 0.0
         a_geo = aux_geo_hook(vox_logits, gt) if aux_geo_hook else 0.0
-        return ce, a_sem, a_geo, total_loss(ce, a_sem, a_geo, pc.loss)
+        return a_sem, a_geo, total_loss(ce, a_sem, a_geo, pc.loss)
 
-    ce, aux_sem, aux_geo, total = stages.run("loss", _loss)
+    aux_sem, aux_geo, total = stages.run("loss", _loss)
     iou = stages.run("metrics", miou, pred, bundle.occupancy)
 
     # Every artifact in manifest order; report.json follows and lists them.

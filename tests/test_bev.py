@@ -1,8 +1,6 @@
 """Depth/context split, BEV pooling with conservation oracle, residual queries,
 and illumination-weighted refinement."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, reject, settings
@@ -257,16 +255,11 @@ class TestBevPool:
         assert len(level_blocks(16, 3 * 112 * 200 * 8)) > 1
         assert bev_pool(dc, cam, spec).data.tobytes() == ref.bev_pool(dc, cam, spec).tobytes()
 
-    def test_peak_memory_below_one_back_projection(self):
+    def test_peak_memory_below_one_back_projection(self, peak_bytes):
         # No (D, 3, h, w) map of back-projected points exists: one block of bins at a
         # time, then the in-range contributions alone.
         dc, cam, spec = hires_pool_case(8)
-        tracemalloc.start()
-        try:
-            bev_pool(dc, cam, spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(bev_pool, dc, cam, spec)
         assert peak < 16 * 3 * 112 * 200 * 8
 
     def test_linearity_in_context(self):
@@ -466,7 +459,7 @@ class TestResidualQueryWork:
         residual_query(q, Tensor3.full(2, 6, 6, 0.5), column_camera(), spec, 4, zero_attention(4, 2))
         assert sampled_points == []
 
-    def test_peak_memory_below_three_full_grid_maps(self):
+    def test_peak_memory_below_three_full_grid_maps(self, peak_bytes):
         # A 200 x 200 x 16 grid seen by the scene camera of a 128 x 192 image, with a
         # 32 x 48 feature map: only the pixel index spans the grid, and positions are
         # projected for the in-view references alone.
@@ -476,12 +469,7 @@ class TestResidualQueryWork:
         q = Tensor3(rng.normal(size=(8, spec.nx, spec.ny)))
         f_ctx = Tensor3(rng.normal(size=(8, 32, 48)))
         params = AttentionParams(rng.normal(size=(8, 8)), rng.normal(size=(4, 8)))
-        tracemalloc.start()
-        try:
-            residual_query(q, f_ctx, m, spec, 16, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(residual_query, q, f_ctx, m, spec, 16, params)
         assert peak < 3 * spec.nx * spec.ny * 16 * 8
 
 

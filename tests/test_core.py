@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import nightbev.core
 from nightbev.bev import AttentionParams, DepthContext
 from nightbev.core import (
     LEVEL_BLOCK_BYTES,
@@ -406,3 +407,18 @@ class TestRawTensorFormat:
         path.write_bytes(b'{"dtype":"f32","shape":[1,1,2]}\n' + b"\x00" * 4)
         with pytest.raises(ValueError, match="payload"):
             read_raw_tensor(path)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_blocks_of_rows_write_the_one_shot_bytes(self, tmp_path, monkeypatch, dtype):
+        # Blocks of 3 rows over 2 x 7 rows, so a block spans two channels and the
+        # last one is short.
+        t = Tensor3(np.random.default_rng(53).normal(size=(2, 7, 5)))
+        monkeypatch.setattr(nightbev.core, "LEVEL_BLOCK_BYTES", 3 * 5 * 8)
+        write_raw_tensor(t, tmp_path / "t.rt", dtype)
+        payload = (tmp_path / "t.rt").read_bytes().partition(b"\n")[2]
+        assert payload == t.data.astype({"f32": "<f4", "f64": "<f8"}[dtype]).tobytes()
+
+    def test_peak_memory_below_one_f32_copy(self, tmp_path, peak_bytes):
+        # bev_wide's 64 x 200 x 200 logits: no full-size cast or bytes copy exists.
+        t = Tensor3(np.random.default_rng(59).normal(size=(64, 200, 200)))
+        assert peak_bytes(write_raw_tensor, t, tmp_path / "t.rt", "f32") < 64 * 200 * 200 * 4

@@ -1,7 +1,6 @@
 """PGM/PPM codec round trips and header validation, and the readers' errors."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,15 +149,10 @@ class TestRowBlocks:
         write_pgm(data[0], tmp_path / "a.pgm")
         assert (tmp_path / "t.pgm").read_bytes() == (tmp_path / "a.pgm").read_bytes() == one_shot_pnm(b"P5", data)
 
-    def test_ppm_peak_memory_below_one_plane(self, tmp_path):
+    def test_ppm_peak_memory_below_one_plane(self, tmp_path, peak_bytes):
         # hires_near's 448 x 800 image: no full-size float64 or interleaved temporary.
         img = Tensor3(np.random.default_rng(13).uniform(size=(3, 448, 800)))
-        tracemalloc.start()
-        try:
-            write_ppm(img, tmp_path / "i.ppm")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(write_ppm, img, tmp_path / "i.ppm")
         assert peak < 448 * 800 * 8
 
 

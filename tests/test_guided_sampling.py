@@ -1,13 +1,14 @@
 """Guidance map, offset generation/modulation, and deformable warping."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nightbev.core
+import nightbev.guided_sampling
 import reference as ref
 from nightbev.core import LEVEL_BLOCK_BYTES, PixelCoord, Tensor3, bilinear_sample, finite_diff_check
 from nightbev.guided_sampling import (
@@ -432,7 +433,7 @@ class TestGuidedWarp:
         got = guided_warp(f, dp, Tensor3(mod), weights).data
         assert got.tobytes() == ref.guided_warp(f, dp, Tensor3(mod), weights).tobytes()
 
-    def test_peak_memory_below_six_feature_maps(self):
+    def test_peak_memory_below_six_feature_maps(self, peak_bytes):
         # hires_near's 8 x 112 x 200 feature with 9 kernel points: the samples of one
         # band of rows exist at a time, never the K whole-map samples.
         c, h, w = 8, 112, 200
@@ -441,13 +442,25 @@ class TestGuidedWarp:
         dp = Tensor3(rng.normal(scale=2.0, size=(18, h, w)))
         dw = Tensor3(rng.uniform(0.05, 0.95, size=(9, h, w)))
         weights = rng.normal(size=9)
-        tracemalloc.start()
-        try:
-            guided_warp(f, dp, dw, weights)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(guided_warp, f, dp, dw, weights)
         assert peak < 6 * c * h * w * 8
+
+    def test_pads_the_map_once_for_all_bands(self, monkeypatch):
+        # 30 bands of one row, each sampling through the one zero-bordered table.
+        c, k_points, h, w = 2, 9, 30, _WARP_POINTS // 9
+        rng = np.random.default_rng(61)
+        f = Tensor3(rng.normal(size=(c, h, w)))
+        dp = Tensor3(rng.normal(scale=3.0, size=(2 * k_points, h, w)))
+        dw = Tensor3(rng.uniform(0.05, 0.95, size=(k_points, h, w)))
+        weights = rng.normal(size=k_points)
+        want = ref.guided_warp(f, dp, dw, weights)
+        real, padded = nightbev.guided_sampling.zero_bordered, []
+        monkeypatch.setattr(nightbev.core, "zero_bordered", None)  # a pad per band would fail
+        monkeypatch.setattr(
+            nightbev.guided_sampling, "zero_bordered", lambda t: padded.append(t) or real(t)
+        )
+        assert guided_warp(f, dp, dw, weights).data.tobytes() == want.tobytes()
+        assert len(padded) == 1 and padded[0] is f
 
     def test_shape_mismatches_rejected(self):
         f = Tensor3.zeros(1, 4, 4)

@@ -1,7 +1,6 @@
 """Class weighting, weighted cross-entropy, and the composite loss."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,7 +235,7 @@ class TestWeightedCeOracle:
         loss, grad = weighted_ce_grad(logits, labels, weights)
         assert loss == whole[0] and grad.tobytes() == whole[1].tobytes()
 
-    def test_peak_memory_below_two_full_grid_arrays(self):
+    def test_peak_memory_below_two_full_grid_arrays(self, peak_bytes):
         # The bev_wide head layout: a (200, 200, 16, 4) view of (16, 4, 200, 200)
         # logits. Only the per-voxel terms span the grid.
         rng = np.random.default_rng(13)
@@ -244,12 +243,7 @@ class TestWeightedCeOracle:
         logits = stored.transpose(2, 3, 0, 1)
         labels = rng.integers(0, 4, size=(200, 200, 16))
         weights = rng.uniform(0.5, 2.0, size=4)
-        tracemalloc.start()
-        try:
-            weighted_ce(logits, labels, weights)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(weighted_ce, logits, labels, weights)
         assert peak < 2 * 200 * 200 * 16 * 8
 
     def test_labels_must_match_leading_shape(self):

@@ -2,7 +2,6 @@
 
 import json
 import tempfile
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,14 +10,17 @@ import pytest
 from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
+import nightbev.bev
 import nightbev.core
 import nightbev.formats
 import nightbev.pipeline
+import reference as ref
 from nightbev.core import Tensor3, read_raw_tensor, write_raw_tensor
 from nightbev.formats import write_pgm
 from nightbev.geometry import BevSpec
 from nightbev.illumination import EstimatorConfig
 from nightbev.losses import class_weights_from_labels, weighted_ce
+from nightbev.metrics import OccupancyGrid
 from nightbev.pipeline import (
     ParamSource,
     PipelineConfig,
@@ -427,25 +429,83 @@ class TestClassArgmax:
 
 
 class TestHeadStage:
-    """The head in blocks of z-levels against one whole-grid einsum and argmax."""
+    """The head and its CE in blocks of z-levels against one whole-grid einsum,
+    argmax and the reference CE."""
 
-    @pytest.mark.parametrize("grid_z,levels", [(5, 2), (7, 3), (4, 1), (3, 5)])
-    def test_bytes_equal_whole_grid(self, monkeypatch, grid_z, levels):
+    @staticmethod
+    def case(grid_z, nx=9, ny=11, classes=("free", "box", "wall")):
         rng = np.random.default_rng(grid_z)
-        classes, c, nx, ny = ("free", "box", "wall"), 8, 9, 11
-        n_cla = len(classes)
-        monkeypatch.setattr(nightbev.core, "LEVEL_BLOCK_BYTES", (levels * n_cla * nx * ny + 5) * 8)
+        n_cla, c = len(classes), 8
         weights = rng.normal(size=(grid_z * n_cla, c))
         bias = rng.normal(size=grid_z * n_cla)
         f_bev = Tensor3(rng.normal(size=(c, nx, ny)))
-        pred, vox_logits, logits = head_stage(f_bev, weights, bias, classes)
+        gt = OccupancyGrid(rng.integers(0, n_cla, size=(nx, ny, grid_z)), classes)
         want = np.einsum("oc,cxy->oxy", weights, f_bev.data)
         want += bias[:, None, None]
-        assert logits.tobytes() == want.tobytes()
+        return (f_bev, weights, bias, gt), want
+
+    @pytest.mark.parametrize("grid_z,levels", [(5, 2), (7, 3), (4, 1), (3, 5)])
+    def test_bytes_equal_whole_grid(self, monkeypatch, grid_z, levels):
+        args, want = self.case(grid_z)
+        gt = args[3]
+        nx, ny, n_cla = gt.dims[0], gt.dims[1], len(gt.class_names)
+        monkeypatch.setattr(nightbev.core, "LEVEL_BLOCK_BYTES", (levels * n_cla * nx * ny + 5) * 8)
         zgrid = want.reshape(grid_z, n_cla, nx, ny)
-        np.testing.assert_array_equal(pred.labels, zgrid.argmax(axis=1).transpose(1, 2, 0))
-        assert np.shares_memory(vox_logits, logits)
-        np.testing.assert_array_equal(vox_logits, zgrid.transpose(2, 3, 0, 1))
+        weights = class_weights_from_labels(gt, n_cla)
+        want_ce = ref.weighted_ce(zgrid.transpose(2, 3, 0, 1), gt.labels, weights)
+        for keep_logits in (False, True):
+            pred, ce, logits = head_stage(*args, keep_logits)
+            np.testing.assert_array_equal(pred.labels, zgrid.argmax(axis=1).transpose(1, 2, 0))
+            assert np.float64(ce).tobytes() == np.float64(want_ce).tobytes()
+            if keep_logits:
+                assert logits.tobytes() == want.tobytes()
+            else:
+                assert logits is None
+
+    def test_aux_hook_view_equals_whole_grid_logits(self, tmp_path, monkeypatch):
+        # Blocks of 3 of the 8 levels, the last one short: the view a hook gets
+        # holds the whole-grid einsum's bytes, and the run's CE is weighted_ce over it.
+        bundle = load_scene(scene_dir(tmp_path))
+        spec, n_cla = bundle.bev, len(bundle.classes)
+        monkeypatch.setattr(nightbev.core, "LEVEL_BLOCK_BYTES", 3 * n_cla * spec.nx * spec.ny * 8)
+        refined = []
+
+        def keep_refined(*args):
+            refined.append(nightbev.bev.refine_bev(*args))
+            return refined[-1]
+
+        monkeypatch.setattr(nightbev.pipeline, "refine_bev", keep_refined)
+        seen = []
+        report = run_pipeline(
+            PipelineConfig(), bundle, tmp_path / "out",
+            aux_geo_hook=lambda logits, labels: seen.append(logits.copy()) or 0.0,
+        )
+        params = build_params(PipelineConfig(), n_cla, spec.nz)
+        want = np.einsum("oc,cxy->oxy", params.head_weights, refined[0].data)
+        want += params.head_bias[:, None, None]
+        vox = want.reshape(spec.nz, n_cla, spec.nx, spec.ny).transpose(2, 3, 0, 1)
+        assert seen[0].tobytes() == vox.tobytes()
+        weights = class_weights_from_labels(bundle.occupancy, n_cla)
+        assert weighted_ce(vox, bundle.occupancy.labels, weights) == report.ce
+
+    def test_ground_truth_must_match_the_grid(self):
+        (f_bev, weights, bias, gt), _ = self.case(4)
+        short = OccupancyGrid(gt.labels[:, :, :3], gt.class_names)
+        with pytest.raises(ValueError, match="ground truth of"):
+            head_stage(f_bev, weights, bias, short)
+
+    def test_peak_memory_below_the_full_logits(self, peak_bytes):
+        # bev_wide's head: 64 x 200 x 200 logits (16 levels of 4 classes), 20.5 MB
+        # when held whole, which only a run that reads them allocates.
+        rng = np.random.default_rng(3)
+        classes, grid_z, nx, ny = ("free", "crate", "pillar", "barrier"), 16, 200, 200
+        f_bev = Tensor3(rng.normal(size=(8, nx, ny)))
+        weights = rng.normal(size=(grid_z * len(classes), 8))
+        bias = rng.normal(size=grid_z * len(classes))
+        gt = OccupancyGrid(rng.integers(0, len(classes), size=(nx, ny, grid_z)), classes)
+        full = grid_z * len(classes) * nx * ny * 8
+        assert peak_bytes(head_stage, f_bev, weights, bias, gt) < full
+        assert peak_bytes(head_stage, f_bev, weights, bias, gt, True) > full
 
 
 def scene_configs():
@@ -537,17 +597,12 @@ class TestBuildParams:
 
 
 class TestEncodeImage:
-    def test_peak_memory_below_one_full_resolution_map(self):
+    def test_peak_memory_below_one_full_resolution_map(self, peak_bytes):
         # The conv output is pooled band by band, so no (8, 448, 800) map is ever held.
         params = build_params(PipelineConfig(), 2, 8)
         assert params.enc1.out_channels == params.enc2.out_channels == 8
         x = Tensor3(np.random.default_rng(0).uniform(size=(3, 448, 800)))
-        tracemalloc.start()
-        try:
-            encode_image(x, params.enc1, params.enc2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(encode_image, x, params.enc1, params.enc2)
         assert peak < 8 * 448 * 800 * 8
 
 
