@@ -54,8 +54,8 @@ class DepthContext:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over axis 0 in one new array, each step computed in place; the
-    denominator is an `ordered_sum`."""
+    """Softmax over axis 0 in one new array, each step computed in place, which
+    a caller may hand to `Tensor3.take_over`; the denominator is an `ordered_sum`."""
     out = logits - logits.max(axis=0)
     np.exp(out, out=out)
     out /= ordered_sum(out)
@@ -79,7 +79,7 @@ def depth_context_split(f_in: Tensor3, params: ConvParams, bin_centers: np.ndarr
         raise ValueError("split conv kernel must be 1x1")
     raw = conv2d_replicate(f_in, params)
     f_ctx = Tensor3(raw.data[:c_ctx])
-    depth = Tensor3(_softmax(raw.data[c_ctx:]))
+    depth = Tensor3.take_over(_softmax(raw.data[c_ctx:]))
     return DepthContext(f_ctx=f_ctx, depth=depth, bin_centers=bin_centers)
 
 
@@ -155,7 +155,7 @@ def bev_pool(dc: DepthContext, m: CameraMatrix, spec: BevSpec) -> Tensor3:
         out[c] = np.bincount(flat_cell, weights=contrib, minlength=nx * ny).reshape(
             nx, ny
         )
-    return Tensor3(out)
+    return Tensor3.take_over(out)
 
 
 def _channel_sum(weights: np.ndarray, q_in: np.ndarray) -> np.ndarray:
@@ -194,9 +194,9 @@ def residual_query(
     refs = np.flatnonzero(column_pixels(m, spec, n_z, f_ctx.height, f_ctx.width) >= 0)
     cell, height = np.divmod(refs, n_z)  # in-view references, (cell, height) order
 
-    out = np.zeros((f_ctx.channels, nx * ny), dtype=np.float64)
+    out = np.zeros((f_ctx.channels, nx, ny), dtype=np.float64)
     if cell.size == 0:
-        return Tensor3(out.reshape(f_ctx.channels, nx, ny))
+        return Tensor3.take_over(out)
     # project_points works point by point, so these positions carry the bits
     # column_pixels computed for the same references.
     xs, ys, zs = spec.x_centers(), spec.y_centers(), sample_heights(spec, n_z)
@@ -221,8 +221,8 @@ def residual_query(
     # which the skipped ones were exact zeros.
     flat_cell = np.repeat(cell, k_points)
     for c in range(f_ctx.channels):
-        out[c] = np.bincount(flat_cell, weights=terms[c].ravel(), minlength=nx * ny)
-    return Tensor3(out.reshape(f_ctx.channels, nx, ny))
+        out[c] = np.bincount(flat_cell, weights=terms[c].ravel(), minlength=nx * ny).reshape(nx, ny)
+    return Tensor3.take_over(out)
 
 
 def refine_bev(q: Tensor3, q_res: Tensor3, s: np.ndarray) -> Tensor3:
@@ -238,4 +238,4 @@ def refine_bev(q: Tensor3, q_res: Tensor3, s: np.ndarray) -> Tensor3:
             f"field shape {s.shape} does not match grid {(q.height, q.width)}"
         )
     refined = q.data + q_res.data * s[None]
-    return Tensor3(np.where(s[None] != 0.0, refined, q.data))
+    return Tensor3.take_over(np.where(s[None] != 0.0, refined, q.data))

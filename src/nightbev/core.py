@@ -66,17 +66,41 @@ def ordered_sum(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Tensor3:
     """Immutable dense C x H x W tensor of finite values, stored by `frozen_array`
-    as float64, so every stage reads the data as is."""
+    as float64, so every stage reads the data as is. `take_over` stores a stage's
+    own new array instead, without a copy."""
 
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = frozen_array(self.data, "Tensor3 values")
+        self._store(frozen_array(self.data, "Tensor3 values"))
+
+    def _store(self, arr: np.ndarray) -> None:
         if arr.ndim != 3:
             raise ValueError(f"Tensor3 expects 3 dims (C,H,W), got {arr.ndim}")
         if any(s <= 0 for s in arr.shape):
             raise ValueError(f"Tensor3 dims must be positive, got {arr.shape}")
         object.__setattr__(self, "data", arr)
+
+    @classmethod
+    def take_over(cls, arr: np.ndarray) -> "Tensor3":
+        """A Tensor3 holding `arr` itself, which is frozen in place: for the
+        C-contiguous, finite float64 array that a stage has just made. The
+        caller must hold no other reference to it, nor a view of it; writing
+        through `arr` afterwards raises. Input from outside goes through the
+        constructor, which copies."""
+        if not (
+            isinstance(arr, np.ndarray)
+            and arr.dtype == np.float64
+            and arr.flags.c_contiguous
+            and arr.base is None
+        ):
+            raise ValueError("take_over needs a C-contiguous float64 array that owns its data")
+        if not np.isfinite(arr).all():
+            raise ValueError("Tensor3 values must be finite")
+        t = object.__new__(cls)
+        t._store(arr)
+        arr.flags.writeable = False
+        return t
 
     @property
     def channels(self) -> int:

@@ -67,7 +67,8 @@ def _conv_bands(
     Every output pixel gets the kk*kk taps in row-major order, each the einsum over
     input channels of a strided window of the padded map, added onto a band that
     starts at +0.0, then the bias: the same operations in the same order for any
-    `rows`, so every band size gives the same bits.
+    `rows`, so every band size gives the same bits. Each band is summed in one
+    contiguous buffer and copied into the output once.
     """
     if x.channels != kernel.shape[1]:
         raise ValueError(f"conv expects {kernel.shape[1]} input channels, got {x.channels}")
@@ -80,13 +81,12 @@ def _conv_bands(
     # leaves no heap hole below it (hires_near's peak RSS read 3 MB higher otherwise).
     out = np.empty((c, h, w))
     padded = np.pad(x.data, ((0, 0), (r, r), (r, r)), mode="edge")
-    tap_buf = np.empty(c * min(rows, h) * w)
+    tap_buf, band_buf = np.empty(c * min(rows, h) * w), np.empty(c * min(rows, h) * w)
     span_w = stride * (w - 1) + 1
     for r0 in range(0, h, rows):
         n = min(rows, h - r0)
-        band = out[:, r0 : r0 + n]
-        # A view of the buffer's first c*n*w values keeps a short last band contiguous.
-        tap = tap_buf[: c * n * w].reshape(c, n, w)
+        # Views of the buffers' first c*n*w values keep a short last band contiguous.
+        tap, band = (buf[: c * n * w].reshape(c, n, w) for buf in (tap_buf, band_buf))
         band.fill(0.0)
         for dy in range(kk):
             y0 = stride * r0 + dy
@@ -94,6 +94,7 @@ def _conv_bands(
                 window = padded[:, y0 : y0 + stride * (n - 1) + 1 : stride, dx : dx + span_w : stride]
                 band += np.einsum("oi,ihw->ohw", kernel[:, :, dy, dx], window, out=tap)
         band += bias[:, None, None]
+        out[:, r0 : r0 + n] = band
     return out
 
 
@@ -104,7 +105,7 @@ def conv2d_replicate(x: Tensor3, params: ConvParams) -> Tensor3:
     einsum writes a band-sized buffer that stays in cache, not a full-size one.
     """
     rows = max(1, LEVEL_BLOCK_BYTES // (8 * params.out_channels * x.width))
-    return Tensor3(_conv_bands(x, params.kernel, params.bias, 1, rows))
+    return Tensor3.take_over(_conv_bands(x, params.kernel, params.bias, 1, rows))
 
 
 def _pool2_kernel(kernel: np.ndarray) -> np.ndarray:
@@ -128,7 +129,7 @@ def conv2d_pool2(x: Tensor3, params: ConvParams) -> Tensor3:
     if h % 2 or w % 2:
         raise ValueError(f"pooling needs even dims, got {h}x{w}")
     rows = max(1, _BAND_BYTES // (4 * params.in_channels * w))
-    return Tensor3(_conv_bands(x, _pool2_kernel(params.kernel), params.bias, 2, rows))
+    return Tensor3.take_over(_conv_bands(x, _pool2_kernel(params.kernel), params.bias, 2, rows))
 
 
 def _sigmoid_open(x: np.ndarray) -> np.ndarray:
@@ -277,4 +278,4 @@ def guided_warp(
         untouched = acc_band == 0.0
         acc_band += f_img.data[:, band]
         np.copyto(acc_band, f_img.data[:, band], where=untouched)
-    return Tensor3(acc)
+    return Tensor3.take_over(acc)

@@ -47,13 +47,17 @@ def _blur_axis(arr: np.ndarray, kernel: int, axis: int) -> np.ndarray:
     pad = [(0, 0)] * arr.ndim
     pad[axis] = (r, r)
     padded = np.pad(arr, pad, mode="edge")
-    csum = np.cumsum(padded, axis=axis, dtype=np.float64)
-    zero = np.zeros_like(np.take(csum, [0], axis=axis))
-    csum = np.concatenate([zero, csum], axis=axis)
+
+    def along(s: slice) -> tuple:
+        return (slice(None),) * axis + (s,)
+
+    # The running sums after a first row (or column) of zeros, in one buffer.
+    csum = np.zeros(padded.shape[:axis] + (padded.shape[axis] + 1,) + padded.shape[axis + 1 :])
+    np.cumsum(padded, axis=axis, dtype=np.float64, out=csum[along(slice(1, None))])
     n = arr.shape[axis]
-    hi = csum[(slice(None),) * axis + (slice(kernel, kernel + n),)]
-    lo = csum[(slice(None),) * axis + (slice(0, n),)]
-    return (hi - lo) / float(kernel)
+    out = np.subtract(csum[along(slice(kernel, kernel + n))], csum[along(slice(0, n))])
+    out /= float(kernel)
+    return out
 
 
 def box_blur(plane: np.ndarray, kernel: int) -> np.ndarray:

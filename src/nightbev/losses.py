@@ -22,15 +22,21 @@ class LossConfig:
 
 
 def class_weights_from_labels(labels, n_cla: int) -> np.ndarray:
-    """Inverse-frequency class weights with +1 smoothing for absent classes."""
-    arr = labels.labels if hasattr(labels, "labels") else labels
-    flat = np.asarray(arr).ravel()
-    if flat.size == 0:
+    """Inverse-frequency class weights with +1 smoothing for absent classes.
+
+    Each class is counted with `count_nonzero` over one reused boolean mask, so
+    no widened copy of the labels exists, whatever their integer dtype.
+    """
+    arr = np.asarray(labels.labels if hasattr(labels, "labels") else labels)
+    if arr.size == 0:
         raise ValueError("labels must be non-empty")
-    if flat.min() < 0 or flat.max() >= n_cla:
+    if arr.min() < 0 or arr.max() >= n_cla:
         raise ValueError(f"labels must lie in [0, {n_cla})")
-    counts = np.bincount(flat.astype(np.int64, copy=False), minlength=n_cla)
-    return flat.size / (counts + 1.0)
+    counts = np.zeros(n_cla, dtype=np.int64)
+    is_k = np.empty(arr.shape, dtype=bool)
+    for k in range(n_cla):
+        counts[k] = np.count_nonzero(np.equal(arr, k, out=is_k))
+    return arr.size / (counts + 1.0)
 
 
 def _check_logits(logits: np.ndarray, labels: np.ndarray, weights: np.ndarray):

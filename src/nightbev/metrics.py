@@ -15,9 +15,18 @@ import numpy as np
 from .core import frozen_array
 
 
+def label_dtype(n_classes: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every class id below `n_classes`:
+    uint8 up to 256 classes. Arithmetic on labels must widen them first."""
+    return np.min_scalar_type(n_classes - 1)
+
+
 @dataclass(frozen=True)
 class OccupancyGrid:
-    """X x Y x Z integer class labels plus the class name table."""
+    """X x Y x Z integer class labels plus the class name table.
+
+    The labels are one read-only, C-ordered copy in `label_dtype` of the table.
+    """
 
     labels: np.ndarray
     class_names: tuple[str, ...]
@@ -31,9 +40,9 @@ class OccupancyGrid:
         names = tuple(str(n) for n in self.class_names)
         if not names:
             raise ValueError("class table must be non-empty")
-        arr = frozen_array(arr, "occupancy labels", np.int64)
         if arr.size and (arr.min() < 0 or arr.max() >= len(names)):
             raise ValueError(f"labels must lie in [0, {len(names)})")
+        arr = frozen_array(arr, "occupancy labels", label_dtype(len(names)))
         object.__setattr__(self, "labels", arr)
         object.__setattr__(self, "class_names", names)
 
@@ -53,17 +62,25 @@ class IoUReport:
 
 
 def class_counts(pred: OccupancyGrid, gt: OccupancyGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class intersection and union voxel counts."""
+    """Per-class intersection and union voxel counts, as int64.
+
+    Each class is counted with `count_nonzero` over two reused boolean masks,
+    so no widened copy of either grid exists and no arithmetic is done in the
+    labels' narrow dtype.
+    """
     if pred.dims != gt.dims:
         raise ValueError(f"grid dims differ: {pred.dims} vs {gt.dims}")
     if pred.class_names != gt.class_names:
         raise ValueError("grids carry different class tables")
     n = len(gt.class_names)
-    pairs = pred.labels.ravel() * n
-    pairs += gt.labels.ravel()
-    confusion = np.bincount(pairs, minlength=n * n).reshape(n, n).astype(np.int64, copy=False)
-    inter = confusion.diagonal().copy()  # confusion is [pred, gt]
-    union = confusion.sum(axis=1) + confusion.sum(axis=0) - inter
+    inter, union = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    in_pred, in_gt = np.empty(gt.dims, dtype=bool), np.empty(gt.dims, dtype=bool)
+    for m in range(n):
+        np.equal(pred.labels, m, out=in_pred)
+        np.equal(gt.labels, m, out=in_gt)
+        union[m] = np.count_nonzero(in_pred) + np.count_nonzero(in_gt)
+        inter[m] = np.count_nonzero(np.logical_and(in_pred, in_gt, out=in_pred))
+    union -= inter
     return inter, union
 
 

@@ -28,14 +28,16 @@ from .guided_sampling import guided_warp, kernel_grid, modulate_offsets
 from .illumination import ILLUMINATION_FLOOR, EstimatorConfig, estimate_illumination
 from .illumination import illumination_factor, load_illumination
 from .losses import LossConfig, class_weights_from_labels, term_sum, total_loss, weighted_ce
-from .metrics import IoUReport, OccupancyGrid, miou, report_from_counts
+from .metrics import IoUReport, OccupancyGrid, label_dtype, miou, report_from_counts
 from .scene import SceneBundle, load_scene, read_manifest
 from .selective import FactorPopulation, otsu_threshold, selective_enhance
 
 # An auxiliary loss term: called with an (X, Y, Z, n_cla) view of the head's
 # logits and the (X, Y, Z) ground-truth labels. Only a run with a hook (or
 # with dumped intermediates) allocates those full logits; `weighted_ce` over
-# that view equals the run's CE bit for bit.
+# that view equals the run's CE bit for bit. The labels come in
+# `metrics.label_dtype`, uint8 up to 256 classes, so a hook widens them
+# before any arithmetic (uint8 `a * n + b` wraps once the result passes 255).
 AuxLossHook = Callable[[np.ndarray, np.ndarray], float]
 
 REPORT_FILE = "report.json"
@@ -388,8 +390,9 @@ def head_stage(
     einsum over the rows of those levels, then the bias), their labels, then
     their per-voxel `weighted_ce` terms under inverse-frequency class weights.
     The logits go into the full buffer with `keep_logits`, else into one
-    block-sized buffer that every block reuses. The terms, held per level,
-    are summed once by `term_sum` in C order of (X, Y, Z), so the CE equals
+    block-sized buffer that every block reuses. Each block's terms go into a
+    contiguous block-sized buffer, then into their levels of one (X, Y, Z)
+    array, which `term_sum` reads once in C order, so the CE equals
     `weighted_ce` over the whole (X, Y, Z, n_cla) logits bit for bit.
     """
     n_cla = len(gt.class_names)
@@ -401,9 +404,9 @@ def head_stage(
     blocks = level_blocks(grid_z, n_cla * nx * ny * 8)
     step = len(range(grid_z)[blocks[0]])
     logits = np.empty(((grid_z if keep_logits else step) * n_cla, nx, ny))
-    labels = np.empty((grid_z, nx, ny), dtype=np.min_scalar_type(n_cla - 1))
-    gt_levels = gt.labels.astype(labels.dtype).transpose(2, 0, 1).copy()  # (Z, X, Y)
-    terms = np.empty((grid_z, nx, ny))
+    labels = np.empty((grid_z, nx, ny), dtype=label_dtype(n_cla))
+    terms, block_terms = np.empty((nx, ny, grid_z)), np.empty((step, nx, ny))
+    gt_levels, term_levels = gt.labels.transpose(2, 0, 1), terms.transpose(2, 0, 1)  # (Z, X, Y)
     for levels in blocks:
         n = len(range(grid_z)[levels])  # the last block may be short
         rows = slice(levels.start * n_cla, (levels.start + n) * n_cla)
@@ -413,8 +416,11 @@ def head_stage(
         zblock = block.reshape(n, n_cla, nx, ny)
         _class_argmax(zblock, out=labels[levels])
         vox_block = zblock.transpose(0, 2, 3, 1)  # (levels, X, Y, n_cla)
-        weighted_ce(vox_block, gt_levels[levels], class_weights, out=terms[levels])
-    ce = term_sum(terms.transpose(1, 2, 0))  # its (X, Y, Z) copy is gone before the grid
+        # Written contiguously, then copied through the strided view: about 3 ms
+        # faster on bev_wide than `out=term_levels[levels]`, with the same bits.
+        weighted_ce(vox_block, gt_levels[levels], class_weights, out=block_terms[:n])
+        term_levels[levels] = block_terms[:n]
+    ce = term_sum(terms)
     pred = OccupancyGrid(labels.transpose(1, 2, 0), gt.class_names)  # (X, Y, Z)
     return pred, ce, logits if keep_logits else None
 
@@ -570,7 +576,7 @@ def run_pipeline(
         ]
     artifacts.append(("occupancy_pred.rt", Tensor3(pred.labels.transpose(2, 0, 1))))
     if dump_intermediates:
-        artifacts.append(("logits.rt", Tensor3(head_logits)))
+        artifacts.append(("logits.rt", Tensor3.take_over(head_logits)))
     artifacts.append(("metrics.csv", iou))
     write_artifacts(out_dir, artifacts)
 

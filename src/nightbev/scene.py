@@ -24,7 +24,7 @@ from .core import (
 from .formats import read_ppm, write_artifacts
 from .geometry import BevSpec, CameraMatrix, pixel_centers
 from .illumination import ILLUMINATION_FLOOR
-from .metrics import OccupancyGrid
+from .metrics import OccupancyGrid, label_dtype
 
 # Albedo palette cycled by class id; index 0 is the free-space background.
 ALBEDO = (
@@ -355,13 +355,17 @@ def load_scene(scene_dir) -> SceneBundle:
     classes = manifest["classes"]
     bev = manifest["bev"]
     grid = read_raw_tensor(files["occupancy"], (bev.nz, bev.nx, bev.ny)).data
-    if not ((grid >= 0) & (grid < len(classes)) & (grid == np.rint(grid))).all():
+    # The range is checked before the cast, which cannot hold a value outside it;
+    # the cast gives every value back only if all of them are integers.
+    in_range = ((grid >= 0) & (grid < len(classes))).all()
+    labels = grid.astype(label_dtype(len(classes))) if in_range else None
+    if labels is None or not (labels == grid).all():
         raise ValueError(f"{files['occupancy']}: labels must be integers in [0, {len(classes)})")
     illumination = read_raw_tensor(files["illumination"], (1, image.height, image.width))
     return SceneBundle(
         image=image,
         camera=camera,
-        occupancy=OccupancyGrid(grid.astype(np.int64).transpose(1, 2, 0), classes),
+        occupancy=OccupancyGrid(labels.transpose(1, 2, 0), classes),
         illumination_gt=illumination,
         bev=bev,
         classes=classes,

@@ -64,6 +64,39 @@ class TestTensor3:
         t = Tensor3(np.ones((1, 1, 1), dtype=np.int32))
         assert t.data.dtype == np.float64
 
+    def test_take_over_freezes_the_array_itself(self):
+        src = np.full((2, 3, 4), 1.5)
+        t = Tensor3.take_over(src)
+        assert t.data is src and not src.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            src[0, 0, 0] = 5.0
+        np.testing.assert_array_equal(t.data, np.full((2, 3, 4), 1.5))
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            np.zeros((2, 3, 4), dtype=np.float32),
+            np.asfortranarray(np.zeros((2, 3, 4))),
+            np.zeros((4, 3, 4))[:2],
+            np.zeros((2, 3, 8))[:, :, ::2],
+        ],
+        ids=["float32", "fortran", "view", "strided"],
+    )
+    def test_take_over_refuses_what_a_stage_does_not_own(self, src):
+        with pytest.raises(ValueError, match="owns its data"):
+            Tensor3.take_over(src)
+        assert src.flags.writeable
+
+    @pytest.mark.parametrize(
+        "src,match",
+        [(np.array([[[np.nan]]]), "finite"), (np.zeros((2, 2)), "3 dims"), (np.zeros((0, 2, 2)), "positive")],
+        ids=["nan", "rank", "empty"],
+    )
+    def test_take_over_checks_values_and_dims(self, src, match):
+        with pytest.raises(ValueError, match=match):
+            Tensor3.take_over(src)
+        assert src.flags.writeable
+
     @pytest.mark.parametrize(
         "src",
         [
@@ -149,8 +182,9 @@ class TestFrozenArray:
 
     @pytest.mark.parametrize("form", ["int", "fortran", "transposed", "nested_list"])
     def test_occupancy_grid_int64(self, form):
+        """int64 input of three classes is stored as uint8, `metrics.label_dtype`."""
         src = storage_forms(np.arange(24).reshape(2, 3, 4) % 3)[form]
-        self.assert_frozen_copy(OccupancyGrid(src, ("a", "b", "c")).labels, src, np.int64)
+        self.assert_frozen_copy(OccupancyGrid(src, ("a", "b", "c")).labels, src, np.uint8)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_float_values_must_be_finite(self, bad):

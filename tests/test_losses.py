@@ -48,6 +48,21 @@ class TestClassWeights:
         with pytest.raises(ValueError, match="labels"):
             class_weights_from_labels(np.array([0, 3]), 2)
 
+    def test_300_classes_equal_bincount(self):
+        rng = np.random.default_rng(11)
+        names = tuple(f"c{m}" for m in range(300))
+        labels = rng.integers(0, 280, size=(10, 12, 9))  # the last 20 classes are absent
+        grid = OccupancyGrid(labels, names)
+        assert grid.labels.dtype == np.uint16
+        want = labels.size / (np.bincount(labels.ravel(), minlength=300) + 1.0)
+        assert class_weights_from_labels(grid, 300).tobytes() == want.tobytes()
+
+    def test_peak_memory_below_a_widened_grid(self, peak_bytes):
+        # bev_wide's 200 x 200 x 16 grid: 640 kB of uint8 labels, 5.1 MB as int64.
+        rng = np.random.default_rng(3)
+        grid = OccupancyGrid(rng.integers(0, 4, size=(200, 200, 16)), ("free", "a", "b", "c"))
+        assert peak_bytes(class_weights_from_labels, grid, 4) < 2 << 20
+
 
 class TestWeightedCe:
     def test_uniform_logits_give_log2(self):

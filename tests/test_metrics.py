@@ -34,7 +34,7 @@ class TestOccupancyGrid:
     def test_keeps_its_own_c_ordered_int64_copy(self):
         labels = np.arange(24, dtype=np.int32).reshape(2, 3, 4).transpose(2, 0, 1) % 3
         g = OccupancyGrid(labels, ("free", "a", "b"))
-        assert g.labels.dtype == np.int64 and g.labels.flags.c_contiguous
+        assert g.labels.dtype == np.uint8 and g.labels.flags.c_contiguous
         assert not g.labels.flags.writeable
         np.testing.assert_array_equal(g.labels, labels)
         labels[0, 0, 0] = 2 - labels[0, 0, 0]
@@ -43,6 +43,14 @@ class TestOccupancyGrid:
     def test_dims(self):
         g = grid(np.zeros((2, 3, 4), dtype=int))
         assert g.dims == (2, 3, 4)
+
+    @pytest.mark.parametrize("n_cla,dtype", [(4, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_narrowest_dtype_that_holds_the_class_table(self, n_cla, dtype):
+        labels = np.array([0, n_cla - 1, 1, n_cla - 2] * 6, dtype=np.int64).reshape(4, 3, 2)
+        g = OccupancyGrid(labels.transpose(2, 0, 1), tuple(f"c{m}" for m in range(n_cla)))
+        assert g.labels.dtype == dtype and g.labels.flags.c_contiguous
+        assert not g.labels.flags.writeable and not np.shares_memory(g.labels, labels)
+        np.testing.assert_array_equal(g.labels, labels.transpose(2, 0, 1))
 
 
 class TestMiou:
@@ -133,6 +141,32 @@ class TestClassCountsOracle:
         assert inter.dtype == union.dtype == np.int64
         np.testing.assert_array_equal(inter, want_inter)
         np.testing.assert_array_equal(union, want_union)
+
+
+class TestNarrowLabels:
+    """Counts over narrow labels equal int64 bincounts, with no widened copy."""
+
+    def test_300_classes_equal_bincount(self):
+        rng = np.random.default_rng(7)
+        n_cla = 300
+        names = tuple(f"c{m}" for m in range(n_cla))
+        gt = rng.integers(0, n_cla, size=(10, 12, 9))
+        pred = np.where(rng.random(gt.shape) < 0.5, gt, rng.integers(0, n_cla, size=gt.shape))
+        inter, union = class_counts(OccupancyGrid(pred, names), OccupancyGrid(gt, names))
+        pairs = np.bincount(pred.ravel() * n_cla + gt.ravel(), minlength=n_cla * n_cla)
+        confusion = pairs.reshape(n_cla, n_cla)
+        want_inter = confusion.diagonal()
+        np.testing.assert_array_equal(inter, want_inter)
+        np.testing.assert_array_equal(union, confusion.sum(axis=0) + confusion.sum(axis=1) - want_inter)
+        assert inter.dtype == union.dtype == np.int64
+
+    def test_miou_peak_memory_below_a_widened_grid(self, peak_bytes):
+        # bev_wide's 200 x 200 x 16 grid: 640 kB of uint8 labels, 5.1 MB as int64.
+        rng = np.random.default_rng(3)
+        names = ("free", "crate", "pillar", "barrier")
+        gt = OccupancyGrid(rng.integers(0, 4, size=(200, 200, 16)), names)
+        pred = OccupancyGrid(rng.integers(0, 4, size=(200, 200, 16)), names)
+        assert peak_bytes(miou, pred, gt) < 2 << 20
 
 
 class TestReportCsv:

@@ -397,6 +397,21 @@ def class_argmax(zgrid):
     return out
 
 
+class TestWideRunMemory:
+    def test_dump_run_holds_each_output_once(self, tmp_path, peak_bytes):
+        # bev_wide's shape: a 128 x 192 image on a 200 x 200 x 16 grid. With every
+        # intermediate dumped, the 64 x 200 x 200 logits (19.5 MiB) and each stage
+        # output exist once; a second copy of the logits alone would pass the bound.
+        bev = BevSpec(x_range=(0.0, 40.0), y_range=(-20.0, 20.0), z_range=(-1.0, 2.2), voxel=0.2)
+        cfg = SceneConfig(
+            seed=5, height=128, width=192, bev=bev, random_boxes=12,
+            lights=(Light(60.0, 64.0, 1.0, 20.0),), ambient=0.04,
+        )
+        bundle = gen_scene(cfg)
+        peak = peak_bytes(run_pipeline, PipelineConfig(n_z=16), bundle, tmp_path / "out", True)
+        assert peak < 50 << 20
+
+
 class TestClassArgmax:
     """The head's per-class label passes against `argmax` over the class axis."""
 
@@ -506,6 +521,8 @@ class TestHeadStage:
         full = grid_z * len(classes) * nx * ny * 8
         assert peak_bytes(head_stage, f_bev, weights, bias, gt) < full
         assert peak_bytes(head_stage, f_bev, weights, bias, gt, True) > full
+        # The CE terms exist once, as one float64 grid, beside block-sized scratch.
+        assert peak_bytes(head_stage, f_bev, weights, bias, gt) < 2 * grid_z * nx * ny * 8
 
 
 def scene_configs():

@@ -1,5 +1,7 @@
 """Synthetic scene generation: determinism, lighting regimes, ground truth."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -196,6 +198,38 @@ class TestSceneIo:
         np.testing.assert_array_equal(back.camera.matrix, bundle.camera.matrix)
         # image goes through 8-bit quantization
         assert np.abs(back.image.data - bundle.image.data).max() <= 0.5 / 255 + 1e-12
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            (-1.0, "labels must be integers in [0, 4)"),
+            (1.5, "labels must be integers in [0, 4)"),
+            (4.0, "labels must be integers in [0, 4)"),
+            (np.nan, "Tensor3 values must be finite"),
+        ],
+        ids=["negative", "fraction", "no-such-class", "nan"],
+    )
+    def test_refuses_a_bad_label_before_the_cast(self, tmp_path, value, message):
+        save_scene(gen_scene(boxy_config()), tmp_path)
+        path = tmp_path / "occupancy_gt.rt"
+        header, payload = path.read_bytes().split(b"\n", 1)
+        grid = np.frombuffer(payload, dtype="<f4").copy()
+        grid[-1] = value
+        path.write_bytes(header + b"\n" + grid.tobytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a cast of -1 or NaN to uint8 warns
+            with pytest.raises(ValueError) as err:
+                load_scene(tmp_path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_peak_memory_of_a_wide_grid(self, tmp_path, peak_bytes):
+        # bev_wide's 200 x 200 x 16 grid: its f32 payload (2.6 MB) and the float64
+        # values read from it (5.1 MB) make the peak; the labels are 640 kB of uint8.
+        bev = BevSpec(x_range=(0.0, 40.0), y_range=(-20.0, 20.0), z_range=(-1.0, 2.2), voxel=0.2)
+        bundle = gen_scene(boxy_config(height=16, width=24, bev=bev, boxes=(), random_boxes=12))
+        save_scene(bundle, tmp_path)
+        assert peak_bytes(load_scene, tmp_path) < 10 << 20
+        np.testing.assert_array_equal(load_scene(tmp_path).occupancy.labels, bundle.occupancy.labels)
 
     def test_saved_files_exist(self, tmp_path):
         manifest = save_scene(gen_scene(boxy_config()), tmp_path / "s")
