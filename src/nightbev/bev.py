@@ -8,11 +8,14 @@ order so accumulated cell values are bit-stable from run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
+from . import geometry
 from .core import Tensor3, bilinear_sample_many, frozen_array, level_blocks, ordered_sum
-from .geometry import BevSpec, CameraMatrix, column_pixels, pixel_centers
+from .core import zero_bordered
+from .geometry import BevSpec, CameraMatrix, column_blocks, pixel_centers
 from .geometry import project_points, sample_heights
 from .guided_sampling import ConvParams, conv2d_replicate
 
@@ -166,6 +169,20 @@ def _channel_sum(weights: np.ndarray, q_in: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cell_runs(cell: np.ndarray, most: int) -> Iterator[slice]:
+    """Consecutive slices of the sorted `cell` that each end where the cell
+    changes: at most `most` long, unless one cell's run alone is longer."""
+    start = 0
+    while start < cell.size:
+        end = cell.size
+        if start + most < cell.size:  # back to the first reference of the cell there
+            end = int(np.searchsorted(cell, cell[start + most], side="left"))
+            if end == start:  # one cell holds more than `most`
+                end = int(np.searchsorted(cell, cell[start], side="right"))
+        yield slice(start, end)
+        start = end
+
+
 def residual_query(
     q: Tensor3,
     f_ctx: Tensor3,
@@ -182,6 +199,11 @@ def residual_query(
     heights. References behind the camera or outside the feature map are
     skipped: nothing is sampled for them, and a cell with none in view
     reads +0.0.
+
+    The references come from `column_blocks` and run in blocks of at most
+    COLUMN_BLOCK sample points that each end on a cell boundary (a cell
+    with more samples is one block), so no array spans the grid but the
+    output, and every cell's terms are summed within one block.
     """
     nx, ny = spec.nx, spec.ny
     if (q.height, q.width) != (nx, ny):
@@ -191,44 +213,54 @@ def residual_query(
             f"attention expects {params.query_channels} query channels, got {q.channels}"
         )
     k_points = params.k_points
-    refs = np.flatnonzero(column_pixels(m, spec, n_z, f_ctx.height, f_ctx.width) >= 0)
-    cell, height = np.divmod(refs, n_z)  # in-view references, (cell, height) order
-
-    out = np.zeros((f_ctx.channels, nx, ny), dtype=np.float64)
-    if cell.size == 0:
-        return Tensor3.take_over(out)
-    # project_points works point by point, so these positions carry the bits
-    # column_pixels computed for the same references.
+    most = max(1, geometry.COLUMN_BLOCK // k_points)  # references per block
     xs, ys, zs = spec.x_centers(), spec.y_centers(), sample_heights(spec, n_z)
-    u, v, _, _ = project_points(m, np.stack([xs[cell // ny], ys[cell % ny], zs[height]], axis=-1))
+    q_flat = q.data.reshape(q.channels, nx * ny)
+    padded = zero_bordered(f_ctx)
+    out = np.zeros((f_ctx.channels, nx, ny), dtype=np.float64)
+    out_flat = out.reshape(f_ctx.channels, nx * ny)
+    for rows, pixel in column_blocks(m, spec, n_z, f_ctx.height, f_ctx.width):
+        # In-view references in (cell, height) order.
+        refs = np.flatnonzero(pixel >= 0) + rows.start * ny * n_z
+        cells = refs // n_z
+        for run in _cell_runs(cells, most):
+            cell, height = cells[run], refs[run] % n_z
+            # project_points works point by point, so these positions carry
+            # the bits column_blocks computed for the same references.
+            pts = np.stack([xs[cell // ny], ys[cell % ny], zs[height]], axis=-1)
+            u, v, _, _ = project_points(m, pts)
 
-    # Offsets and attention only where a reference reads them. Channels add
-    # one by one from +0.0 and the softmax denominator point by point, so a
-    # cell's bits do not depend on how many cells are in view (einsum's and
-    # sum(axis=0)'s order changes over one column), and no BLAS kernel picks
-    # the order or fuses a multiply into an add.
-    lit, ref = np.unique(cell, return_inverse=True)  # ref: each reference's column in lit
-    q_in = q.data.reshape(q.channels, nx * ny)[:, lit]
-    off = _channel_sum(params.offset_weights, q_in)  # (2K, lit cells)
-    logits = _channel_sum(params.attn_weights, q_in)  # (K, lit cells)
-    attn = _softmax(logits)
+            # Offsets and attention only where a reference reads them. Channels
+            # add one by one from +0.0 and the softmax denominator point by
+            # point, so a cell's bits do not depend on how many cells are in
+            # the block (einsum's and sum(axis=0)'s order changes over one
+            # column), and no BLAS kernel picks the order or fuses a multiply
+            # into an add.
+            lit, ref = np.unique(cell, return_inverse=True)  # ref: each reference's column in lit
+            q_in = q_flat[:, lit]
+            off = _channel_sum(params.offset_weights, q_in)  # (2K, lit cells)
+            attn = _softmax(_channel_sum(params.attn_weights, q_in))  # (K, lit cells)
 
-    us = u[:, None] + off[0::2, ref].T  # (refs, K)
-    vs = v[:, None] + off[1::2, ref].T
-    terms = bilinear_sample_many(f_ctx, us, vs) * attn[:, ref].T  # (C, refs, K)
-    # bincount adds each cell's terms one by one in (height, point) order,
-    # so every cell gets the same bits as a sum over all n_z * K terms in
-    # which the skipped ones were exact zeros.
-    flat_cell = np.repeat(cell, k_points)
-    for c in range(f_ctx.channels):
-        out[c] = np.bincount(flat_cell, weights=terms[c].ravel(), minlength=nx * ny).reshape(nx, ny)
+            us = u[:, None] + off[0::2, ref].T  # (refs, K)
+            vs = v[:, None] + off[1::2, ref].T
+            terms = bilinear_sample_many(f_ctx, us, vs, padded)  # (C, refs, K)
+            terms *= attn[:, ref].T
+            # bincount adds each cell's terms one by one in (height, point)
+            # order, so every cell gets the same bits as a sum over all
+            # n_z * K terms in which the skipped ones were exact zeros. All of
+            # a cell's terms are in this block, so its sum is final.
+            flat_ref = np.repeat(ref, k_points)
+            for c in range(f_ctx.channels):
+                out_flat[c, lit] = np.bincount(flat_ref, weights=terms[c].ravel(), minlength=lit.size)
     return Tensor3.take_over(out)
 
 
 def refine_bev(q: Tensor3, q_res: Tensor3, s: np.ndarray) -> Tensor3:
     """Add the residual query scaled by the illumination field: Q + Q' * S.
 
-    Cells where S is zero keep the original query bit for bit.
+    Cells where S is zero keep the original query bit for bit. The one
+    output is built in place: Q' * S, then + Q, then Q copied back where S
+    is zero.
     """
     if q_res.shape != q.shape:
         raise ValueError(f"residual shape {q_res.shape} does not match {q.shape}")
@@ -237,5 +269,7 @@ def refine_bev(q: Tensor3, q_res: Tensor3, s: np.ndarray) -> Tensor3:
         raise ValueError(
             f"field shape {s.shape} does not match grid {(q.height, q.width)}"
         )
-    refined = q.data + q_res.data * s[None]
-    return Tensor3.take_over(np.where(s[None] != 0.0, refined, q.data))
+    refined = q_res.data * s
+    refined += q.data
+    np.copyto(refined, q.data, where=s == 0.0)
+    return Tensor3.take_over(refined)

@@ -9,13 +9,14 @@ zero, which downstream refinement treats as "no correction".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from .core import Tensor3, frozen_array, json_block, json_list, read_json
 
 DEPTH_EPS = 1e-6
-COLUMN_BLOCK = 1 << 15  # most points column_pixels projects in one block, unless one row is more
+COLUMN_BLOCK = 1 << 15  # most points one block of a column stage holds, unless one row or cell is more
 
 
 @dataclass(frozen=True)
@@ -184,15 +185,19 @@ def pixel_centers(height: int, width: int) -> np.ndarray:
     return np.stack([u, v, np.ones_like(u)])
 
 
-def column_pixels(m: CameraMatrix, spec: BevSpec, n_z: int, height: int, width: int):
-    """Project every BEV cell center, lifted to n_z heights, into a height x width map.
+def column_blocks(
+    m: CameraMatrix, spec: BevSpec, n_z: int, height: int, width: int
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Project every BEV cell center, lifted to n_z heights, into a height x width
+    map, one block of cell rows at a time.
 
-    Returns the (X, Y, n_z) int64 flat index `row * width + column` of the
-    pixel each sample floors into (pixel i covers [i, i + 1)), or -1 where
-    the sample is behind the camera or off the map. Cell rows are projected
-    COLUMN_BLOCK points at a time (one row at least), so no full-grid
-    temporary is built. Each sample gets project_points' bits, but x·a + y·b
-    is formed once per cell and repeated over the cell's heights.
+    Yields, in row order, (rows, pixel): a slice of the grid's X rows and their
+    (rows, Y, n_z) int64 flat index `row * width + column` of the pixel each
+    sample floors into (pixel i covers [i, i + 1)), or -1 where the sample is
+    behind the camera or off the map. A block holds at most COLUMN_BLOCK
+    points, or one row if a row holds more, so no full-grid array is built.
+    Each sample gets project_points' bits, but x·a + y·b is formed once per
+    cell and repeated over the cell's heights.
     """
     nx, ny = spec.nx, spec.ny
     rows = max(1, COLUMN_BLOCK // (ny * n_z))
@@ -203,7 +208,6 @@ def column_pixels(m: CameraMatrix, spec: BevSpec, n_z: int, height: int, width: 
         (xs * a, ys * b, np.tile(sample_heights(spec, n_z) * c, min(rows, nx) * ny), t)
         for a, b, c, t in m.matrix
     ]
-    pixel = np.empty((nx, ny, n_z), dtype=np.int64)
     for lo in range(0, nx, rows):
         hi = min(lo + rows, nx)
         n = (hi - lo) * ny * n_z
@@ -223,8 +227,7 @@ def column_pixels(m: CameraMatrix, spec: BevSpec, n_z: int, height: int, width: 
             v *= width  # off-map floors may be huge or infinite
             v += u
         v[~in_map] = -1.0
-        pixel[lo:hi] = v.reshape(hi - lo, ny, n_z)
-    return pixel
+        yield slice(lo, hi), v.astype(np.int64).reshape(hi - lo, ny, n_z)
 
 
 def illumination_field(i: Tensor3, m: CameraMatrix, spec: BevSpec, n_z: int) -> np.ndarray:
@@ -233,15 +236,18 @@ def illumination_field(i: Tensor3, m: CameraMatrix, spec: BevSpec, n_z: int) -> 
     Each cell center is lifted to n_z heights and projected; a sample
     contributes the map value at its floored pixel index iff it lands in
     front of the camera and inside the image. Cells with no contributing
-    sample get 0.
+    sample get 0. Each block of `column_blocks` is gathered and summed
+    along z as it comes, so no full-grid index or gather exists.
     """
     if i.channels != 1:
         raise ValueError(f"illumination map must have 1 channel, got {i.channels}")
-    pixel = column_pixels(m, spec, n_z, i.height, i.width)
-    values = np.append(i.data[0], 0.0).take(pixel)  # -1 reads the appended +0.0
-    counts = (pixel >= 0).sum(axis=-1)
-    sums = values.sum(axis=-1)
-    return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+    table = np.append(i.data[0], 0.0)  # -1 reads the appended +0.0
+    out = np.empty((spec.nx, spec.ny))
+    for rows, pixel in column_blocks(m, spec, n_z, i.height, i.width):
+        counts = (pixel >= 0).sum(axis=-1)
+        sums = table.take(pixel).sum(axis=-1)
+        out[rows] = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+    return out
 
 
 def field_to_tensor(field: np.ndarray) -> Tensor3:

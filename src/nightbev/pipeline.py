@@ -532,6 +532,8 @@ def run_pipeline(
     s_field = stages.run("illumination_field", _field)
     # Illumination-weighted refinement.
     f_bev = stages.run("refine", refine_bev, q, q_res, s_field)
+    if not dump_intermediates:  # only the dump reads q and q_res after refine
+        del q, q_res
 
     # Channel-to-height prediction head and weighted CE in one pass. The full
     # logits exist only for a caller that reads them: the dump or an aux hook.

@@ -242,9 +242,10 @@ def _light_field(cfg: SceneConfig) -> np.ndarray:
 
 
 def _occupancy_labels(cfg: SceneConfig, boxes: list[Box]) -> np.ndarray:
+    """The (X, Y, Z) truth in `label_dtype`, the dtype `OccupancyGrid` stores."""
     spec = cfg.bev
     centers = (spec.x_centers(), spec.y_centers(), spec.z_centers())
-    labels = np.zeros((spec.nx, spec.ny, spec.nz), dtype=np.int64)
+    labels = np.zeros((spec.nx, spec.ny, spec.nz), dtype=label_dtype(len(cfg.classes)))
     for box in boxes:  # later boxes overwrite earlier ones
         lo, hi = box.bounds()
         inside = [(c >= lo[a]) & (c <= hi[a]) for a, c in enumerate(centers)]

@@ -76,15 +76,6 @@ def _split_stats(n: int, k, sum0, total: float):
     return omega0, omega1, mu0, mu1, mu_t, sigma
 
 
-def inter_class_variance(factors: np.ndarray, t: float) -> float:
-    """Inter-class variance of the split {f <= t} vs {f > t}."""
-    srt = np.sort(np.asarray(factors, dtype=np.float64).ravel())
-    k = int(np.searchsorted(srt, t, side="right"))
-    prefix = np.concatenate([[0.0], np.cumsum(srt, dtype=np.float64)])
-    _, _, _, _, _, sigma = _split_stats(srt.size, k, float(prefix[k]), float(prefix[-1]))
-    return float(sigma)
-
-
 def otsu_threshold(pop: FactorPopulation) -> ThresholdReport:
     """Pick the bin-edge threshold maximizing the inter-class variance.
 

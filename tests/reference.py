@@ -409,11 +409,32 @@ def otsu_scan(factors, bins):
     return otsu_sigma(factors, np.arange(1, bins + 1) / bins)
 
 
+def inter_class_variance(factors, t) -> float:
+    """Inter-class variance of the split {f <= t} vs {f > t}, from the sorted
+    factors' prefix sums, in the expression order `otsu_threshold` uses."""
+    srt = np.sort(np.asarray(factors, dtype=np.float64).ravel())
+    n = float(srt.size)
+    k = int(np.searchsorted(srt, t, side="right"))
+    prefix = np.concatenate([[0.0], np.cumsum(srt, dtype=np.float64)])
+    if k in (0, srt.size):
+        return 0.0
+    om0 = k / n
+    om1 = 1.0 - om0
+    mu0 = float(prefix[k]) / k
+    mu1 = (float(prefix[-1]) - float(prefix[k])) / (n - k)
+    mu_t = om0 * mu0 + om1 * mu1
+    d0 = mu0 - mu_t
+    d1 = mu1 - mu_t
+    return om0 * (d0 * d0) + om1 * (d1 * d1)
+
+
 def occupancy_labels(cfg, boxes) -> np.ndarray:
-    """Every box tested against full (X, Y, Z) grids of cell centres; later boxes win."""
+    """Every box tested against full (X, Y, Z) grids of cell centres; later boxes win.
+    The labels are uint8, which holds the ids of every class table up to 256."""
+    assert len(cfg.classes) <= 256
     spec = cfg.bev
     gx, gy, gz = np.meshgrid(spec.x_centers(), spec.y_centers(), spec.z_centers(), indexing="ij")
-    labels = np.zeros(gx.shape, dtype=np.int64)
+    labels = np.zeros(gx.shape, dtype=np.uint8)
     for box in boxes:
         lo, hi = box.bounds()
         inside = (

@@ -18,7 +18,7 @@ from nightbev.bev import (
     residual_query,
 )
 from nightbev.core import PixelCoord, Tensor3, bilinear_sample, bilinear_sample_many, level_blocks
-from nightbev.geometry import BevSpec, CameraMatrix, sample_heights
+from nightbev.geometry import BevSpec, CameraMatrix, column_blocks, sample_heights
 from nightbev.guided_sampling import ConvParams
 from nightbev.scene import SceneConfig, default_camera
 from reference import column_camera, identity_camera, overhead_camera
@@ -434,9 +434,9 @@ class TestResidualQueryWork:
     def sampled_points(self, monkeypatch):
         calls = []
 
-        def counting(f, u, v):
+        def counting(f, u, v, padded=None):
             calls.append(np.broadcast(np.asarray(u), np.asarray(v)).size)
-            return bilinear_sample_many(f, u, v)
+            return bilinear_sample_many(f, u, v, padded)
 
         monkeypatch.setattr(nightbev.bev, "bilinear_sample_many", counting)
         return calls
@@ -459,10 +459,42 @@ class TestResidualQueryWork:
         residual_query(q, Tensor3.full(2, 6, 6, 0.5), column_camera(), spec, 4, zero_attention(4, 2))
         assert sampled_points == []
 
+    @pytest.mark.parametrize("block", [1, 8, 30, 41, 90])
+    def test_blocks_end_on_cell_boundaries(self, sampled_points, monkeypatch, block):
+        # Every reference in view, 5 heights and 4 points: 20 sample points a
+        # cell. At 30, a block takes 7 references, so the second cell's five
+        # (references 5 to 9) straddle the block size and start the next block;
+        # at 41 a block ends exactly on a cell (10 references, two cells);
+        # at 8 and 1 a cell alone is more than a block; at 90 a block of
+        # column_blocks holds 3 rows, and the fifth cell of its references
+        # straddles the block size.
+        monkeypatch.setattr(nightbev.geometry, "COLUMN_BLOCK", block)
+        case = residual_case(7, (6, 5), 5, 4, (3, 3), (9, 12), overhead_camera)
+        assert assert_matches_dense(*case).all()
+        per_cell = 5 * 4
+        assert len(sampled_points) > 1 and sum(sampled_points) == 6 * 5 * per_cell
+        assert all(n % per_cell == 0 and n <= max(block, per_cell) for n in sampled_points)
+
+    def test_peak_memory_with_the_feature_stride_camera(self, peak_bytes):
+        # bev_wide's shape seen by the camera of the 32 x 48 feature map,
+        # K' = diag(1/4, 1/4, 1) K: most references are in view, about 2 M
+        # sample points. One pass over them all peaks near 680 MiB.
+        spec = BevSpec(x_range=(0.0, 40.0), y_range=(-20.0, 20.0), z_range=(-1.0, 2.2), voxel=0.2)
+        k = default_camera(SceneConfig(height=128, width=192, bev=spec)).matrix.copy()
+        k[:2] *= 0.25
+        m = CameraMatrix(k)
+        in_view = sum(int((pixel >= 0).sum()) for _, pixel in column_blocks(m, spec, 16, 32, 48))
+        assert in_view > spec.nx * spec.ny * 16 // 2
+        rng = np.random.default_rng(31)
+        q = Tensor3(rng.normal(size=(8, spec.nx, spec.ny)))
+        f_ctx = Tensor3(rng.normal(size=(8, 32, 48)))
+        params = AttentionParams(rng.normal(size=(8, 8)), rng.normal(size=(4, 8)))
+        assert peak_bytes(residual_query, q, f_ctx, m, spec, 16, params) < 64 << 20
+
     def test_peak_memory_below_three_full_grid_maps(self, peak_bytes):
         # A 200 x 200 x 16 grid seen by the scene camera of a 128 x 192 image, with a
-        # 32 x 48 feature map: only the pixel index spans the grid, and positions are
-        # projected for the in-view references alone.
+        # 32 x 48 feature map: the pixel index comes in blocks of cell rows, and
+        # positions are projected for the in-view references alone.
         spec = BevSpec(x_range=(0.0, 40.0), y_range=(-20.0, 20.0), z_range=(-1.0, 2.2), voxel=0.2)
         m = default_camera(SceneConfig(height=128, width=192, bev=spec))
         rng = np.random.default_rng(31)
@@ -534,6 +566,13 @@ class TestRefineBev:
         r1 = np.abs(refine_bev(q, q_res, s1).data - q.data)
         r2 = np.abs(refine_bev(q, q_res, s2).data - q.data)
         assert (r2 >= r1 - 1e-12).all()
+
+    def test_peak_memory_below_one_and_a_half_grid_maps(self, peak_bytes):
+        rng = np.random.default_rng(53)
+        q, q_res = (Tensor3(rng.normal(size=(8, 200, 200))) for _ in range(2))
+        s = rng.uniform(0.0, 1.0, size=(200, 200))
+        s[:, :100] = 0.0
+        assert peak_bytes(refine_bev, q, q_res, s) < 1.5 * q.data.nbytes
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="field shape"):

@@ -17,6 +17,7 @@ from nightbev.geometry import (
     project_points,
     sample_heights,
 )
+from nightbev.scene import SceneConfig, default_camera
 from reference import column_camera, identity_camera, random_camera
 
 
@@ -207,6 +208,14 @@ class TestIlluminationField:
         shifted[0] += 0.49 * shifted[2]  # u' = u + 0.49 at equal depth
         moved = illumination_field(i, CameraMatrix(shifted), spec, n_z=4)
         np.testing.assert_array_equal(moved, base)
+
+    def test_peak_memory_at_bev_wides_shape(self, peak_bytes):
+        # A 200 x 200 grid sampled at 16 heights (640,000 samples) in a 128 x 192
+        # map: a whole-grid int64 index alone would be 4.9 MiB.
+        spec = BevSpec(x_range=(0.0, 40.0), y_range=(-20.0, 20.0), z_range=(-1.0, 2.2), voxel=0.2)
+        m = default_camera(SceneConfig(height=128, width=192, bev=spec))
+        i = Tensor3(np.random.default_rng(17).uniform(0.01, 1.0, size=(1, 128, 192)))
+        assert peak_bytes(illumination_field, i, m, spec, 16) < 5 << 20
 
     def test_field_to_tensor_wraps(self):
         t = field_to_tensor(np.zeros((3, 4)))

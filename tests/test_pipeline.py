@@ -397,19 +397,29 @@ def class_argmax(zgrid):
     return out
 
 
+def wide_scene_config() -> SceneConfig:
+    """bev_wide's shape: a dark 128 x 192 image on a 200 x 200 x 16 grid."""
+    bev = BevSpec(x_range=(0.0, 40.0), y_range=(-20.0, 20.0), z_range=(-1.0, 2.2), voxel=0.2)
+    return SceneConfig(
+        seed=5, height=128, width=192, bev=bev, random_boxes=12,
+        lights=(Light(60.0, 64.0, 1.0, 20.0),), ambient=0.04,
+    )
+
+
 class TestWideRunMemory:
     def test_dump_run_holds_each_output_once(self, tmp_path, peak_bytes):
         # bev_wide's shape: a 128 x 192 image on a 200 x 200 x 16 grid. With every
         # intermediate dumped, the 64 x 200 x 200 logits (19.5 MiB) and each stage
         # output exist once; a second copy of the logits alone would pass the bound.
-        bev = BevSpec(x_range=(0.0, 40.0), y_range=(-20.0, 20.0), z_range=(-1.0, 2.2), voxel=0.2)
-        cfg = SceneConfig(
-            seed=5, height=128, width=192, bev=bev, random_boxes=12,
-            lights=(Light(60.0, 64.0, 1.0, 20.0),), ambient=0.04,
-        )
-        bundle = gen_scene(cfg)
+        bundle = gen_scene(wide_scene_config())
         peak = peak_bytes(run_pipeline, PipelineConfig(n_z=16), bundle, tmp_path / "out", True)
         assert peak < 50 << 20
+
+    def test_run_without_dump_peaks_below_15_mib(self, tmp_path, peak_bytes):
+        # The same shape without the dump: no logits are kept, q and q_res are
+        # dropped after refine, and the column stages run in blocks of cell rows.
+        bundle = gen_scene(wide_scene_config())
+        assert peak_bytes(run_pipeline, PipelineConfig(n_z=16), bundle, tmp_path / "out") < 15 << 20
 
 
 class TestClassArgmax:

@@ -28,7 +28,7 @@ from nightbev.geometry import (
     DEPTH_EPS,
     BevSpec,
     CameraMatrix,
-    column_pixels,
+    column_blocks,
     illumination_field,
     pixel_centers,
     project_points,
@@ -133,9 +133,10 @@ class TestIlluminationFieldOracle:
         f_scale=st.floats(0.2, 6.0),
         shift=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
         tilt=st.sampled_from([0.0, 0.3, -1.5]),
+        block=st.sampled_from([1, 7, 40, COLUMN_BLOCK]),
         data=st.data(),
     )
-    def test_bytes_equal_reference(self, cells, n_z, hw, f_scale, shift, tilt, data):
+    def test_bytes_equal_reference(self, cells, n_z, hw, f_scale, shift, tilt, block, data):
         spec = ref.small_grid(cells)
         i = Tensor3(data.draw(map_data(1, *hw)))
         try:
@@ -143,8 +144,21 @@ class TestIlluminationFieldOracle:
         except ValueError as exc:  # the 3x3 block's determinant is f * (f - cu * tilt)
             assert "singular" in str(exc)
             reject()
-        field = illumination_field(i, m, spec, n_z)
+        with mock.patch.object(nightbev.geometry, "COLUMN_BLOCK", block):  # blocks of rows
+            field = illumination_field(i, m, spec, n_z)
         assert field.tobytes() == ref.illumination_field(i, m, spec, n_z).tobytes()
+
+
+def column_pixels(m, spec, n_z, height, width):
+    """`column_blocks`' blocks stacked into the whole (X, Y, n_z) index, after
+    checking that they come in row order, cover the grid and keep to the size."""
+    blocks = list(column_blocks(m, spec, n_z, height, width))
+    starts = [rows.start for rows, _ in blocks]
+    assert starts[0] == 0 and [rows.stop for rows, _ in blocks] == starts[1:] + [spec.nx]
+    most = max(nightbev.geometry.COLUMN_BLOCK, spec.ny * n_z)
+    assert all(pixel.shape == (rows.stop - rows.start, spec.ny, n_z) for rows, pixel in blocks)
+    assert all(pixel.size <= most for _, pixel in blocks)
+    return np.concatenate([pixel for _, pixel in blocks])
 
 
 def assert_same_bytes(got, expected):

@@ -10,7 +10,6 @@ from nightbev.selective import (
     FactorPopulation,
     bin_edges,
     factor_histogram,
-    inter_class_variance,
     otsu_threshold,
     selective_enhance,
 )
@@ -90,7 +89,9 @@ class TestOtsuThreshold:
         factors = ref.dyadic(rng.uniform(0.05, 0.95, size=50))
         sigmas = ref.otsu_scan(factors, 32)
         for k in range(1, 33):
-            assert inter_class_variance(factors, k / 32) == sigmas[k - 1]
+            assert ref.inter_class_variance(factors, k / 32) == sigmas[k - 1]
+        report = otsu_threshold(FactorPopulation(factors, bins=32))
+        assert report.sigma_b2 == sigmas.max() == ref.inter_class_variance(factors, report.t_star)
 
 
 class TestSelectiveEnhance:
