@@ -45,9 +45,10 @@ def frozen_array(value, what: str, dtype=np.float64) -> np.ndarray:
 
 def level_blocks(levels: int, level_bytes: int) -> list[slice]:
     """Consecutive blocks of whole levels, in order, about `LEVEL_BLOCK_BYTES`
-    each and at least one level, when each level holds `level_bytes`."""
+    each and at least one level, when each level holds `level_bytes`. Each
+    slice's `start` and `stop` are exact: the last block stops at `levels`."""
     step = max(1, LEVEL_BLOCK_BYTES // level_bytes)
-    return [slice(start, start + step) for start in range(0, levels, step)]
+    return [slice(start, min(start + step, levels)) for start in range(0, levels, step)]
 
 
 def ordered_sum(a: np.ndarray) -> np.ndarray:

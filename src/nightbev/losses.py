@@ -118,29 +118,6 @@ def term_sum(per_voxel: np.ndarray) -> float:
     return float(per_voxel.ravel(order="C").sum())
 
 
-def _weighted_ce(logits, labels, weights, out=None, on_block=None) -> float:
-    """The loss, in `level_blocks` along the first leading axis.
-
-    Each block's labels and per-voxel terms are contiguous in C order, and
-    each of its class planes is a set of contiguous runs for the head's
-    (Z, n_cla, X, Y) layout, so a block's work stays in cache. The blocks
-    write their weighted terms into one per-voxel array, `out` if given,
-    which is summed once in C order. `on_block(block, labels, weights, peak,
-    lse)` sees every block after its terms are written.
-    """
-    logits, labels, weights = _check_logits(logits, labels, weights)
-    if out is None:
-        out = np.empty(labels.shape)
-    elif out.shape != labels.shape or out.dtype != np.float64:
-        raise ValueError(f"out must be float64 {labels.shape}, got {out.dtype} {out.shape}")
-    for rows in level_blocks(len(labels), logits.nbytes // len(labels)):
-        block, block_labels = logits[rows], labels[rows]
-        peak, lse = _ce_block(block, block_labels, weights, out[rows])
-        if on_block is not None:
-            on_block(block, block_labels, weights, peak, lse)
-    return term_sum(out)
-
-
 def weighted_ce(logits, labels, weights, out=None) -> float:
     """Class-weighted cross-entropy summed over voxels (max-shift stabilized).
 
@@ -148,24 +125,40 @@ def weighted_ce(logits, labels, weights, out=None) -> float:
     each voxel, shape (...); voxels are summed in C order of the leading axes.
     Each voxel's weighted term also goes into `out`, a float64 array of the
     labels' shape, when one is given.
+
+    The terms are computed in `level_blocks` along the first leading axis.
+    Each block's labels and terms are contiguous in C order, and each of its
+    class planes is a set of contiguous runs for the head's (Z, n_cla, X, Y)
+    layout, so a block's work stays in cache.
     """
-    return _weighted_ce(logits, labels, weights, out)
+    logits, labels, weights = _check_logits(logits, labels, weights)
+    if out is None:
+        out = np.empty(labels.shape)
+    elif out.shape != labels.shape or out.dtype != np.float64:
+        raise ValueError(f"out must be float64 {labels.shape}, got {out.dtype} {out.shape}")
+    for rows in level_blocks(len(labels), logits.nbytes // len(labels)):
+        _ce_block(logits[rows], labels[rows], weights, out[rows])
+    return term_sum(out)
 
 
 def weighted_ce_grad(logits, labels, weights) -> tuple[float, np.ndarray]:
-    """Weighted cross-entropy of (n_vox, n_cla) logits plus its gradient."""
+    """Weighted cross-entropy of (n_vox, n_cla) logits plus its C-ordered gradient.
+
+    One `_ce_block` call over all voxels gives the loss, bit for bit that of
+    `weighted_ce`, and each voxel's max and log-sum-exp, from which the
+    softmax is formed in place in the gradient array.
+    """
     if np.ndim(logits) != 2:
         raise ValueError("weighted_ce_grad needs (n_vox, n_cla) logits")
-    grads = []
-
-    def softmax_grad(block, labels, weights, peak, lse):
-        grad = np.exp((block - peak[:, None]) - lse[:, None])
-        grad[np.arange(len(grad)), labels] -= 1.0
-        grad *= weights[labels][:, None]
-        grads.append(grad)
-
-    loss = _weighted_ce(logits, labels, weights, on_block=softmax_grad)
-    return loss, np.concatenate(grads)
+    logits, labels, weights = _check_logits(logits, labels, weights)
+    terms = np.empty(len(labels))
+    peak, lse = _ce_block(logits, labels, weights, terms)
+    grad = np.subtract(logits, peak[:, None], order="C")
+    grad -= lse[:, None]
+    np.exp(grad, out=grad)
+    grad[np.arange(len(grad)), labels] -= 1.0
+    grad *= weights[labels][:, None]
+    return term_sum(terms), grad
 
 
 def total_loss(ce: float, aux_sem: float, aux_geo: float, cfg: LossConfig = LossConfig()) -> float:

@@ -402,14 +402,14 @@ def head_stage(
         raise ValueError(f"ground truth of {gt.dims} for a head of {(nx, ny, grid_z)}")
     class_weights = class_weights_from_labels(gt, n_cla)
     blocks = level_blocks(grid_z, n_cla * nx * ny * 8)
-    step = len(range(grid_z)[blocks[0]])
+    step = blocks[0].stop
     logits = np.empty(((grid_z if keep_logits else step) * n_cla, nx, ny))
     labels = np.empty((grid_z, nx, ny), dtype=label_dtype(n_cla))
     terms, block_terms = np.empty((nx, ny, grid_z)), np.empty((step, nx, ny))
     gt_levels, term_levels = gt.labels.transpose(2, 0, 1), terms.transpose(2, 0, 1)  # (Z, X, Y)
     for levels in blocks:
-        n = len(range(grid_z)[levels])  # the last block may be short
-        rows = slice(levels.start * n_cla, (levels.start + n) * n_cla)
+        n = levels.stop - levels.start  # the last block may be short
+        rows = slice(levels.start * n_cla, levels.stop * n_cla)
         block = logits[rows] if keep_logits else logits[: n * n_cla]
         np.einsum("oc,cxy->oxy", weights[rows], f_bev.data, out=block)
         block += bias[rows, None, None]

@@ -360,16 +360,35 @@ def illumination_field(i, m, spec, n_z):
     return np.where(counts > 0, values.sum(axis=-1) / np.maximum(counts, 1), 0.0)
 
 
-def weighted_ce(logits, labels, weights) -> float:
-    """The loss with max, exp-sum and picked logit reduced over the inner axis of
-    an (n_vox, n_cla) C-order copy."""
+def _ce_reductions(logits, labels, weights):
+    """The logits as an (n_vox, n_cla) C-order copy minus each voxel's max over its
+    inner axis, the log of `sum(axis=1)` of their exponentials, and the labels
+    and weights as flat arrays."""
     flat = np.array(logits, dtype=np.float64, order="C").reshape(-1, logits.shape[-1])
-    labels = np.asarray(labels).ravel().astype(np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
     shifted = flat - flat.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(flat.shape[0]), labels]
-    return float((weights[labels] * (lse - picked)).sum())
+    return shifted, lse, np.asarray(labels).ravel().astype(np.int64), np.asarray(weights, dtype=np.float64)
+
+
+def weighted_ce_terms(logits, labels, weights) -> np.ndarray:
+    """Each voxel's weighted loss term, in C order of the leading axes."""
+    shifted, lse, labels, weights = _ce_reductions(logits, labels, weights)
+    picked = shifted[np.arange(len(shifted)), labels]
+    return weights[labels] * (lse - picked)
+
+
+def weighted_ce(logits, labels, weights) -> float:
+    """The loss: the sum of `weighted_ce_terms` in voxel order."""
+    return float(weighted_ce_terms(logits, labels, weights).sum())
+
+
+def weighted_ce_grad(logits, labels, weights) -> np.ndarray:
+    """The loss's gradient as (n_vox, n_cla): exp((x - max) - lse), minus 1 at
+    the label, times the label's weight."""
+    shifted, lse, labels, weights = _ce_reductions(logits, labels, weights)
+    grad = np.exp(shifted - lse[:, None])
+    grad[np.arange(len(grad)), labels] -= 1.0
+    return grad * weights[labels][:, None]
 
 
 def miou(pred, gt, n_cla):

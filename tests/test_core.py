@@ -200,9 +200,12 @@ class TestLevelBlocks:
     def test_blocks_cover_every_level_once_in_order(self):
         blocks = level_blocks(7, LEVEL_BLOCK_BYTES // 3)
         assert [np.arange(7)[b].tolist() for b in blocks] == [[0, 1, 2], [3, 4, 5], [6]]
+        assert [(b.start, b.stop) for b in blocks] == [(0, 3), (3, 6), (6, 7)]
 
     def test_a_level_larger_than_a_block_is_one_block(self):
-        assert [np.arange(3)[b].tolist() for b in level_blocks(3, 5 * LEVEL_BLOCK_BYTES)] == [[0], [1], [2]]
+        blocks = level_blocks(3, 5 * LEVEL_BLOCK_BYTES)
+        assert [np.arange(3)[b].tolist() for b in blocks] == [[0], [1], [2]]
+        assert [(b.start, b.stop) for b in blocks] == [(0, 1), (1, 2), (2, 3)]
 
 
 class TestOrderedSum:

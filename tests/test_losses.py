@@ -14,6 +14,7 @@ from nightbev.core import finite_diff_check
 from nightbev.losses import (
     LossConfig,
     class_weights_from_labels,
+    term_sum,
     total_loss,
     weighted_ce,
     weighted_ce_grad,
@@ -242,6 +243,67 @@ class TestWeightedCeOracle:
             got = weighted_ce(logits, labels, weights)
         assert sizes == [(k, 3, 5, n_cla) for k in (2, 2, 1)]
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+    @settings(max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lead=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4)),
+        n_cla=st.integers(2, 140),
+        values=st.sampled_from(["normal", "ties"]),
+    )
+    @example(seed=6, lead=(3, 4, 2), n_cla=9, values="normal")
+    def test_terms_into_out_equal_reference(self, seed, lead, n_cla, values):
+        # The head's layout: an (X, Y, Z, n_cla) view of (Z, n_cla, X, Y) logits,
+        # uint8 labels, and `out` either contiguous or a view of a (Z, X, Y) buffer.
+        logits, labels, weights = ce_case(seed, lead, n_cla, values, True)
+        labels = labels.astype(np.uint8)
+        want = ref.weighted_ce_terms(logits, labels, weights)
+        x, y, z = lead
+        losses = []
+        for out in (np.empty(lead), np.empty((z, x, y)).transpose(1, 2, 0)):
+            loss = weighted_ce(logits, labels, weights, out=out)
+            assert out.ravel(order="C").tobytes() == want.tobytes()
+            assert loss == term_sum(out)
+            losses.append(loss)
+        assert losses[0] == losses[1]
+
+    @pytest.mark.parametrize("out", [np.empty((2, 3), dtype=np.float32), np.empty((3, 2)), np.empty(6)])
+    def test_out_must_be_float64_of_the_labels_shape(self, out):
+        with pytest.raises(ValueError, match="out must be float64"):
+            weighted_ce(np.zeros((2, 3, 4)), np.zeros((2, 3), dtype=int), np.ones(4), out=out)
+
+    @settings(max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_vox=st.integers(1, 60),
+        n_cla=st.integers(2, 140),
+        values=st.sampled_from(["normal", "ties"]),
+        fortran=st.booleans(),
+        block_voxels=st.integers(1, 8),
+    )
+    @example(seed=7, n_vox=37, n_cla=129, values="ties", fortran=True, block_voxels=3)
+    def test_gradient_bytes_equal_reference(self, seed, n_vox, n_cla, values, fortran, block_voxels):
+        rng = np.random.default_rng(seed)
+        if values == "ties":
+            logits = rng.integers(-2, 3, size=(n_vox, n_cla)).astype(np.float64)
+        else:
+            logits = rng.normal(0.0, 5.0, size=(n_vox, n_cla))
+        if fortran:
+            logits = np.asfortranarray(logits)
+        labels = rng.integers(0, n_cla, size=n_vox)
+        weights = rng.uniform(0.0, 3.0, size=n_cla)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nightbev.core, "LEVEL_BLOCK_BYTES", block_voxels * n_cla * 8)
+            loss, grad = weighted_ce_grad(logits, labels, weights)
+        assert grad.shape == logits.shape
+        assert grad.tobytes() == ref.weighted_ce_grad(logits, labels, weights).tobytes()
+        assert np.float64(loss).tobytes() == np.float64(ref.weighted_ce(logits, labels, weights)).tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_gradient_is_c_ordered_for_either_input_order(self, order):
+        logits, labels, weights = ce_case(14, (9,), 5, "normal", False)
+        _, grad = weighted_ce_grad(np.asarray(logits, order=order), labels, weights)
+        assert grad.flags.c_contiguous
 
     def test_gradient_is_the_same_in_blocks(self, monkeypatch):
         logits, labels, weights = ce_case(12, (37,), 5, "normal", False)
