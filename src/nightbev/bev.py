@@ -8,7 +8,6 @@ order so accumulated cell values are bit-stable from run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -169,20 +168,6 @@ def _channel_sum(weights: np.ndarray, q_in: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cell_runs(cell: np.ndarray, most: int) -> Iterator[slice]:
-    """Consecutive slices of the sorted `cell` that each end where the cell
-    changes: at most `most` long, unless one cell's run alone is longer."""
-    start = 0
-    while start < cell.size:
-        end = cell.size
-        if start + most < cell.size:  # back to the first reference of the cell there
-            end = int(np.searchsorted(cell, cell[start + most], side="left"))
-            if end == start:  # one cell holds more than `most`
-                end = int(np.searchsorted(cell, cell[start], side="right"))
-        yield slice(start, end)
-        start = end
-
-
 def residual_query(
     q: Tensor3,
     f_ctx: Tensor3,
@@ -200,10 +185,11 @@ def residual_query(
     skipped: nothing is sampled for them, and a cell with none in view
     reads +0.0.
 
-    The references come from `column_blocks` and run in blocks of at most
-    COLUMN_BLOCK sample points that each end on a cell boundary (a cell
-    with more samples is one block), so no array spans the grid but the
-    output, and every cell's terms are summed within one block.
+    The references come from `column_blocks`. Each block's lit cells (those
+    with a reference in view) run in `level_blocks(lit cells, n_z * K,
+    COLUMN_BLOCK)`: at most COLUMN_BLOCK sample points of whole cells (a
+    cell with more is one run), so no array spans the grid but the output,
+    and every cell's terms are summed within one run.
     """
     nx, ny = spec.nx, spec.ny
     if (q.height, q.width) != (nx, ny):
@@ -213,17 +199,19 @@ def residual_query(
             f"attention expects {params.query_channels} query channels, got {q.channels}"
         )
     k_points = params.k_points
-    most = max(1, geometry.COLUMN_BLOCK // k_points)  # references per block
     xs, ys, zs = spec.x_centers(), spec.y_centers(), sample_heights(spec, n_z)
     q_flat = q.data.reshape(q.channels, nx * ny)
     padded = zero_bordered(f_ctx)
     out = np.zeros((f_ctx.channels, nx, ny), dtype=np.float64)
     out_flat = out.reshape(f_ctx.channels, nx * ny)
     for rows, pixel in column_blocks(m, spec, n_z, f_ctx.height, f_ctx.width):
-        # In-view references in (cell, height) order.
+        # In-view references in (cell, height) order; lit cell i holds the
+        # references edges[i]:edges[i + 1], as the sorted cell index changes there.
         refs = np.flatnonzero(pixel >= 0) + rows.start * ny * n_z
         cells = refs // n_z
-        for run in _cell_runs(cells, most):
+        edges = np.append(np.flatnonzero(np.diff(cells, prepend=-1)), cells.size)
+        for lit_run in level_blocks(edges.size - 1, n_z * k_points, geometry.COLUMN_BLOCK):
+            run = slice(edges[lit_run.start], edges[lit_run.stop])
             cell, height = cells[run], refs[run] % n_z
             # project_points works point by point, so these positions carry
             # the bits column_blocks computed for the same references.
@@ -233,7 +221,7 @@ def residual_query(
             # Offsets and attention only where a reference reads them. Channels
             # add one by one from +0.0 and the softmax denominator point by
             # point, so a cell's bits do not depend on how many cells are in
-            # the block (einsum's and sum(axis=0)'s order changes over one
+            # the run (einsum's and sum(axis=0)'s order changes over one
             # column), and no BLAS kernel picks the order or fuses a multiply
             # into an add.
             lit, ref = np.unique(cell, return_inverse=True)  # ref: each reference's column in lit
@@ -248,7 +236,7 @@ def residual_query(
             # bincount adds each cell's terms one by one in (height, point)
             # order, so every cell gets the same bits as a sum over all
             # n_z * K terms in which the skipped ones were exact zeros. All of
-            # a cell's terms are in this block, so its sum is final.
+            # a cell's terms are in this run, so its sum is final.
             flat_ref = np.repeat(ref, k_points)
             for c in range(f_ctx.channels):
                 out_flat[c, lit] = np.bincount(flat_ref, weights=terms[c].ravel(), minlength=lit.size)

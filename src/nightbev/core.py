@@ -43,11 +43,14 @@ def frozen_array(value, what: str, dtype=np.float64) -> np.ndarray:
     return arr
 
 
-def level_blocks(levels: int, level_bytes: int) -> list[slice]:
-    """Consecutive blocks of whole levels, in order, about `LEVEL_BLOCK_BYTES`
-    each and at least one level, when each level holds `level_bytes`. Each
-    slice's `start` and `stop` are exact: the last block stops at `levels`."""
-    step = max(1, LEVEL_BLOCK_BYTES // level_bytes)
+def level_blocks(levels: int, level_size: int, budget: int | None = None) -> list[slice]:
+    """Consecutive blocks of whole levels, in order, each of `budget // level_size`
+    levels or one level if a level alone is more, when each level holds
+    `level_size` of what `budget` counts (bytes, rows or points). `budget`
+    defaults to `LEVEL_BLOCK_BYTES`, read at each call. Each slice's `start`
+    and `stop` are exact: the last block stops at `levels`. The one rule that
+    cuts an axis into blocks."""
+    step = max(1, (LEVEL_BLOCK_BYTES if budget is None else budget) // level_size)
     return [slice(start, min(start + step, levels)) for start in range(0, levels, step)]
 
 
@@ -186,9 +189,9 @@ def bilinear_sample_grad(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample value plus analytic partials w.r.t. u and v.
 
-    The derivative is the exact gradient of the piecewise-bilinear surface
-    (zero-padded outside the image); it is only meaningful away from the
-    integer-coordinate kinks.
+    The value has the bytes of `bilinear_sample`. The derivative is the exact
+    gradient of the piecewise-bilinear surface (zero-padded outside the image);
+    it is only meaningful away from the integer-coordinate kinks.
     """
     u = float(at[0])
     v = float(at[1])
@@ -196,17 +199,11 @@ def bilinear_sample_grad(
     y0 = math.floor(v)
     wx = u - x0
     wy = v - y0
-    f00, f10, f01, f11 = _bilinear_corners(zero_bordered(f), float(x0), float(y0))
-
-    value = (
-        (1.0 - wx) * (1.0 - wy) * f00
-        + wx * (1.0 - wy) * f10
-        + (1.0 - wx) * wy * f01
-        + wx * wy * f11
-    )
+    padded = zero_bordered(f)
+    f00, f10, f01, f11 = _bilinear_corners(padded, float(x0), float(y0))
     du = (1.0 - wy) * (f10 - f00) + wy * (f11 - f01)
     dv = (1.0 - wx) * (f01 - f00) + wx * (f11 - f10)
-    return value, du, dv
+    return bilinear_sample_many(f, u, v, padded), du, dv
 
 
 def finite_diff_check(

@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import Tensor3, frozen_array, json_block, json_list, read_json
+from .core import Tensor3, frozen_array, json_block, json_list, level_blocks, read_json
 
 DEPTH_EPS = 1e-6
 COLUMN_BLOCK = 1 << 15  # most points one block of a column stage holds, unless one row or cell is more
@@ -194,26 +194,26 @@ def column_blocks(
     Yields, in row order, (rows, pixel): a slice of the grid's X rows and their
     (rows, Y, n_z) int64 flat index `row * width + column` of the pixel each
     sample floors into (pixel i covers [i, i + 1)), or -1 where the sample is
-    behind the camera or off the map. A block holds at most COLUMN_BLOCK
-    points, or one row if a row holds more, so no full-grid array is built.
+    behind the camera or off the map. `level_blocks` cuts the rows into blocks
+    of at most COLUMN_BLOCK points, or one row if a row holds more, so no
+    full-grid array is built.
     Each sample gets project_points' bits, but x·a + y·b is formed once per
     cell and repeated over the cell's heights.
     """
-    nx, ny = spec.nx, spec.ny
-    rows = max(1, COLUMN_BLOCK // (ny * n_z))
+    ny = spec.ny
+    blocks = level_blocks(spec.nx, ny * n_z, COLUMN_BLOCK)
     xs, ys = spec.x_centers(), spec.y_centers()
     # Per matrix row: x·a per grid row, y·b per grid column, and z·c tiled
     # over the most cells a block holds (a short last block reads a prefix).
     terms = [
-        (xs * a, ys * b, np.tile(sample_heights(spec, n_z) * c, min(rows, nx) * ny), t)
+        (xs * a, ys * b, np.tile(sample_heights(spec, n_z) * c, blocks[0].stop * ny), t)
         for a, b, c, t in m.matrix
     ]
-    for lo in range(0, nx, rows):
-        hi = min(lo + rows, nx)
-        n = (hi - lo) * ny * n_z
+    for rows in blocks:
+        n = (rows.stop - rows.start) * ny * n_z
         with np.errstate(invalid="ignore", over="ignore"):  # huge or infinite samples
             u, v, depth = (
-                _row_sum(np.repeat(xa[lo:hi, None] + yb, n_z), zc[:n], t) for xa, yb, zc, t in terms
+                _row_sum(np.repeat(xa[rows, None] + yb, n_z), zc[:n], t) for xa, yb, zc, t in terms
             )
         in_map = depth > DEPTH_EPS
         # Samples not in front of the camera divide too (a masked divide is
@@ -227,7 +227,7 @@ def column_blocks(
             v *= width  # off-map floors may be huge or infinite
             v += u
         v[~in_map] = -1.0
-        yield slice(lo, hi), v.astype(np.int64).reshape(hi - lo, ny, n_z)
+        yield rows, v.astype(np.int64).reshape(-1, ny, n_z)
 
 
 def illumination_field(i: Tensor3, m: CameraMatrix, spec: BevSpec, n_z: int) -> np.ndarray:

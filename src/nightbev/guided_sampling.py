@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LEVEL_BLOCK_BYTES, Tensor3, bilinear_sample_many, frozen_array, ordered_sum
+from .core import Tensor3, bilinear_sample_many, frozen_array, level_blocks, ordered_sum
 from .core import zero_bordered
 from .illumination import ILLUMINATION_FLOOR
 
@@ -58,16 +58,17 @@ _BAND_BYTES = 1 << 16
 
 
 def _conv_bands(
-    x: Tensor3, kernel: np.ndarray, bias: np.ndarray, stride: int, rows: int
+    x: Tensor3, kernel: np.ndarray, bias: np.ndarray, stride: int, row_size: int, budget=None
 ) -> np.ndarray:
     """The one convolution loop: 2D cross-correlation of the edge-padded `x` with the
-    (out, in, kk, kk) `kernel` at `stride`, plus `bias`, computed in bands of `rows`
-    output rows (the last may be shorter). The pad is (kk - 1) // 2 on each side.
+    (out, in, kk, kk) `kernel` at `stride`, plus `bias`, computed in bands of output
+    rows, the `level_blocks` of the rows under `budget` when each row counts
+    `row_size` (the last band may be shorter). The pad is (kk - 1) // 2 on each side.
 
     Every output pixel gets the kk*kk taps in row-major order, each the einsum over
     input channels of a strided window of the padded map, added onto a band that
     starts at +0.0, then the bias: the same operations in the same order for any
-    `rows`, so every band size gives the same bits. Each band is summed in one
+    band size, so every size gives the same bits. Each band is summed in one
     contiguous buffer and copied into the output once.
     """
     if x.channels != kernel.shape[1]:
@@ -81,10 +82,11 @@ def _conv_bands(
     # leaves no heap hole below it (hires_near's peak RSS read 3 MB higher otherwise).
     out = np.empty((c, h, w))
     padded = np.pad(x.data, ((0, 0), (r, r), (r, r)), mode="edge")
-    tap_buf, band_buf = np.empty(c * min(rows, h) * w), np.empty(c * min(rows, h) * w)
+    bands = level_blocks(h, row_size, budget)
+    tap_buf, band_buf = np.empty(c * bands[0].stop * w), np.empty(c * bands[0].stop * w)
     span_w = stride * (w - 1) + 1
-    for r0 in range(0, h, rows):
-        n = min(rows, h - r0)
+    for band_rows in bands:
+        r0, n = band_rows.start, band_rows.stop - band_rows.start
         # Views of the buffers' first c*n*w values keep a short last band contiguous.
         tap, band = (buf[: c * n * w].reshape(c, n, w) for buf in (tap_buf, band_buf))
         band.fill(0.0)
@@ -94,7 +96,7 @@ def _conv_bands(
                 window = padded[:, y0 : y0 + stride * (n - 1) + 1 : stride, dx : dx + span_w : stride]
                 band += np.einsum("oi,ihw->ohw", kernel[:, :, dy, dx], window, out=tap)
         band += bias[:, None, None]
-        out[:, r0 : r0 + n] = band
+        out[:, band_rows] = band
     return out
 
 
@@ -104,8 +106,8 @@ def conv2d_replicate(x: Tensor3, params: ConvParams) -> Tensor3:
     Runs in bands of about `LEVEL_BLOCK_BYTES` of output rows, so each tap's
     einsum writes a band-sized buffer that stays in cache, not a full-size one.
     """
-    rows = max(1, LEVEL_BLOCK_BYTES // (8 * params.out_channels * x.width))
-    return Tensor3.take_over(_conv_bands(x, params.kernel, params.bias, 1, rows))
+    row_bytes = 8 * params.out_channels * x.width
+    return Tensor3.take_over(_conv_bands(x, params.kernel, params.bias, 1, row_bytes))
 
 
 def _pool2_kernel(kernel: np.ndarray) -> np.ndarray:
@@ -128,8 +130,9 @@ def conv2d_pool2(x: Tensor3, params: ConvParams) -> Tensor3:
     h, w = x.height, x.width
     if h % 2 or w % 2:
         raise ValueError(f"pooling needs even dims, got {h}x{w}")
-    rows = max(1, _BAND_BYTES // (4 * params.in_channels * w))
-    return Tensor3.take_over(_conv_bands(x, _pool2_kernel(params.kernel), params.bias, 2, rows))
+    window_bytes = 4 * params.in_channels * w  # one output row's tap window
+    kernel = _pool2_kernel(params.kernel)
+    return Tensor3.take_over(_conv_bands(x, kernel, params.bias, 2, window_bytes, _BAND_BYTES))
 
 
 def _sigmoid_open(x: np.ndarray) -> np.ndarray:
@@ -263,10 +266,8 @@ def guided_warp(
     padded = zero_bordered(f_img)  # once for all bands
     # Bands of whole rows, about _WARP_POINTS sample points each: one gather per band
     # for all K points, then each point's term added in k order, as over the whole map.
-    rows = max(1, _WARP_POINTS // (k_points * w))
-    for r0 in range(0, h, rows):
-        band = slice(r0, r0 + rows)
-        ys = np.arange(r0, min(r0 + rows, h), dtype=np.float64)[:, None]
+    for band in level_blocks(h, k_points * w, _WARP_POINTS):
+        ys = np.arange(band.start, band.stop, dtype=np.float64)[:, None]
         us = cols + base[:, 0, None, None] + dp_mod.data[0::2, band]  # (K, rows, w)
         vs = ys + base[:, 1, None, None] + dp_mod.data[1::2, band]
         sampled = bilinear_sample_many(f_img, us, vs, padded)  # (C, K, rows, w)

@@ -17,8 +17,8 @@ class LossConfig:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:  # nan fails both
+                raise ValueError(f"{name} must be a finite number >= 0")
 
 
 def class_weights_from_labels(labels, n_cla: int) -> np.ndarray:

@@ -162,12 +162,14 @@ def bilinear_sample_grad(f, at):
     f10 = pix(x0 + 1, y0)
     f01 = pix(x0, y0 + 1)
     f11 = pix(x0 + 1, y0 + 1)
-    value = (
-        (1.0 - wx) * (1.0 - wy) * f00
-        + wx * (1.0 - wy) * f10
-        + (1.0 - wx) * wy * f01
-        + wx * wy * f11
-    )
+    value = np.zeros(c)  # summed from +0.0, as bilinear_sample_many does
+    for wgt, corner in (
+        ((1.0 - wx) * (1.0 - wy), f00),
+        (wx * (1.0 - wy), f10),
+        ((1.0 - wx) * wy, f01),
+        (wx * wy, f11),
+    ):
+        value += wgt * corner
     du = (1.0 - wy) * (f10 - f00) + wy * (f11 - f01)
     dv = (1.0 - wx) * (f01 - f00) + wx * (f11 - f10)
     return value, du, dv

@@ -462,18 +462,34 @@ class TestResidualQueryWork:
     @pytest.mark.parametrize("block", [1, 8, 30, 41, 90])
     def test_blocks_end_on_cell_boundaries(self, sampled_points, monkeypatch, block):
         # Every reference in view, 5 heights and 4 points: 20 sample points a
-        # cell. At 30, a block takes 7 references, so the second cell's five
-        # (references 5 to 9) straddle the block size and start the next block;
-        # at 41 a block ends exactly on a cell (10 references, two cells);
-        # at 8 and 1 a cell alone is more than a block; at 90 a block of
-        # column_blocks holds 3 rows, and the fifth cell of its references
-        # straddles the block size.
+        # lit cell, so a run takes COLUMN_BLOCK // 20 whole lit cells: one at
+        # 30, two at 41 (40 of its 41 points); at 8 and 1 a cell alone is more
+        # than a run; at 90 a block of column_blocks holds 3 rows, 15 cells,
+        # which run as 4, 4, 4 and 3 cells.
         monkeypatch.setattr(nightbev.geometry, "COLUMN_BLOCK", block)
         case = residual_case(7, (6, 5), 5, 4, (3, 3), (9, 12), overhead_camera)
         assert assert_matches_dense(*case).all()
         per_cell = 5 * 4
         assert len(sampled_points) > 1 and sum(sampled_points) == 6 * 5 * per_cell
         assert all(n % per_cell == 0 and n <= max(block, per_cell) for n in sampled_points)
+
+    @pytest.mark.parametrize("block", [1, 8, 30, 41, 90])
+    def test_runs_hold_whole_partly_lit_cells(self, sampled_points, monkeypatch, block):
+        # A camera zoomed past the grid sees 1, 2 or all 5 heights of a cell.
+        # A run's boundaries fall between lit cells, and it holds at most
+        # COLUMN_BLOCK // 20 of them, so at most COLUMN_BLOCK points unless
+        # one cell is more.
+        def zoomed(spec, h, w):
+            return overhead_camera(spec, h, w, 2.0)
+
+        monkeypatch.setattr(nightbev.geometry, "COLUMN_BLOCK", block)
+        case = residual_case(3, (6, 5), 5, 4, (3, 3), (9, 12), zoomed)
+        per_cell = assert_matches_dense(*case).sum(axis=1)
+        assert {1, 2, 5} <= set(per_cell.tolist())
+        cell_ends = np.cumsum(per_cell[per_cell > 0])
+        run_ends = np.cumsum(sampled_points) // 4
+        assert run_ends[-1] == cell_ends[-1] and set(run_ends.tolist()) <= set(cell_ends.tolist())
+        assert all(n <= max(block, 5 * 4) for n in sampled_points)
 
     def test_peak_memory_with_the_feature_stride_camera(self, peak_bytes):
         # bev_wide's shape seen by the camera of the 32 x 48 feature map,

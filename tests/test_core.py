@@ -207,6 +207,22 @@ class TestLevelBlocks:
         assert [np.arange(3)[b].tolist() for b in blocks] == [[0], [1], [2]]
         assert [(b.start, b.stop) for b in blocks] == [(0, 1), (1, 2), (2, 3)]
 
+    @pytest.mark.parametrize(
+        "levels, size, budget, want",
+        [
+            (10, 3, 7, [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]),  # a budget in points
+            (3, 9, 7, [(0, 1), (1, 2), (2, 3)]),  # a level larger than the budget
+            (0, 3, 7, []),
+        ],
+    )
+    def test_exact_slices_under_a_budget(self, levels, size, budget, want):
+        assert [(b.start, b.stop) for b in level_blocks(levels, size, budget)] == want
+
+    def test_default_budget_follows_a_patched_level_block_bytes(self, monkeypatch):
+        monkeypatch.setattr(nightbev.core, "LEVEL_BLOCK_BYTES", 3 * 8)
+        assert [(b.start, b.stop) for b in level_blocks(5, 8)] == [(0, 3), (3, 5)]
+        assert level_blocks(0, 8) == []
+
 
 class TestOrderedSum:
     def test_adds_in_index_order_from_positive_zero(self):
@@ -304,7 +320,12 @@ class TestBilinearGradient:
         for _ in range(20):
             at = PixelCoord(rng.uniform(-1, 4.5), rng.uniform(-1, 4.5))
             value, _, _ = bilinear_sample_grad(t, at)
-            np.testing.assert_array_equal(value, bilinear_sample(t, at))
+            assert value.tobytes() == bilinear_sample(t, at).tobytes()
+        # Every corner term is -0.0: the sample sums them from +0.0, so must the value.
+        t = Tensor3.full(1, 3, 3, -0.0)
+        value, _, _ = bilinear_sample_grad(t, PixelCoord(1, 1))
+        assert value.tobytes() == bilinear_sample(t, PixelCoord(1, 1)).tobytes()
+        assert not np.signbit(value).any()
 
 
 class TestFiniteDiffCheck:

@@ -134,9 +134,9 @@ class TestBandedConv:
         pooled = conv2d_pool2(x, params).data
         assert pooled.tobytes() == fused.tobytes()
         assert_near_conv_then_pool(pooled, ref.avg_pool2(full))
-        banded = _conv_bands(x, params.kernel, params.bias, 1, rows)
+        banded = _conv_bands(x, params.kernel, params.bias, 1, row_size=1, budget=rows)
         assert banded.tobytes() == full.tobytes()
-        strided = _conv_bands(x, ref.pool_kernel(params.kernel), params.bias, 2, rows)
+        strided = _conv_bands(x, ref.pool_kernel(params.kernel), params.bias, 2, row_size=1, budget=rows)
         assert strided.tobytes() == fused.tobytes()
 
     SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.7e308, -1.7e308]
@@ -432,6 +432,23 @@ class TestGuidedWarp:
         weights = rng.normal(size=k_points)
         got = guided_warp(f, dp, Tensor3(mod), weights).data
         assert got.tobytes() == ref.guided_warp(f, dp, Tensor3(mod), weights).tobytes()
+
+    # (_WARP_POINTS, channels, K, h, w): one row per band (K * w points past the band
+    # size), bands of 2 rows ending on one, and bands of 37 rows ending on 13.
+    @pytest.mark.parametrize(
+        "points, c, k_points, h, w", [(1, 2, 9, 5, 6), (7, 3, 1, 5, 3), (8192, 2, 9, 50, 24)]
+    )
+    def test_bytes_equal_reference_under_patched_band_sizes(self, monkeypatch, points, c, k_points, h, w):
+        monkeypatch.setattr(nightbev.guided_sampling, "_WARP_POINTS", points)
+        rng = np.random.default_rng([points, c, k_points, h, w])
+        data = rng.normal(size=(c, h, w))
+        data[:, ::2, ::3] = -0.0
+        f = Tensor3(data)
+        dp = Tensor3(rng.normal(scale=3.0, size=(2 * k_points, h, w)))
+        dw = Tensor3(rng.uniform(0.05, 0.95, size=(k_points, h, w)))
+        weights = rng.normal(size=k_points)
+        got = guided_warp(f, dp, dw, weights).data
+        assert got.tobytes() == ref.guided_warp(f, dp, dw, weights).tobytes()
 
     def test_peak_memory_below_six_feature_maps(self, peak_bytes):
         # hires_near's 8 x 112 x 200 feature with 9 kernel points: the samples of one

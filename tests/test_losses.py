@@ -150,6 +150,12 @@ class TestTotalLoss:
         with pytest.raises(ValueError, match="alpha"):
             LossConfig(alpha=-1.0)
 
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_weights(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number >= 0$"):
+            LossConfig(**{name: bad})
+
     def test_rejects_non_finite_terms(self):
         with pytest.raises(ValueError, match="finite"):
             total_loss(float("inf"), 0.0, 0.0)
