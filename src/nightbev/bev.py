@@ -69,6 +69,8 @@ def depth_context_split(f_in: Tensor3, params: ConvParams, bin_centers: np.ndarr
 
     The last len(bin_centers) output channels go through a per-pixel softmax;
     the ones before them (at least one) pass through as the context feature.
+    The conv runs once per part, so the context is its output and the depth
+    logits are freed on return.
     """
     d_bins = len(bin_centers)
     c_ctx = params.out_channels - d_bins
@@ -79,9 +81,9 @@ def depth_context_split(f_in: Tensor3, params: ConvParams, bin_centers: np.ndarr
         )
     if params.kernel_size != 1:
         raise ValueError("split conv kernel must be 1x1")
-    raw = conv2d_replicate(f_in, params)
-    f_ctx = Tensor3(raw.data[:c_ctx])
-    depth = Tensor3.take_over(_softmax(raw.data[c_ctx:]))
+    f_ctx = conv2d_replicate(f_in, params.outputs(slice(c_ctx)))
+    logits = conv2d_replicate(f_in, params.outputs(slice(c_ctx, None)))
+    depth = Tensor3.take_over(_softmax(logits.data))
     return DepthContext(f_ctx=f_ctx, depth=depth, bin_centers=bin_centers)
 
 

@@ -191,10 +191,13 @@ def bilinear_sample_grad(
 
     The value has the bytes of `bilinear_sample`. The derivative is the exact
     gradient of the piecewise-bilinear surface (zero-padded outside the image);
-    it is only meaningful away from the integer-coordinate kinks.
+    it is only meaningful away from the integer-coordinate kinks. A non-finite
+    position reads 0, with both partials 0.
     """
     u = float(at[0])
     v = float(at[1])
+    if not (math.isfinite(u) and math.isfinite(v)):
+        return bilinear_sample_many(f, u, v), np.zeros(f.channels), np.zeros(f.channels)
     x0 = math.floor(u)
     y0 = math.floor(v)
     wx = u - x0

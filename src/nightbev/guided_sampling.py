@@ -51,6 +51,11 @@ class ConvParams:
     def kernel_size(self) -> int:
         return self.kernel.shape[2]
 
+    def outputs(self, part: slice) -> "ConvParams":
+        """The conv of the output channels `part` alone: a conv that emits maps of
+        several kinds runs once per kind, each output its own array."""
+        return ConvParams(self.kernel[part], self.bias[part])
+
 
 # Bytes of one tap's input window per band of `conv2d_pool2`: einsum reads a strided
 # window that fits numpy's 8192-element buffer about 1.5x as fast as a larger one.
@@ -68,8 +73,9 @@ def _conv_bands(
     Every output pixel gets the kk*kk taps in row-major order, each the einsum over
     input channels of a strided window of the padded map, added onto a band that
     starts at +0.0, then the bias: the same operations in the same order for any
-    band size, so every size gives the same bits. Each band is summed in one
-    contiguous buffer and copied into the output once.
+    band size, so every size gives the same bits. Each band's input rows are
+    edge-padded into one band-sized buffer (a 1x1 kernel reads `x` itself), and
+    each band is summed in one contiguous buffer and copied into the output once.
     """
     if x.channels != kernel.shape[1]:
         raise ValueError(f"conv expects {kernel.shape[1]} input channels, got {x.channels}")
@@ -78,20 +84,33 @@ def _conv_bands(
     c = kernel.shape[0]
     h = (x.height + 2 * r - kk) // stride + 1
     w = (x.width + 2 * r - kk) // stride + 1
-    # Allocated before the larger, shorter-lived padded copy, so freeing that copy
-    # leaves no heap hole below it (hires_near's peak RSS read 3 MB higher otherwise).
     out = np.empty((c, h, w))
-    padded = np.pad(x.data, ((0, 0), (r, r), (r, r)), mode="edge")
     bands = level_blocks(h, row_size, budget)
     tap_buf, band_buf = np.empty(c * bands[0].stop * w), np.empty(c * bands[0].stop * w)
+    in_rows = stride * (bands[0].stop - 1) + kk  # padded input rows under the first band
+    pad_buf = np.empty((x.channels, in_rows, x.width + 2 * r)) if r else None
     span_w = stride * (w - 1) + 1
     for band_rows in bands:
         r0, n = band_rows.start, band_rows.stop - band_rows.start
         # Views of the buffers' first c*n*w values keep a short last band contiguous.
         tap, band = (buf[: c * n * w].reshape(c, n, w) for buf in (tap_buf, band_buf))
+        if r:
+            # Padded row p is input row p - r clipped into the map; the band reads
+            # padded rows [stride*r0, +rows), so input rows [lo, lo + rows) clipped.
+            rows, lo = stride * (n - 1) + kk, stride * r0 - r
+            a, b = max(lo, 0), min(lo + rows, x.height)
+            padded, y_base = pad_buf[:, :rows], 0
+            inner = padded[:, :, r : r + x.width]
+            inner[:, a - lo : b - lo] = x.data[:, a:b]
+            inner[:, : a - lo] = x.data[:, :1]
+            inner[:, b - lo :] = x.data[:, -1:]
+            padded[:, :, :r] = inner[:, :, :1]
+            padded[:, :, r + x.width :] = inner[:, :, -1:]
+        else:
+            padded, y_base = x.data, stride * r0
         band.fill(0.0)
         for dy in range(kk):
-            y0 = stride * r0 + dy
+            y0 = y_base + dy
             for dx in range(kk):
                 window = padded[:, y0 : y0 + stride * (n - 1) + 1 : stride, dx : dx + span_w : stride]
                 band += np.einsum("oi,ihw->ohw", kernel[:, :, dy, dx], window, out=tap)
@@ -125,7 +144,7 @@ def conv2d_pool2(x: Tensor3, params: ConvParams) -> Tensor3:
     rounding (within 1e-12 relative), not bit for bit.
 
     Runs in bands whose tap windows hold about `_BAND_BYTES` each, and stores
-    no full-resolution map but the padded input.
+    no full-resolution map: each band edge-pads its own input rows.
     """
     h, w = x.height, x.width
     if h % 2 or w % 2:
@@ -136,13 +155,15 @@ def conv2d_pool2(x: Tensor3, params: ConvParams) -> Tensor3:
 
 
 def _sigmoid_open(x: np.ndarray) -> np.ndarray:
-    # Clamp into the open interval so extreme logits cannot saturate to 0 or 1.
+    # Clamp into the open interval so extreme logits cannot saturate to 0 or 1;
+    # the clamp is in place, so the one new array can be taken over.
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=out)
+    return out
 
 
 def build_guidance(
@@ -184,7 +205,9 @@ def generate_offsets(i_prime: Tensor3, params: ConvParams) -> tuple[Tensor3, Ten
 
     One 3x3 convolution produces 3K channels: 2K raw offset channels
     (interleaved dx, dy per point) pass through unchanged, the last K pass
-    through a sigmoid to give weights strictly inside (0, 1).
+    through a sigmoid to give weights strictly inside (0, 1). The conv runs
+    once per part, so the offsets are its output and the weights' logits are
+    freed on return.
     """
     if i_prime.channels != 1:
         raise ValueError("offset generator expects a 1-channel map")
@@ -196,10 +219,9 @@ def generate_offsets(i_prime: Tensor3, params: ConvParams) -> tuple[Tensor3, Ten
         )
     if params.kernel_size != 3:
         raise ValueError("offset conv kernel must be 3x3")
-    raw = conv2d_replicate(i_prime, params)
-    offsets = Tensor3(raw.data[: 2 * k_points])
-    weights = Tensor3(_sigmoid_open(raw.data[2 * k_points :]))
-    return offsets, weights
+    offsets = conv2d_replicate(i_prime, params.outputs(slice(2 * k_points)))
+    logits = conv2d_replicate(i_prime, params.outputs(slice(2 * k_points, None)))
+    return offsets, Tensor3.take_over(_sigmoid_open(logits.data))
 
 
 def modulate_offsets(dp: Tensor3, g: Tensor3) -> Tensor3:
@@ -208,7 +230,7 @@ def modulate_offsets(dp: Tensor3, g: Tensor3) -> Tensor3:
         raise ValueError(
             f"guidance shape {g.shape} does not match offsets {dp.shape}"
         )
-    return Tensor3(dp.data * g.data)
+    return Tensor3.take_over(np.multiply(dp.data, g.data))
 
 
 def kernel_grid(k_points: int) -> np.ndarray:

@@ -86,13 +86,16 @@ def load_illumination(path, floor: float = ILLUMINATION_FLOOR) -> Tensor3:
 
 
 def retinex_enhance(x: Tensor3, i: Tensor3) -> Tensor3:
-    """Divide the image by the illumination map elementwise, clamped to [0, 1]."""
+    """Divide the image by the illumination map elementwise, clamped to [0, 1]:
+    the quotient is clamped in place, in the one array the result keeps."""
     check_image(x)
     if (i.height, i.width) != (x.height, x.width) or i.channels != 1:
         raise ValueError(
             f"illumination shape {i.shape} does not match image {x.shape}"
         )
-    return Tensor3(np.clip(x.data / i.data, 0.0, 1.0))
+    out = np.divide(x.data, i.data)
+    np.clip(out, 0.0, 1.0, out=out)
+    return Tensor3.take_over(out)
 
 
 def illumination_factor(i: Tensor3) -> float:

@@ -601,11 +601,19 @@ def run_pipeline(
 
 
 def offset_magnitude(dp_mod: Tensor3) -> np.ndarray:
-    """Mean per-point offset length, scaled by its max for PGM preview."""
-    lengths = np.sqrt(dp_mod.data[0::2] ** 2 + dp_mod.data[1::2] ** 2)  # (K, H, W)
-    mags = ordered_sum(lengths) / len(lengths)
+    """Mean per-point offset length, scaled by its max for PGM preview. The
+    lengths are squared, added and rooted in one (K, H, W) array."""
+    lengths = np.square(dp_mod.data[0::2])
+    sq = np.empty(lengths.shape[1:])
+    for length, dy in zip(lengths, dp_mod.data[1::2]):
+        length += np.square(dy, out=sq)
+    np.sqrt(lengths, out=lengths)
+    mags = ordered_sum(lengths)
+    mags /= len(lengths)
     peak = mags.max()
-    return mags / peak if peak > 0 else mags
+    if peak > 0:
+        mags /= peak
+    return mags
 
 
 def eval_batch(scene_dirs, pc: PipelineConfig, out_dir) -> IoUReport:

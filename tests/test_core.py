@@ -327,6 +327,15 @@ class TestBilinearGradient:
         assert value.tobytes() == bilinear_sample(t, PixelCoord(1, 1)).tobytes()
         assert not np.signbit(value).any()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", ["u", "v"])
+    def test_non_finite_position_reads_zero_with_zero_partials(self, bad, axis):
+        t = Tensor3.full(1, 3, 3, 1.0)
+        at = PixelCoord(bad, 1.0) if axis == "u" else PixelCoord(1.0, bad)
+        value, du, dv = bilinear_sample_grad(t, at)
+        assert value.tobytes() == bilinear_sample(t, at).tobytes() == np.zeros(1).tobytes()
+        assert du.tobytes() == dv.tobytes() == np.zeros(1).tobytes()
+
 
 class TestFiniteDiffCheck:
     def test_square_function(self):

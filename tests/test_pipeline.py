@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import nightbev.bev
 import nightbev.core
 import nightbev.formats
+import nightbev.guided_sampling
+import nightbev.illumination
 import nightbev.pipeline
 import reference as ref
 from nightbev.core import Tensor3, read_raw_tensor, write_raw_tensor
@@ -631,6 +633,71 @@ class TestEncodeImage:
         x = Tensor3(np.random.default_rng(0).uniform(size=(3, 448, 800)))
         peak = peak_bytes(encode_image, x, params.enc1, params.enc2)
         assert peak < 8 * 448 * 800 * 8
+
+
+def hires_stage_calls():
+    """Each image-side stage that keeps a map, called on inputs of `hires_near`'s
+    shapes (a 3 x 448 x 800 image, an 8 x 112 x 200 feature) with the pipeline's
+    generated parameters: {name: (stage, args, outputs of the call)}."""
+    rng = np.random.default_rng(71)
+    pc = PipelineConfig()
+    params = build_params(pc, 2, 8)
+    image = Tensor3(rng.uniform(0.0, 0.2, size=(3, 448, 800)))
+    illum = Tensor3(rng.uniform(0.01, 1.0, size=(1, 448, 800)))
+    i_prime = Tensor3(rng.uniform(0.01, 1.0, size=(1, 112, 200)))
+    g = Tensor3(rng.uniform(0.0, 1.0, size=(1, 112, 200)))
+    dp = Tensor3(rng.normal(scale=2.0, size=(18, 112, 200)))
+    f_img = Tensor3(rng.normal(size=(8, 112, 200)))
+    centers = nightbev.bev.depth_bin_centers(pc.depth_min, pc.depth_max, pc.depth_bins)
+    gs = nightbev.guided_sampling
+    return {
+        "retinex_enhance": (nightbev.illumination.retinex_enhance, (image, illum), lambda t: [t]),
+        "conv2d_pool2": (gs.conv2d_pool2, (image, params.enc1), lambda t: [t]),
+        "generate_offsets": (gs.generate_offsets, (i_prime, params.igs_conv), list),
+        "modulate_offsets": (gs.modulate_offsets, (dp, g), lambda t: [t]),
+        "depth_context_split": (
+            nightbev.bev.depth_context_split,
+            (f_img, params.depth_conv, centers),
+            lambda dc: [dc.f_ctx, dc.depth],
+        ),
+    }
+
+
+class TestImageStagesAtHiresShapes:
+    """Every image-side stage computes each output in the array it keeps: no
+    stage copies a map it has just made."""
+
+    # Traced peak over the bytes of the outputs, and the extra MiB allowed.
+    BOUNDS = {
+        "retinex_enhance": (1.25, 0),  # the quotient, clipped in place
+        "conv2d_pool2": (1.0, 2),  # band buffers only, no padded copy of the image
+        "generate_offsets": (2.0, 0),  # the weights' logits live until the sigmoid is made
+        "modulate_offsets": (1.5, 0),
+        "depth_context_split": (2.0, 0),  # the depth logits live until the softmax is made
+    }
+
+    @pytest.mark.parametrize("name", sorted(BOUNDS))
+    def test_peak_memory(self, name, peak_bytes):
+        stage, args, outputs = hires_stage_calls()[name]
+        kept = sum(t.data.nbytes for t in outputs(stage(*args)))
+        scale, extra_mib = self.BOUNDS[name]
+        assert peak_bytes(stage, *args) < scale * kept + (extra_mib << 20)
+
+    @pytest.mark.parametrize("name", sorted(BOUNDS))
+    def test_outputs_are_taken_over_not_copied(self, name, monkeypatch):
+        # Tensor3's constructor copies through core.frozen_array; none may run.
+        def no_copy(*args, **kwargs):
+            raise AssertionError("a stage output went through Tensor3's copying constructor")
+
+        stage, args, outputs = hires_stage_calls()[name]
+        monkeypatch.setattr(nightbev.core, "frozen_array", no_copy)
+        for t in outputs(stage(*args)):
+            assert t.data.base is None and not t.data.flags.writeable
+
+    def test_offset_magnitude_peaks_below_one_and_a_half_length_maps(self, peak_bytes):
+        dp_mod = hires_stage_calls()["modulate_offsets"][1][0]
+        lengths_bytes = dp_mod.data.nbytes // 2  # one (K, H, W) map of point lengths
+        assert peak_bytes(nightbev.pipeline.offset_magnitude, dp_mod) < 1.5 * lengths_bytes
 
 
 ONE_CLASS = dict(classes=("free",), random_boxes=0)
