@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
@@ -281,13 +283,13 @@ def read_json(path):
             raise ValueError(f"{path}: {exc}") from exc
 
 
-def read_raw_tensor(path, shape: tuple[int, int, int] | None = None) -> Tensor3:
-    """Read the raw tensor format, f32 or f64 on disk, into a float64 Tensor3.
-
-    An f32 payload's values are held exactly, since every float32 is a float64.
-    A malformed file, or one whose [C, H, W] is not `shape` when that is given,
-    raises ValueError naming it, e.g. `<path>: must be [1, 4, 4], got [1, 2, 2]`.
-    """
+@contextmanager
+def raw_payload(path, shape: tuple[int, int, int] | None = None) -> Iterator[tuple]:
+    """(file, dtype, [C, H, W]) of a raw tensor file, the file open at its
+    payload, for a reader that reads the payload itself. A malformed header,
+    a [C, H, W] that is not `shape` when that is given, a payload of another
+    size, and every ValueError the reader raises name the file, e.g.
+    `<path>: must be [1, 4, 4], got [1, 2, 2]`."""
     with open(path, "rb") as fh:
         try:
             line = fh.readline(_MAX_HEADER_BYTES)
@@ -301,13 +303,22 @@ def read_raw_tensor(path, shape: tuple[int, int, int] | None = None) -> Tensor3:
             if shape is not None and got != tuple(shape):
                 raise ValueError(f"must be {list(shape)}, got {list(got)}")
             expected = got[0] * got[1] * got[2] * dt.itemsize
-            payload = fh.read()
-            if len(payload) != expected:
-                raise ValueError(f"raw tensor payload is {len(payload)} bytes, expected {expected}")
-            arr = np.frombuffer(payload, dtype=dt).reshape(got)
-            return Tensor3(arr)
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            if size != expected:
+                raise ValueError(f"raw tensor payload is {size} bytes, expected {expected}")
+            yield fh, dt, got
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+
+
+def read_raw_tensor(path, shape: tuple[int, int, int] | None = None) -> Tensor3:
+    """Read the raw tensor format, f32 or f64 on disk, into a float64 Tensor3.
+
+    An f32 payload's values are held exactly, since every float32 is a float64.
+    Errors name the file, as `raw_payload` says.
+    """
+    with raw_payload(path, shape) as (fh, dt, got):
+        return Tensor3(np.frombuffer(fh.read(), dtype=dt).reshape(got))
 
 
 # JSON scalar types a converter table may name in place of a converter.

@@ -47,8 +47,8 @@ def _read_pnm(path, magic: bytes, channels: int) -> Tensor3:
             raise ValueError(f"{path}: {exc}") from exc
         fh.seek(header.end())
         payload = fh.read(size)
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
-    return Tensor3(arr.transpose(2, 0, 1) / 255.0)
+    samples = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
+    return Tensor3.take_over(np.divide(samples.transpose(2, 0, 1), 255.0, order="C"))
 
 
 def read_pgm(path) -> Tensor3:
@@ -61,16 +61,36 @@ def read_ppm(path) -> Tensor3:
     return _read_pnm(path, b"P6", 3)
 
 
+def _quantize(block: np.ndarray, out: np.ndarray) -> None:
+    """The 8-bit samples of a (C, rows, W) block of values, put into `out`, a
+    (rows, W, C) uint8 array: each value clipped to [0,1], scaled by 255 and
+    rounded. The one quantizer of every PGM and PPM."""
+    scaled = np.clip(block, 0.0, 1.0)
+    scaled *= 255.0
+    np.rint(scaled, out=scaled)
+    np.copyto(out.transpose(2, 0, 1), scaled, casting="unsafe")
+
+
 def _write_rows(fh, data: np.ndarray) -> None:
-    """Write a (C, H, W) array as 8-bit samples, pixels interleaved row by row:
-    each value clipped to [0,1], scaled by 255 and rounded. It runs in blocks of
-    whole rows of about `LEVEL_BLOCK_BYTES`, so no full-size temporary exists."""
+    """Write a (C, H, W) array as 8-bit samples, pixels interleaved row by row.
+    It runs in blocks of whole rows of about `LEVEL_BLOCK_BYTES` of float64, so
+    no full-size temporary exists."""
     c, h, w = data.shape
     for rows in level_blocks(h, 8 * c * w):
-        scaled = np.clip(data[:, rows], 0.0, 1.0)
-        scaled *= 255.0
-        np.rint(scaled, out=scaled)
-        fh.write(scaled.astype(np.uint8).transpose(1, 2, 0).tobytes())
+        samples = np.empty((rows.stop - rows.start, w, c), dtype=np.uint8)
+        _quantize(data[:, rows], samples)
+        fh.write(samples)
+
+
+def ppm_samples(t: Tensor3) -> np.ndarray:
+    """The (H, W, 3) uint8 samples that `write_ppm` writes for a 3 x H x W
+    tensor."""
+    if t.channels != 3:
+        raise ValueError(f"PPM requires 3 channels, got {t.channels}")
+    samples = np.empty((t.height, t.width, 3), dtype=np.uint8)
+    for rows in level_blocks(t.height, 8 * 3 * t.width):
+        _quantize(t.data[:, rows], samples[rows])
+    return samples
 
 
 def write_pgm(t, path) -> None:
@@ -89,13 +109,23 @@ def write_pgm(t, path) -> None:
         _write_rows(fh, plane[None])
 
 
-def write_ppm(t: Tensor3, path) -> None:
-    """Write a 3 x H x W tensor as binary PPM, scaled by 255."""
-    if t.channels != 3:
-        raise ValueError(f"PPM requires 3 channels, got {t.channels}")
+def write_ppm(t, path) -> None:
+    """Write a 3 x H x W tensor as binary PPM, scaled by 255, or the (H, W, 3)
+    uint8 samples that `ppm_samples` made of one, as they are."""
+    if isinstance(t, Tensor3):
+        if t.channels != 3:
+            raise ValueError(f"PPM requires 3 channels, got {t.channels}")
+        h, w = t.height, t.width
+    else:
+        if not (isinstance(t, np.ndarray) and t.dtype == np.uint8 and t.shape[2:] == (3,)):
+            raise ValueError("PPM samples must be an (H, W, 3) uint8 array")
+        h, w = t.shape[:2]
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{t.width} {t.height}\n255\n".encode("ascii"))
-        _write_rows(fh, t.data)
+        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+        if isinstance(t, Tensor3):
+            _write_rows(fh, t.data)
+        else:
+            fh.write(np.ascontiguousarray(t))
 
 
 def write_artifacts(out_dir, artifacts) -> None:

@@ -155,13 +155,16 @@ def conv2d_pool2(x: Tensor3, params: ConvParams) -> Tensor3:
 
 
 def _sigmoid_open(x: np.ndarray) -> np.ndarray:
-    # Clamp into the open interval so extreme logits cannot saturate to 0 or 1;
-    # the clamp is in place, so the one new array can be taken over.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # With e = exp(-|x|): 1 / (1 + e) where x >= 0, else e / (1 + e), so no exp
+    # overflows. The result is formed in one new array beside one denominator,
+    # then clamped into the open interval in place, so extreme logits cannot
+    # saturate to 0 or 1 and the array can be taken over.
+    out = np.abs(x)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    den = out + 1.0
+    out[x >= 0] = 1.0
+    np.divide(out, den, out=out)
     np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=out)
     return out
 

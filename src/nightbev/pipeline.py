@@ -21,7 +21,7 @@ from .bev import AttentionParams, bev_pool, depth_bin_centers, depth_context_spl
 from .bev import refine_bev, residual_query
 from .core import Tensor3, frozen_array, json_block, json_list, json_path, read_json
 from .core import level_blocks, ordered_sum, read_raw_tensor
-from .formats import write_artifacts
+from .formats import ppm_samples, write_artifacts
 from .geometry import field_to_tensor, illumination_field
 from .guided_sampling import ConvParams, build_guidance, conv2d_pool2, generate_offsets
 from .guided_sampling import guided_warp, kernel_grid, modulate_offsets
@@ -509,6 +509,8 @@ def run_pipeline(
     )
     # Tiny convolutional encoder.
     f_img = stages.run("encode", encode_image, enhanced_img, params.enc1, params.enc2)
+    # Only enhanced.ppm reads the enhanced image after the encoder: keep its 8-bit samples.
+    enhanced_img = ppm_samples(enhanced_img)
     # Illumination-guided deformable sampling.
     i_prime, guidance, dp_mod, f_warped = stages.run(
         "guided_sampling", igs_stage, pc, params, illum, f_img

@@ -18,6 +18,8 @@ from .core import (
     json_block,
     json_list,
     json_path,
+    level_blocks,
+    raw_payload,
     read_json,
     read_raw_tensor,
 )
@@ -195,21 +197,35 @@ def _resolve_boxes(cfg: SceneConfig, rng: np.random.Generator) -> list[Box]:
 def _raycast_classes(
     cfg: SceneConfig, camera: CameraMatrix, boxes: list[Box]
 ) -> tuple[np.ndarray, bool]:
-    """Per-pixel class id of the nearest box hit (0 where no box is hit)."""
+    """Per-pixel class id of the nearest box hit (0 where no box is hit), and
+    whether any ray hit a box. The rays are cast in `level_blocks` of whole
+    image rows, so no image-sized ray or slab array exists."""
     h, w = cfg.height, cfg.width
     m = camera.matrix
     a_inv = np.linalg.inv(m[:, :3])
     center = -a_inv @ m[:, 3]
 
-    dirs = np.einsum("ij,jhw->ihw", a_inv, pixel_centers(h, w))  # world-space ray directions
-
-    best_t = np.full((h, w), np.inf)
     classes = np.zeros((h, w), dtype=np.int64)
+    any_hit = False
+    for rows in level_blocks(h, 8 * 3 * w):
+        centers = pixel_centers(rows.stop - rows.start, w)
+        centers[1] += rows.start  # exact: every center is a whole number plus one half
+        dirs = np.einsum("ij,jhw->ihw", a_inv, centers)  # world-space ray directions
+        any_hit |= _nearest_hits(center, dirs, boxes, classes[rows])
+    return classes, any_hit
+
+
+def _nearest_hits(center: np.ndarray, dirs: np.ndarray, boxes: list[Box], classes: np.ndarray) -> bool:
+    """Set `classes` to the class of the nearest box that each ray from `center`
+    along `dirs` (3, rows, W) hits, leaving it where no box is hit; whether any
+    ray hit a box."""
+    shape = dirs.shape[1:]
+    best_t = np.full(shape, np.inf)
     for box in boxes:
         lo, hi = box.bounds()
-        t_near = np.full((h, w), -np.inf)
-        t_far = np.full((h, w), np.inf)
-        miss = np.zeros((h, w), dtype=bool)
+        t_near = np.full(shape, -np.inf)
+        t_far = np.full(shape, np.inf)
+        miss = np.zeros(shape, dtype=bool)
         for axis in range(3):
             d = dirs[axis]
             parallel = np.abs(d) < _RAY_EPS
@@ -226,7 +242,7 @@ def _raycast_classes(
         hit = ~miss & (t_near <= t_far) & (hit_t > _RAY_EPS) & (hit_t < best_t)
         best_t[hit] = hit_t[hit]
         classes[hit] = box.cls
-    return classes, bool(np.isfinite(best_t).any())
+    return bool(np.isfinite(best_t).any())
 
 
 def _light_field(cfg: SceneConfig) -> np.ndarray:
@@ -264,18 +280,22 @@ def gen_scene(cfg: SceneConfig) -> SceneBundle:
         raise ValueError("degenerate camera: no configured box is visible")
 
     raw_light = _light_field(cfg)
-    illumination = Tensor3(np.clip(raw_light, ILLUMINATION_FLOOR, 1.0)[None])
+    illumination = np.empty((1, cfg.height, cfg.width))
+    np.clip(raw_light, ILLUMINATION_FLOOR, 1.0, out=illumination[0])
 
+    # Albedo times light, one channel at a time in the array that is kept.
     palette = np.array([ALBEDO[c % len(ALBEDO)] for c in range(len(cfg.classes))])
-    albedo = palette[classes].transpose(2, 0, 1)  # (3, H, W)
-    image = Tensor3(np.clip(albedo * raw_light[None], 0.0, 1.0))
+    image = np.empty((3, cfg.height, cfg.width))
+    for c, channel in enumerate(image):
+        np.multiply(palette[:, c].take(classes), raw_light, out=channel)
+    np.clip(image, 0.0, 1.0, out=image)
 
     occupancy = OccupancyGrid(_occupancy_labels(cfg, boxes), cfg.classes)
     return SceneBundle(
-        image=image,
+        image=Tensor3.take_over(image),
         camera=camera,
         occupancy=occupancy,
-        illumination_gt=illumination,
+        illumination_gt=Tensor3.take_over(illumination),
         bev=cfg.bev,
         classes=cfg.classes,
     )
@@ -335,6 +355,31 @@ def read_manifest(scene_dir) -> dict:
         raise ValueError(f"{root / SCENE_FILE}: {exc}") from exc
 
 
+def _read_labels(path, shape: tuple[int, int, int], n_classes: int) -> np.ndarray:
+    """The labels of an occupancy raw tensor file of `shape` in `label_dtype`,
+    read in `level_blocks` of whole rows, so no float64 copy of the grid exists.
+    As for any raw tensor, a non-finite value raises "Tensor3 values must be
+    finite"; otherwise a value that is not an integer in [0, n_classes) raises."""
+    labels = np.empty(shape, dtype=label_dtype(n_classes))
+    rows = labels.reshape(-1, shape[2])
+    valid = True
+    with raw_payload(path, shape) as (fh, dt, _):
+        for block in level_blocks(len(rows), 8 * shape[2]):
+            n = block.stop - block.start
+            grid = np.frombuffer(fh.read(n * shape[2] * dt.itemsize), dtype=dt).reshape(n, -1)
+            if not np.isfinite(grid).all():
+                raise ValueError("Tensor3 values must be finite")
+            # The range is checked before the cast, which cannot hold a value outside
+            # it; the cast gives every value back only if all of them are integers.
+            valid = valid and bool(((grid >= 0) & (grid < n_classes)).all())
+            if valid:
+                rows[block] = grid
+                valid = bool((rows[block] == grid).all())
+    if not valid:
+        raise ValueError(f"{path}: labels must be integers in [0, {n_classes})")
+    return labels
+
+
 def load_scene(scene_dir) -> SceneBundle:
     """Load a scene directory written by `save_scene`.
 
@@ -355,13 +400,7 @@ def load_scene(scene_dir) -> SceneBundle:
     camera = CameraMatrix.from_json_file(files["camera"])
     classes = manifest["classes"]
     bev = manifest["bev"]
-    grid = read_raw_tensor(files["occupancy"], (bev.nz, bev.nx, bev.ny)).data
-    # The range is checked before the cast, which cannot hold a value outside it;
-    # the cast gives every value back only if all of them are integers.
-    in_range = ((grid >= 0) & (grid < len(classes))).all()
-    labels = grid.astype(label_dtype(len(classes))) if in_range else None
-    if labels is None or not (labels == grid).all():
-        raise ValueError(f"{files['occupancy']}: labels must be integers in [0, {len(classes)})")
+    labels = _read_labels(files["occupancy"], (bev.nz, bev.nx, bev.ny), len(classes))
     illumination = read_raw_tensor(files["illumination"], (1, image.height, image.width))
     return SceneBundle(
         image=image,

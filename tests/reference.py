@@ -287,6 +287,18 @@ def softmax(logits, axis):
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def sigmoid_open(x):
+    """The logistic function in two branches that never overflow, 1 / (1 + exp(-x))
+    where x >= 0 and exp(x) / (1 + exp(x)) elsewhere, clamped into the open
+    interval (0, 1)."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+
 def guided_warp(f, dp_mod, dw, point_weights):
     """2D-IGS over the whole map, one kernel point at a time: point k, at offset
     (dx, dy) of the row-major square kernel, samples p + (dx, dy) + offset_k; its

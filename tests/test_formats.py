@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nightbev.core
 from nightbev.core import LEVEL_BLOCK_BYTES, Tensor3, read_raw_tensor
-from nightbev.formats import read_pgm, read_ppm, write_pgm, write_ppm
+from nightbev.formats import ppm_samples, read_pgm, read_ppm, write_pgm, write_ppm
 
 
 class TestPgm:
@@ -154,6 +155,62 @@ class TestRowBlocks:
         img = Tensor3(np.random.default_rng(13).uniform(size=(3, 448, 800)))
         peak = peak_bytes(write_ppm, img, tmp_path / "i.ppm")
         assert peak < 448 * 800 * 8
+
+
+class TestPpmSamples:
+    """`ppm_samples` keeps the bytes `write_ppm` writes for a tensor, and
+    `write_ppm` writes those samples as they are."""
+
+    # 0, 1, values outside [0, 1], and ties x * 255 = k + 0.5, which rint sends to even.
+    SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -0.3, 1.7, 0.5 / 255, 1.5 / 255, 127.5 / 255, 254.5 / 255])
+
+    @settings(max_examples=60)
+    @given(
+        h=st.integers(1, 9),
+        w=st.integers(1, 7),
+        rows_per_block=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_bytes_equal_the_tensor_write_and_one_shot_encoding(self, tmp_path_factory, h, w, rows_per_block, data):
+        values = data.draw(st.lists(self.SPECIAL | st.floats(-0.5, 1.5), min_size=3 * h * w, max_size=3 * h * w))
+        t = Tensor3(np.array(values).reshape(3, h, w))
+        out = tmp_path_factory.mktemp("ppm")
+        with pytest.MonkeyPatch.context() as mp:  # blocks of a few rows
+            mp.setattr(nightbev.core, "LEVEL_BLOCK_BYTES", rows_per_block * 8 * 3 * w)
+            samples = ppm_samples(t)
+            write_ppm(t, out / "t.ppm")
+        write_ppm(samples, out / "s.ppm")
+        assert samples.shape == (h, w, 3) and samples.dtype == np.uint8
+        assert (out / "s.ppm").read_bytes() == (out / "t.ppm").read_bytes() == one_shot_pnm(b"P6", t.data)
+
+    @pytest.mark.parametrize(
+        "samples",
+        [np.zeros((2, 3, 4), np.uint8), np.zeros((2, 3, 3)), np.zeros((6, 3), np.uint8), [[[0, 0, 0]]]],
+        ids=["four_channels", "float", "two_dims", "list"],
+    )
+    def test_refuses_anything_but_hw3_uint8(self, tmp_path, samples):
+        with pytest.raises(ValueError, match="PPM samples"):
+            write_ppm(samples, tmp_path / "i.ppm")
+        assert not (tmp_path / "i.ppm").exists()
+
+    def test_refuses_a_tensor_without_three_channels(self):
+        with pytest.raises(ValueError, match="3 channels"):
+            ppm_samples(Tensor3.zeros(1, 2, 2))
+
+
+class TestReadPpmDecodesIntoTheKeptArray:
+    def test_data_owns_its_memory_without_a_copy(self, tmp_path, monkeypatch):
+        path = tmp_path / "i.ppm"
+        write_ppm(Tensor3(np.random.default_rng(2).uniform(size=(3, 5, 4))), path)
+
+        def no_copy(*args, **kwargs):
+            raise AssertionError("read_ppm went through Tensor3's copying constructor")
+
+        monkeypatch.setattr(nightbev.core, "frozen_array", no_copy)
+        data = read_ppm(path).data
+        assert data.base is None and data.flags.c_contiguous and not data.flags.writeable
+        samples = np.frombuffer(path.read_bytes()[-60:], np.uint8).reshape(5, 4, 3)
+        assert data.tobytes() == (samples.transpose(2, 0, 1) / 255.0).tobytes()
 
 
 READERS = {"raw": read_raw_tensor, "pgm": read_pgm, "ppm": read_ppm}

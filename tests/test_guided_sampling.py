@@ -16,6 +16,7 @@ from nightbev.guided_sampling import (
     ConvParams,
     _conv_bands,
     _pool2_kernel,
+    _sigmoid_open,
     build_guidance,
     conv2d_pool2,
     conv2d_replicate,
@@ -248,6 +249,25 @@ class TestBuildGuidance:
     def test_non_divisible_target_rejected(self):
         with pytest.raises(ValueError, match="divide"):
             build_guidance(Tensor3.full(1, 4, 4, 0.5), 3, 2)
+
+
+class TestSigmoidOpen:
+    EDGES = [0.0, -0.0, 36.7, -36.7, 37.0, -37.0, 709.8, -709.8, 745.0, -745.0, 1e308, -1e308, 5e-324, -5e-324]
+
+    @settings(max_examples=100)
+    @given(
+        st.lists(st.sampled_from(EDGES) | st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64)
+    )
+    def test_bytes_equal_the_two_branch_formula(self, values):
+        x = np.array(values)
+        assert _sigmoid_open(x).tobytes() == ref.sigmoid_open(x).tobytes()
+
+    def test_bytes_equal_on_a_map_of_logits(self):
+        x = np.random.default_rng(4).normal(scale=8.0, size=(9, 40, 60))
+        x[0, 0, :len(self.EDGES)] = self.EDGES
+        got = _sigmoid_open(x)
+        assert got.shape == x.shape and got.flags.c_contiguous and got.base is None
+        assert got.tobytes() == ref.sigmoid_open(x).tobytes()
 
 
 class TestGenerateOffsets:

@@ -227,6 +227,46 @@ def test_each_artifact_keeps_its_bytes(tmp_path, monkeypatch, workload):
     assert pins == ARTIFACT_SHA256[workload]
 
 
+SCENE_SHA256 = {  # sha256 of each file save_scene writes for a workload's first scene at SEED, first 16 hex digits
+    "desk_eval": {
+        "camera.json": "8b0b972b7a0e6310",
+        "illumination_gt.pgm": "07bb57bdb53bef0d",
+        "illumination_gt.rt": "77c838a9c0c6f52f",
+        "image.ppm": "e18d8b64404a4290",
+        "occupancy_gt.rt": "c437996e821c8ad5",
+        "scene.json": "24111d3bc2bf54ff",
+    },
+    "hires_near": {
+        "camera.json": "da7f5ef6911dd73f",
+        "illumination_gt.pgm": "959239bd48b6d708",
+        "illumination_gt.rt": "60dd9e7e89886568",
+        "image.ppm": "d9aa314d5b31ef96",
+        "occupancy_gt.rt": "822f23c12ac7f74f",
+        "scene.json": "fb6b4a97a7c34bd7",
+    },
+    "bev_wide": {
+        "camera.json": "1edbeda2853c688e",
+        "illumination_gt.pgm": "d5645ecca882737f",
+        "illumination_gt.rt": "d6f7c5d5ea5196d3",
+        "image.ppm": "caedb009e48f23ad",
+        "occupancy_gt.rt": "256657c4d3d77ac0",
+        "scene.json": "661bfe30df038bce",
+    },
+}
+
+
+@pytest.mark.parametrize("workload", list(SCENE_SHA256))
+def test_each_scene_file_keeps_its_bytes(tmp_path, monkeypatch, workload):
+    """The files of the first scene that the benchmark's set-up generates and
+    saves, each against its own pin."""
+    W = perfbench_module("workloads")
+    monkeypatch.chdir(tmp_path)
+    W.set_up(W.WORKLOADS[workload], SEED)
+    scene = Path("scenes", "s00")
+    pins = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in sorted(scene.iterdir())}
+    assert pins == SCENE_SHA256[workload]
+
+
 # The argument names `tracer._Probes.run` reads from each probed function's call.
 PROBE_ARGS = {
     "core.bilinear_sample_many": {"f", "u", "v"},

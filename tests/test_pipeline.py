@@ -424,6 +424,24 @@ class TestWideRunMemory:
         assert peak_bytes(run_pipeline, PipelineConfig(n_z=16), bundle, tmp_path / "out") < 15 << 20
 
 
+class TestHiresRunMemory:
+    def test_dumped_job_holds_the_enhanced_image_as_samples(self, tmp_path, peak_bytes):
+        # hires_near's job: load a dark 448 x 800 scene, then run it with every
+        # intermediate dumped. After the encoder the enhanced image is kept as its
+        # 1 MiB of 8-bit samples, not as 8.2 MiB of float64; the job peaked at
+        # 37.2 MiB when it kept the float64 image to the end.
+        lights = (Light(200.0, 150.0, 1.2, 50.0), Light(600.0, 300.0, 0.9, 70.0), Light(420.0, 220.0, 1.5, 40.0))
+        cfg = SceneConfig(seed=5, height=448, width=800, random_boxes=4, lights=lights, ambient=0.04)
+        save_scene(gen_scene(cfg), tmp_path / "scene")
+
+        def job():
+            bundle = load_scene(tmp_path / "scene")
+            report = run_pipeline(PipelineConfig(), bundle, tmp_path / "out", True)
+            assert report.enhanced
+
+        assert peak_bytes(job) < 33 << 20
+
+
 class TestClassArgmax:
     """The head's per-class label passes against `argmax` over the class axis."""
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nightbev.core
 import reference as ref
 from nightbev.geometry import BevSpec
 from nightbev.scene import (
@@ -34,6 +35,15 @@ def boxy_config(**kwargs) -> SceneConfig:
     )
     defaults.update(kwargs)
     return SceneConfig(**defaults)
+
+
+def hires_config() -> SceneConfig:
+    """`hires_near`'s shape: a dark 448 x 800 image on the desk grid."""
+    lights = (Light(200.0, 150.0, 1.2, 50.0), Light(600.0, 300.0, 0.9, 70.0), Light(420.0, 220.0, 1.5, 40.0))
+    return SceneConfig(seed=5, height=448, width=800, random_boxes=4, lights=lights, ambient=0.04)
+
+
+WIDE_BEV = BevSpec(x_range=(0.0, 40.0), y_range=(-20.0, 20.0), z_range=(-1.0, 2.2), voxel=0.2)
 
 
 class TestSceneConfig:
@@ -187,6 +197,38 @@ class TestPerAxisGridsMatchMeshgrids:
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
+class TestGenSceneInRowBlocks:
+    """The rays are cast in blocks of image rows, and the image and the
+    illumination are each formed in the array that is kept."""
+
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 5, 63])
+    def test_bytes_do_not_depend_on_the_block_size(self, rows_per_block):
+        cfg = boxy_config(random_boxes=3)
+        whole = gen_scene(cfg)  # 64 rows: one block
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nightbev.core, "LEVEL_BLOCK_BYTES", rows_per_block * 8 * 3 * cfg.width)
+            blocked = gen_scene(cfg)
+        assert blocked.image.data.tobytes() == whole.image.data.tobytes()
+        assert blocked.illumination_gt.data.tobytes() == whole.illumination_gt.data.tobytes()
+
+    def test_a_box_seen_only_in_a_late_block_counts_as_visible(self, monkeypatch):
+        # A low, flat box fills only the bottom rows of the image.
+        cfg = boxy_config(boxes=(Box((4.0, 0.0, -0.9), (1.0, 1.0, 0.1), 1),))
+        monkeypatch.setattr(nightbev.core, "LEVEL_BLOCK_BYTES", 8 * 3 * cfg.width)
+        box_rows = (gen_scene(cfg).image.data != gen_scene(boxy_config(boxes=())).image.data).any(axis=(0, 2))
+        assert box_rows.any() and not box_rows[: cfg.height // 2].any()
+
+    def test_image_and_illumination_own_their_memory(self):
+        bundle = gen_scene(boxy_config())
+        for t in (bundle.image, bundle.illumination_gt):
+            assert t.data.base is None and not t.data.flags.writeable
+
+    def test_peak_memory_at_hires_shape(self, peak_bytes):
+        # Kept: the 8.2 MiB image, 2.7 MiB each of illumination, light and classes.
+        # Casting every ray of the image at once peaked near 40 MiB.
+        assert peak_bytes(gen_scene, hires_config()) < 26 << 20
+
+
 class TestSceneIo:
     def test_save_load_round_trip(self, tmp_path):
         bundle = gen_scene(boxy_config(random_boxes=2))
@@ -230,6 +272,44 @@ class TestSceneIo:
         save_scene(bundle, tmp_path)
         assert peak_bytes(load_scene, tmp_path) < 10 << 20
         np.testing.assert_array_equal(load_scene(tmp_path).occupancy.labels, bundle.occupancy.labels)
+
+    def test_peak_memory_of_a_hires_scene(self, tmp_path, peak_bytes):
+        # The 8.2 MiB image is decoded straight into the array it keeps, beside
+        # its 1 MiB of samples and the illumination.
+        save_scene(gen_scene(hires_config()), tmp_path)
+        assert peak_bytes(load_scene, tmp_path) < 14 << 20
+
+    def test_labels_of_a_wide_grid_are_read_in_row_blocks(self, tmp_path, peak_bytes):
+        # 640 kB of uint8 labels beside blocks of the f32 payload: no float64 grid.
+        bundle = gen_scene(boxy_config(height=16, width=24, bev=WIDE_BEV, boxes=(), random_boxes=12))
+        save_scene(bundle, tmp_path)
+        assert peak_bytes(load_scene, tmp_path) < 2 << 20
+        np.testing.assert_array_equal(load_scene(tmp_path).occupancy.labels, bundle.occupancy.labels)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({0: 9.0}, "labels must be integers in [0, 4)"),
+            ({-1: 0.5}, "labels must be integers in [0, 4)"),
+            ({0: 9.0, -1: np.nan}, "Tensor3 values must be finite"),
+            ({0: np.inf, -1: 9.0}, "Tensor3 values must be finite"),
+        ],
+        ids=["first_block", "last_block", "nan_after_a_bad_label", "inf_before_a_bad_label"],
+    )
+    def test_any_block_refuses_the_scene(self, tmp_path, monkeypatch, bad, message):
+        # Blocks of one row: a non-finite value anywhere wins over a bad label, as it
+        # does when the whole grid is read at once.
+        save_scene(gen_scene(boxy_config()), tmp_path)
+        path = tmp_path / "occupancy_gt.rt"
+        header, payload = path.read_bytes().split(b"\n", 1)
+        grid = np.frombuffer(payload, dtype="<f4").copy()
+        for index, value in bad.items():
+            grid[index] = value
+        path.write_bytes(header + b"\n" + grid.tobytes())
+        monkeypatch.setattr(nightbev.core, "LEVEL_BLOCK_BYTES", 1)
+        with pytest.raises(ValueError) as err:
+            load_scene(tmp_path)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_saved_files_exist(self, tmp_path):
         manifest = save_scene(gen_scene(boxy_config()), tmp_path / "s")
