@@ -213,7 +213,8 @@ def residual_query(
         cells = refs // n_z
         edges = np.append(np.flatnonzero(np.diff(cells, prepend=-1)), cells.size)
         for lit_run in level_blocks(edges.size - 1, n_z * k_points, geometry.COLUMN_BLOCK):
-            run = slice(edges[lit_run.start], edges[lit_run.stop])
+            starts = edges[lit_run.start : lit_run.stop + 1]
+            run = slice(starts[0], starts[-1])
             cell, height = cells[run], refs[run] % n_z
             # project_points works point by point, so these positions carry
             # the bits column_blocks computed for the same references.
@@ -226,7 +227,8 @@ def residual_query(
             # the run (einsum's and sum(axis=0)'s order changes over one
             # column), and no BLAS kernel picks the order or fuses a multiply
             # into an add.
-            lit, ref = np.unique(cell, return_inverse=True)  # ref: each reference's column in lit
+            lit = cells[starts[:-1]]
+            ref = np.repeat(np.arange(lit.size), np.diff(starts))  # each reference's column in lit
             q_in = q_flat[:, lit]
             off = _channel_sum(params.offset_weights, q_in)  # (2K, lit cells)
             attn = _softmax(_channel_sum(params.attn_weights, q_in))  # (K, lit cells)

@@ -71,15 +71,24 @@ def _quantize(block: np.ndarray, out: np.ndarray) -> None:
     np.copyto(out.transpose(2, 0, 1), scaled, casting="unsafe")
 
 
-def _write_rows(fh, data: np.ndarray) -> None:
-    """Write a (C, H, W) array as 8-bit samples, pixels interleaved row by row.
-    It runs in blocks of whole rows of about `LEVEL_BLOCK_BYTES` of float64, so
-    no full-size temporary exists."""
+def _samples(data: np.ndarray) -> np.ndarray:
+    """The (H, W, C) uint8 samples of a (C, H, W) array of values, quantized in
+    blocks of whole rows of about `LEVEL_BLOCK_BYTES` of float64, so no float64
+    temporary exists beyond one block."""
     c, h, w = data.shape
+    samples = np.empty((h, w, c), dtype=np.uint8)
     for rows in level_blocks(h, 8 * c * w):
-        samples = np.empty((rows.stop - rows.start, w, c), dtype=np.uint8)
-        _quantize(data[:, rows], samples)
-        fh.write(samples)
+        _quantize(data[:, rows], samples[rows])
+    return samples
+
+
+def _write_pnm(path, magic: bytes, samples: np.ndarray) -> None:
+    """Write a PNM header and its (H, W, C) uint8 samples, the pixels interleaved
+    row by row."""
+    h, w = samples.shape[:2]
+    with open(path, "wb") as fh:
+        fh.write(magic + f"\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(np.ascontiguousarray(samples))
 
 
 def ppm_samples(t: Tensor3) -> np.ndarray:
@@ -87,45 +96,34 @@ def ppm_samples(t: Tensor3) -> np.ndarray:
     tensor."""
     if t.channels != 3:
         raise ValueError(f"PPM requires 3 channels, got {t.channels}")
-    samples = np.empty((t.height, t.width, 3), dtype=np.uint8)
-    for rows in level_blocks(t.height, 8 * 3 * t.width):
-        _quantize(t.data[:, rows], samples[rows])
-    return samples
+    return _samples(t.data)
 
 
 def write_pgm(t, path) -> None:
-    """Write a 1 x H x W tensor (or 2D array) as binary PGM, scaled by 255."""
+    """Write a 1 x H x W tensor (or a non-empty 2D array of finite values) as
+    binary PGM, scaled by 255."""
     if isinstance(t, Tensor3):
         if t.channels != 1:
             raise ValueError(f"PGM requires 1 channel, got {t.channels}")
-        plane = t.data[0]
+        data = t.data
     else:
         plane = np.asarray(t, dtype=np.float64)
-        if plane.ndim != 2:
-            raise ValueError("PGM requires a 2D array")
-    h, w = plane.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        _write_rows(fh, plane[None])
+        if plane.ndim != 2 or plane.size == 0:
+            raise ValueError(f"PGM requires a non-empty 2D array, got shape {plane.shape}")
+        if not np.isfinite(plane).all():
+            raise ValueError("PGM values must be finite")
+        data = plane[None]
+    _write_pnm(path, b"P5", _samples(data))
 
 
 def write_ppm(t, path) -> None:
-    """Write a 3 x H x W tensor as binary PPM, scaled by 255, or the (H, W, 3)
-    uint8 samples that `ppm_samples` made of one, as they are."""
+    """Write a 3 x H x W tensor as binary PPM, scaled by 255, or the non-empty
+    (H, W, 3) uint8 samples that `ppm_samples` made of one, as they are."""
     if isinstance(t, Tensor3):
-        if t.channels != 3:
-            raise ValueError(f"PPM requires 3 channels, got {t.channels}")
-        h, w = t.height, t.width
-    else:
-        if not (isinstance(t, np.ndarray) and t.dtype == np.uint8 and t.shape[2:] == (3,)):
-            raise ValueError("PPM samples must be an (H, W, 3) uint8 array")
-        h, w = t.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        if isinstance(t, Tensor3):
-            _write_rows(fh, t.data)
-        else:
-            fh.write(np.ascontiguousarray(t))
+        t = ppm_samples(t)
+    elif not (isinstance(t, np.ndarray) and t.dtype == np.uint8 and t.shape[2:] == (3,) and t.size):
+        raise ValueError("PPM samples must be a non-empty (H, W, 3) uint8 array")
+    _write_pnm(path, b"P6", t)
 
 
 def write_artifacts(out_dir, artifacts) -> None:

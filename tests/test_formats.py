@@ -198,6 +198,45 @@ class TestPpmSamples:
             ppm_samples(Tensor3.zeros(1, 2, 2))
 
 
+class TestPgmSamples:
+    """`write_pgm` of a tensor and of its 2D plane give the one-shot bytes."""
+
+    @settings(max_examples=60)
+    @given(
+        h=st.integers(1, 9),
+        w=st.integers(1, 7),
+        rows_per_block=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_bytes_equal_the_plane_write_and_one_shot_encoding(self, tmp_path_factory, h, w, rows_per_block, data):
+        values = data.draw(st.lists(TestPpmSamples.SPECIAL | st.floats(-0.5, 1.5), min_size=h * w, max_size=h * w))
+        t = Tensor3(np.array(values).reshape(1, h, w))
+        out = tmp_path_factory.mktemp("pgm")
+        with pytest.MonkeyPatch.context() as mp:  # blocks of a few rows
+            mp.setattr(nightbev.core, "LEVEL_BLOCK_BYTES", rows_per_block * 8 * w)
+            write_pgm(t, out / "t.pgm")
+            write_pgm(t.data[0], out / "a.pgm")
+        assert (out / "a.pgm").read_bytes() == (out / "t.pgm").read_bytes() == one_shot_pnm(b"P5", t.data)
+
+
+class TestWriterRefusals:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_pgm_refuses_non_finite_values(self, tmp_path, value):
+        with pytest.raises(ValueError, match="PGM values must be finite"):
+            write_pgm(np.array([[value, 0.5]]), tmp_path / "m.pgm")
+        assert not (tmp_path / "m.pgm").exists()
+
+    @pytest.mark.parametrize(
+        "write, value",
+        [(write_pgm, np.zeros((0, 4))), (write_pgm, np.zeros((3, 0))), (write_ppm, np.zeros((0, 4, 3), np.uint8))],
+        ids=["pgm_no_rows", "pgm_no_columns", "ppm_no_rows"],
+    )
+    def test_empty_map_refused(self, tmp_path, write, value):
+        with pytest.raises(ValueError, match="non-empty"):
+            write(value, tmp_path / "m.pnm")
+        assert not (tmp_path / "m.pnm").exists()
+
+
 class TestReadPpmDecodesIntoTheKeptArray:
     def test_data_owns_its_memory_without_a_copy(self, tmp_path, monkeypatch):
         path = tmp_path / "i.ppm"
