@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .core import Tensor3, bilinear_sample_many, frozen_array, level_blocks, ordered_sum
-from .core import zero_bordered
+from .core import BatchPlan, Tensor3, bilinear_sample_many, frozen_array, level_blocks
+from .core import ordered_sum, planned, zero_bordered
 from .geometry import BevSpec, CameraMatrix, column_blocks, pixel_centers
 from .geometry import project_points, sample_heights
 from .guided_sampling import ConvParams, conv2d_replicate
@@ -115,15 +115,14 @@ class AttentionParams:
         return self.attn_weights.shape[1]
 
 
-def bev_pool(dc: DepthContext, m: CameraMatrix, spec: BevSpec) -> Tensor3:
-    """Lift-splat pooling of the context feature into the BEV grid.
-
-    Every (pixel, depth bin) pair back-projects the ray through the pixel
-    center to the bin's metric depth; if the point lands inside the BEV x/y
-    extents its depth mass times the pixel's context vector accumulates into
-    the containing cell (heights collapse). Out-of-range mass is dropped.
+def _pool_geometry(
+    m: CameraMatrix, spec: BevSpec, h: int, w: int, bin_centers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where `bev_pool` scatters an h x w depth map over `bin_centers`: for every
+    (bin, row, column) point whose back-projection lands in the grid, in that
+    order, its flat cell `ix * ny + iy` and its flat index `bin * h * w + row * w
+    + column`. It reads only the camera, the grid and the bins.
     """
-    h, w = dc.depth.height, dc.depth.width
     a_inv = np.linalg.inv(m.matrix[:, :3])[:2]  # world x and y rows; z is never read
     t = m.matrix[:, 3]
     uv1 = pixel_centers(h, w)
@@ -133,8 +132,8 @@ def bev_pool(dc: DepthContext, m: CameraMatrix, spec: BevSpec) -> Tensor3:
     # `rhs`, so no (D, 3, h, w) map exists. Each block keeps its in-range
     # contributions in (bin, row, column) order, and the blocks come in bin order.
     cells, points = [], []
-    for bins in level_blocks(dc.depth.channels, 3 * h * w * 8):
-        d = dc.bin_centers[bins]
+    for bins in level_blocks(bin_centers.size, 3 * h * w * 8):
+        d = bin_centers[bins]
         rhs = d[:, None, None, None] * uv1[None] - t[None, :, None, None]  # (bins, 3, h, w)
         xy = np.einsum("ij,bjhw->bihw", a_inv, rhs)
         fx = (xy[:, 0] - spec.x_range[0]) / spec.voxel
@@ -145,11 +144,27 @@ def bev_pool(dc: DepthContext, m: CameraMatrix, spec: BevSpec) -> Tensor3:
         iy = np.floor(fy[in_range]).astype(np.int64)
         cells.append(ix * ny + iy)
         points.append(np.flatnonzero(in_range) + bins.start * h * w)  # flat (bin, row, column)
-    flat_cell, point = np.concatenate(cells), np.concatenate(points)
-    del cells, points  # freed before mass and pixel are formed
+    return np.concatenate(cells), np.concatenate(points)
+
+
+def bev_pool(
+    dc: DepthContext, m: CameraMatrix, spec: BevSpec, plan: BatchPlan | None = None
+) -> Tensor3:
+    """Lift-splat pooling of the context feature into the BEV grid.
+
+    Every (pixel, depth bin) pair back-projects the ray through the pixel
+    center to the bin's metric depth; if the point lands inside the BEV x/y
+    extents its depth mass times the pixel's context vector accumulates into
+    the containing cell (heights collapse). Out-of-range mass is dropped.
+    The scatter (`_pool_geometry`) is built per call, or held by `plan`.
+    """
+    h, w = dc.depth.height, dc.depth.width
+    nx, ny = spec.nx, spec.ny
+    flat_cell, point = planned(plan, "pool", _pool_geometry, m, spec, h, w, dc.bin_centers)
     # Each in-range pair's depth mass and pixel; products are formed only there.
+    # The pixels overwrite a point index built for this call; a plan's is read-only.
     mass = dc.depth.data.ravel().take(point)
-    pix = np.remainder(point, h * w, out=point)
+    pix = np.remainder(point, h * w, out=point if point.flags.writeable else None)
     # bincount accumulates sequentially in (bin, row, column) order, keeping
     # per-cell sums bit-stable.
     out = np.zeros((dc.f_ctx.channels, nx, ny), dtype=np.float64)
@@ -177,6 +192,7 @@ def residual_query(
     spec: BevSpec,
     n_z: int,
     params: AttentionParams,
+    plan: BatchPlan | None = None,
 ) -> Tensor3:
     """Deformable cross-attention correction for every BEV cell.
 
@@ -191,7 +207,8 @@ def residual_query(
     with a reference in view) run in `level_blocks(lit cells, n_z * K,
     COLUMN_BLOCK)`: at most COLUMN_BLOCK sample points of whole cells (a
     cell with more is one run), so no array spans the grid but the output,
-    and every cell's terms are summed within one run.
+    and every cell's terms are summed within one run. With `plan`, the blocks
+    are built once for the camera and kept.
     """
     nx, ny = spec.nx, spec.ny
     if (q.height, q.width) != (nx, ny):
@@ -206,7 +223,8 @@ def residual_query(
     padded = zero_bordered(f_ctx)
     out = np.zeros((f_ctx.channels, nx, ny), dtype=np.float64)
     out_flat = out.reshape(f_ctx.channels, nx * ny)
-    for rows, pixel in column_blocks(m, spec, n_z, f_ctx.height, f_ctx.width):
+    size = f_ctx.height, f_ctx.width
+    for rows, pixel in planned(plan, "feature columns", column_blocks, m, spec, n_z, *size):
         # In-view references in (cell, height) order; lit cell i holds the
         # references edges[i]:edges[i + 1], as the sorted cell index changes there.
         refs = np.flatnonzero(pixel >= 0) + rows.start * ny * n_z

@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -54,6 +54,64 @@ def level_blocks(levels: int, level_size: int, budget: int | None = None) -> lis
     cuts an axis into blocks."""
     step = max(1, (LEVEL_BLOCK_BYTES if budget is None else budget) // level_size)
     return [slice(start, min(start + step, levels)) for start in range(0, levels, step)]
+
+
+def _by_value(arg):
+    """`arg` as a key that compares by value: a float as its exact hex form, an
+    array (an object's array fields too) as its dtype, shape and bytes, so two
+    keys are equal only when their builds would read the same bits."""
+    if isinstance(arg, float):  # -0.0 == 0.0, but their hex forms differ
+        return arg.hex()
+    if isinstance(arg, np.ndarray):
+        return arg.dtype.str, arg.shape, arg.tobytes()
+    if is_dataclass(arg):
+        return type(arg), tuple(_by_value(getattr(arg, f.name)) for f in fields(arg))
+    if isinstance(arg, tuple):
+        return tuple(_by_value(a) for a in arg)
+    return arg
+
+
+def _read_only(value) -> None:
+    """Make every array in `value`, or in its nested tuples, read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+
+
+class BatchPlan:
+    """What the scenes of one `eval` batch share: the results of builders that
+    read only the config and the camera (the parameters, the BEV stages'
+    geometry), built once and reused while their arguments stay the same.
+
+    Each slot holds one builder's result for the latest arguments, compared by
+    value; other arguments build again and replace it. A generator's blocks are
+    held as one tuple, and every array held is read-only. A plan lives for one
+    batch: nothing holds it once the batch returns.
+    """
+
+    def __init__(self) -> None:
+        self._held: dict[str, tuple[tuple, object]] = {}
+
+    def get(self, slot: str, build: Callable, *args):
+        """`build(*args)`, built only if `slot` holds another build or other arguments."""
+        key = (build, _by_value(args))
+        if slot in self._held and self._held[slot][0] == key:
+            return self._held[slot][1]
+        self._held.pop(slot, None)  # the old build is freed before the new one
+        value = build(*args)
+        if isinstance(value, Iterator):
+            value = tuple(value)
+        _read_only(value)
+        self._held[slot] = (key, value)
+        return value
+
+
+def planned(plan: BatchPlan | None, slot: str, build: Callable, *args):
+    """`build(*args)` itself without a plan (a generator stays lazy), else its
+    result held in `plan`'s `slot`."""
+    return build(*args) if plan is None else plan.get(slot, build, *args)
 
 
 def ordered_sum(a: np.ndarray) -> np.ndarray:
@@ -137,7 +195,10 @@ def zero_bordered(f: Tensor3) -> np.ndarray:
     """`f`'s (C, H+2, W+2) values inside a one-pixel zero border: the table
     every bilinear gather reads, which a caller sampling one map in many calls
     builds once."""
-    return np.pad(f.data, ((0, 0), (1, 1), (1, 1)))
+    c, h, w = f.data.shape
+    padded = np.zeros((c, h + 2, w + 2), dtype=f.data.dtype)
+    padded[:, 1:-1, 1:-1] = f.data
+    return padded
 
 
 def _bilinear_corners(padded: np.ndarray, x0, y0) -> Iterator[np.ndarray]:

@@ -13,7 +13,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import Tensor3, frozen_array, json_block, json_list, level_blocks, read_json
+from .core import BatchPlan, Tensor3, frozen_array, json_block, json_list, level_blocks
+from .core import planned, read_json
 
 DEPTH_EPS = 1e-6
 COLUMN_BLOCK = 1 << 15  # most points one block of a column stage holds, unless one row or cell is more
@@ -230,20 +231,24 @@ def column_blocks(
         yield rows, v.astype(np.int64).reshape(-1, ny, n_z)
 
 
-def illumination_field(i: Tensor3, m: CameraMatrix, spec: BevSpec, n_z: int) -> np.ndarray:
+def illumination_field(
+    i: Tensor3, m: CameraMatrix, spec: BevSpec, n_z: int, plan: BatchPlan | None = None
+) -> np.ndarray:
     """Per-BEV-cell mean of the illumination sampled along vertical columns.
 
     Each cell center is lifted to n_z heights and projected; a sample
     contributes the map value at its floored pixel index iff it lands in
     front of the camera and inside the image. Cells with no contributing
     sample get 0. Each block of `column_blocks` is gathered and summed
-    along z as it comes, so no full-grid index or gather exists.
+    along z as it comes, so no full-grid gather exists, nor a full-grid index
+    unless `plan` keeps the blocks for the camera.
     """
     if i.channels != 1:
         raise ValueError(f"illumination map must have 1 channel, got {i.channels}")
     table = np.append(i.data[0], 0.0)  # -1 reads the appended +0.0
     out = np.empty((spec.nx, spec.ny))
-    for rows, pixel in column_blocks(m, spec, n_z, i.height, i.width):
+    size = i.height, i.width
+    for rows, pixel in planned(plan, "image columns", column_blocks, m, spec, n_z, *size):
         counts = (pixel >= 0).sum(axis=-1)
         sums = table.take(pixel).sum(axis=-1)
         out[rows] = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,14 @@ class ConvParams:
         """The conv of the output channels `part` alone: a conv that emits maps of
         several kinds runs once per kind, each output its own array."""
         return ConvParams(self.kernel[part], self.bias[part])
+
+    @cached_property
+    def pool2_kernel(self) -> np.ndarray:
+        """`_pool2_kernel` of the kernel, read-only, derived once per parameter set:
+        `conv2d_pool2` runs with it, and scenes that share the parameters share it."""
+        kernel = _pool2_kernel(self.kernel)
+        kernel.flags.writeable = False
+        return kernel
 
 
 # Bytes of one tap's input window per band of `conv2d_pool2`: einsum reads a strided
@@ -139,7 +148,7 @@ def _pool2_kernel(kernel: np.ndarray) -> np.ndarray:
 
 def conv2d_pool2(x: Tensor3, params: ConvParams) -> Tensor3:
     """`conv2d_replicate` followed by stride-2 2x2 average pooling, as one stride-2
-    conv with `_pool2_kernel` on the same padded map: (k+1)^2 taps at the pooled
+    conv with `params.pool2_kernel` on the same padded map: (k+1)^2 taps at the pooled
     resolution instead of k^2 at the full one. It agrees with conv-then-pool to
     rounding (within 1e-12 relative), not bit for bit.
 
@@ -150,8 +159,9 @@ def conv2d_pool2(x: Tensor3, params: ConvParams) -> Tensor3:
     if h % 2 or w % 2:
         raise ValueError(f"pooling needs even dims, got {h}x{w}")
     window_bytes = 4 * params.in_channels * w  # one output row's tap window
-    kernel = _pool2_kernel(params.kernel)
-    return Tensor3.take_over(_conv_bands(x, kernel, params.bias, 2, window_bytes, _BAND_BYTES))
+    return Tensor3.take_over(
+        _conv_bands(x, params.pool2_kernel, params.bias, 2, window_bytes, _BAND_BYTES)
+    )
 
 
 def _sigmoid_open(x: np.ndarray) -> np.ndarray:

@@ -44,17 +44,19 @@ def _blur_axis(arr: np.ndarray, kernel: int, axis: int) -> np.ndarray:
     if kernel == 1:
         return arr
     r = kernel // 2
-    pad = [(0, 0)] * arr.ndim
-    pad[axis] = (r, r)
-    padded = np.pad(arr, pad, mode="edge")
+    n = arr.shape[axis]
 
     def along(s: slice) -> tuple:
         return (slice(None),) * axis + (s,)
 
+    # `np.pad(mode="edge")` by r on each side of the axis, written by slices.
+    padded = np.empty(arr.shape[:axis] + (n + 2 * r,) + arr.shape[axis + 1 :], dtype=arr.dtype)
+    padded[along(slice(r, r + n))] = arr
+    padded[along(slice(None, r))] = arr[along(slice(None, 1))]
+    padded[along(slice(r + n, None))] = arr[along(slice(n - 1, None))]
     # The running sums after a first row (or column) of zeros, in one buffer.
     csum = np.zeros(padded.shape[:axis] + (padded.shape[axis] + 1,) + padded.shape[axis + 1 :])
     np.cumsum(padded, axis=axis, dtype=np.float64, out=csum[along(slice(1, None))])
-    n = arr.shape[axis]
     out = np.subtract(csum[along(slice(kernel, kernel + n))], csum[along(slice(0, n))])
     out /= float(kernel)
     return out

@@ -19,8 +19,8 @@ import numpy as np
 
 from .bev import AttentionParams, bev_pool, depth_bin_centers, depth_context_split
 from .bev import refine_bev, residual_query
-from .core import Tensor3, frozen_array, json_block, json_list, json_path, read_json
-from .core import level_blocks, ordered_sum, read_raw_tensor
+from .core import BatchPlan, Tensor3, frozen_array, json_block, json_list, json_path
+from .core import level_blocks, ordered_sum, planned, read_json, read_raw_tensor
 from .formats import ppm_samples, write_artifacts
 from .geometry import field_to_tensor, illumination_field
 from .guided_sampling import ConvParams, build_guidance, conv2d_pool2, generate_offsets
@@ -489,18 +489,21 @@ def run_pipeline(
     dump_intermediates: bool = False,
     aux_sem_hook: AuxLossHook | None = None,
     aux_geo_hook: AuxLossHook | None = None,
+    plan: BatchPlan | None = None,
 ) -> RunReport:
     """Execute the full pipeline on one scene and write artifacts to out_dir.
 
     First the scene is checked, the injected map read and checked against it,
     the parameters built and t* resolved; then every stage runs; only then is
     anything written, so a failure at any point leaves no output directory.
+    With `plan`, the parameters and the BEV stages' camera geometry come from
+    it, built only where the plan holds none for this config and camera.
     """
     n_cla = len(bundle.classes)
     spec = bundle.bev
     _check_scene(bundle.classes, bundle.image.height, bundle.image.width)
     injected = injected_map(pc.illumination_file, pc.estimator.floor, bundle.image)
-    params = build_params(pc, n_cla, spec.nz)
+    params = planned(plan, "params", build_params, pc, n_cla, spec.nz)
     pc = _with_fixed_t_star(pc)
     stages = _Stages()
     # Selective enhancement.
@@ -519,17 +522,18 @@ def run_pipeline(
     centers = depth_bin_centers(pc.depth_min, pc.depth_max, pc.depth_bins)
     dc = stages.run("depth_split", depth_context_split, f_warped, params.depth_conv, centers)
     # Lift-splat pooling into BEV.
-    q = stages.run("bev_pool", bev_pool, dc, bundle.camera, spec)
+    q = stages.run("bev_pool", bev_pool, dc, bundle.camera, spec, plan)
     # Residual cross-attention query.
     q_res = stages.run(
-        "residual_query", residual_query, q, dc.f_ctx, bundle.camera, spec, pc.n_z, params.attn
+        "residual_query", residual_query, q, dc.f_ctx, bundle.camera, spec, pc.n_z, params.attn,
+        plan,
     )
 
     # BEV illumination field.
     def _field():
         if pc.disable_idp:
             return np.zeros((spec.nx, spec.ny))
-        return illumination_field(illum, bundle.camera, spec, pc.n_z)
+        return illumination_field(illum, bundle.camera, spec, pc.n_z, plan)
 
     s_field = stages.run("illumination_field", _field)
     # Illumination-weighted refinement.
@@ -622,8 +626,10 @@ def eval_batch(scene_dirs, pc: PipelineConfig, out_dir) -> IoUReport:
     """Run the pipeline over scenes and micro-average IoU counts across them.
 
     Before any scene runs, the manifests must share one class table of at least
-    2 classes and sizes the encoder can pool, and t* is resolved once. A scene's
-    errors name it; a failure removes `out_dir` if this call created it.
+    2 classes and sizes the encoder can pool, and t* is resolved once. The scenes
+    share one `BatchPlan`, which lives for this call: parameters per grid height,
+    and the BEV geometry of one camera at a time. A scene's errors name it; a
+    failure removes `out_dir` if this call created it.
     """
     dirs = [Path(d) for d in scene_dirs]
     if not dirs:
@@ -640,11 +646,12 @@ def eval_batch(scene_dirs, pc: PipelineConfig, out_dir) -> IoUReport:
     pc = _with_fixed_t_star(pc)
     out = Path(out_dir)
     created = not out.exists()
-    reports = []
+    reports, plan = [], BatchPlan()
     try:
         for i, d in enumerate(dirs):
             try:
-                reports.append(run_pipeline(pc, load_scene(d), out / f"scene_{i:03d}"))
+                scene_out = out / f"scene_{i:03d}"
+                reports.append(run_pipeline(pc, load_scene(d), scene_out, plan=plan))
             except ValueError as exc:
                 raise ValueError(f"scene {d}: {exc}") from exc
             except StageError as exc:  # keeps its stage, cause and exit code

@@ -236,6 +236,20 @@ def back_project(m, depths, height, width):
 # --------------------------------------------------------------------------
 
 
+def blur_axis(arr, kernel, axis):
+    """One box-blur pass along `axis` with edge replication, padded by `np.pad`: the
+    running sums of the padded axis after a +0.0, differenced `kernel` apart, over
+    `kernel`. A kernel of 1 returns `arr`."""
+    if kernel == 1:
+        return arr
+    r, n = kernel // 2, arr.shape[axis]
+    pad = [(0, 0)] * arr.ndim
+    pad[axis] = (r, r)
+    padded = np.moveaxis(np.pad(arr, pad, mode="edge"), axis, 0)
+    csum = np.concatenate([np.zeros((1,) + padded.shape[1:]), np.cumsum(padded, axis=0)])
+    return np.moveaxis((csum[kernel : kernel + n] - csum[:n]) / float(kernel), 0, axis)
+
+
 def conv2d(x, kernel, bias, stride=1):
     """Cross-correlation of the edge-padded map with an (out, in, kk, kk) kernel at
     `stride`, padded (kk - 1) // 2 a side: whole map per tap, taps in row-major

@@ -4,11 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import nightbev.core
 from nightbev.bev import AttentionParams, DepthContext
 from nightbev.core import (
     LEVEL_BLOCK_BYTES,
+    BatchPlan,
     PixelCoord,
     Tensor3,
     bilinear_sample,
@@ -20,6 +24,7 @@ from nightbev.core import (
     ordered_sum,
     read_raw_tensor,
     write_raw_tensor,
+    zero_bordered,
 )
 from nightbev.geometry import CameraMatrix
 from nightbev.guided_sampling import ConvParams
@@ -222,6 +227,59 @@ class TestLevelBlocks:
         monkeypatch.setattr(nightbev.core, "LEVEL_BLOCK_BYTES", 3 * 8)
         assert [(b.start, b.stop) for b in level_blocks(5, 8)] == [(0, 3), (3, 5)]
         assert level_blocks(0, 8) == []
+
+
+class TestBatchPlan:
+    @staticmethod
+    def counted(builds):
+        def build(*args):
+            builds.append(args)
+            return np.array([float(len(builds))]), np.zeros(2)
+
+        return build
+
+    def test_keeps_the_latest_build_per_slot_by_value(self):
+        builds, plan = [], BatchPlan()
+        build = self.counted(builds)
+        first = plan.get("s", build, np.array([1.0, 2.0]), 0.0)
+        assert plan.get("s", build, np.array([1.0, 2.0]), 0.0) is first  # an equal copy
+        assert plan.get("t", build, np.array([1.0, 2.0]), 0.0) is not first  # its own slot
+        for args in ([1.0, 2.0], -0.0), ([1.0, 3.0], 0.0), ([1.0, 2.0], 0.0):
+            plan.get("s", build, np.array(args[0]), args[1])  # -0.0 is not 0.0
+        assert len(builds) == 5
+
+    def test_holds_read_only_arrays_and_a_generator_as_a_tuple(self):
+        def blocks():
+            yield from ((slice(i, i + 1), np.zeros(2)) for i in range(2))
+
+        plan = BatchPlan()
+        held = plan.get("s", blocks)
+        assert isinstance(held, tuple) and [rows for rows, _ in held] == [slice(0, 1), slice(1, 2)]
+        arrays = [a for _, a in held] + list(plan.get("t", self.counted([])))
+        assert [a.flags.writeable for a in arrays] == [False] * 4
+
+    def test_a_failed_build_holds_nothing(self):
+        builds, plan = [], BatchPlan()
+
+        def failing():
+            raise ValueError("bad")
+
+        with pytest.raises(ValueError, match="bad"):
+            plan.get("s", failing)
+        plan.get("s", self.counted(builds))
+        assert len(builds) == 1
+
+
+@given(
+    data=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 6)),
+        elements=st.floats(-1e3, 1e3, allow_nan=False),
+    )
+)
+def test_zero_bordered_bytes_equal_np_pad(data):
+    got = zero_bordered(Tensor3(data))
+    assert got.tobytes() == np.pad(data, ((0, 0), (1, 1), (1, 1))).tobytes()
 
 
 class TestOrderedSum:

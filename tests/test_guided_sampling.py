@@ -54,6 +54,12 @@ class TestConvParams:
         with pytest.raises(ValueError, match="bias"):
             ConvParams(np.zeros((2, 1, 3, 3)), np.zeros(3))
 
+    def test_pooled_kernel_is_derived_once_and_read_only(self):
+        params = conv_params(2, 3, 3, kernel=np.random.default_rng(3).normal(size=(2, 3, 3, 3)))
+        pooled = params.pool2_kernel
+        assert params.pool2_kernel is pooled and not pooled.flags.writeable
+        assert pooled.tobytes() == _pool2_kernel(params.kernel).tobytes()
+
 
 class TestConv2dReplicate:
     def test_matches_brute_force(self):

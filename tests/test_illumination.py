@@ -5,11 +5,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import reference as ref
 from nightbev.core import Tensor3, write_raw_tensor
 from nightbev.formats import read_pgm, write_pgm
 from nightbev.illumination import (
     EstimatorConfig,
+    _blur_axis,
     box_blur,
     estimate_illumination,
     illumination_factor,
@@ -84,6 +89,20 @@ class TestBoxBlur:
             for x in range(plane.shape[1]):
                 window = padded[y : y + k, x : x + k]
                 assert got[y, x] == pytest.approx(window.mean(), abs=1e-12)
+
+
+    @given(
+        plane=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 9), st.integers(1, 9)),
+            elements=st.floats(-1e3, 1e3, allow_nan=False),
+        ),
+        kernel=st.integers(0, 12).map(lambda k: 2 * k + 1),  # radii past either axis too
+        axis=st.integers(0, 1),
+    )
+    def test_pass_bytes_equal_an_np_pad_blur(self, plane, kernel, axis):
+        got = _blur_axis(plane, kernel, axis)
+        assert got.tobytes() == ref.blur_axis(plane, kernel, axis).tobytes()
 
 
 def write_map(path) -> None:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import nightbev.bev
 import nightbev.core
 import nightbev.formats
+import nightbev.geometry
 import nightbev.guided_sampling
 import nightbev.illumination
 import nightbev.pipeline
@@ -719,6 +720,27 @@ class TestImageStagesAtHiresShapes:
 
 
 ONE_CLASS = dict(classes=("free",), random_boxes=0)
+# The default scene grid with 7 levels in place of 8.
+LOW = BevSpec(x_range=(0.0, 8.0), y_range=(-4.0, 4.0), z_range=(-1.0, 1.8), voxel=0.4)
+
+
+def counting(monkeypatch, module, name, results=None):
+    """Replace `module.name` by a wrapper that records each call's arguments, and
+    each result (a generator's items) in `results` if given; returns the calls."""
+    calls, real = [], getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        result = real(*args)
+        if results is None:
+            return result
+        if isinstance(result, tuple):
+            results.append(result)
+            return result
+        return (results.append(item) or item for item in result)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 class TestEvalBatch:
@@ -798,17 +820,27 @@ class TestEvalBatch:
         assert str(info.value) == f"scene {tmp_path}/{where}"
         assert not (tmp_path / "eval").exists()
 
-    def test_parameters_built_once_per_scene(self, tmp_path, monkeypatch):
-        calls = []
-        real = nightbev.pipeline.build_params
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(nightbev.pipeline, "build_params", counting)
+    def test_parameters_built_once_per_grid_height(self, tmp_path, monkeypatch):
+        calls = counting(monkeypatch, nightbev.pipeline, "build_params")
         eval_batch(batch_dirs(tmp_path), PipelineConfig(), tmp_path / "eval")
-        assert len(calls) == 3
+        assert [args[2] for args in calls] == [8]
+        calls.clear()
+        dirs = [scene_dir(tmp_path, "tall"), *(scene_dir(tmp_path, n, bev=LOW) for n in "ab")]
+        eval_batch(dirs, PipelineConfig(), tmp_path / "mixed")
+        assert [args[2] for args in calls] == [8, 7]
+
+    def test_bad_parameter_file_fails_at_the_first_scene_of_its_height(self, tmp_path):
+        """Head files sized for 8 levels load for the first scene and fail for the
+        first 7-level one, and the error names that scene."""
+        params = build_params(PipelineConfig(), 4, 8)
+        write_raw_tensor(Tensor3(params.head_weights[None]), tmp_path / "w.rt")
+        write_raw_tensor(Tensor3(params.head_bias.reshape(-1, 1, 1)), tmp_path / "b.rt")
+        files = {"weights": tmp_path / "w.rt", "bias": tmp_path / "b.rt"}
+        pc = PipelineConfig(head_source=ParamSource(files=files))
+        dirs = [scene_dir(tmp_path, "a"), scene_dir(tmp_path, "b", bev=LOW)]
+        with pytest.raises(ValueError, match=f"^scene {dirs[1]}: head.source.files.weights: "):
+            eval_batch(dirs, pc, tmp_path / "eval")
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("error", [ValueError("broken refine"), KeyboardInterrupt()])
     @pytest.mark.parametrize("existed", [False, True])
@@ -898,3 +930,73 @@ class TestEvalBatchPopulation:
         pc = population(tmp_path, (0.05, 0.06, 0.5, 0.55))
         pc = replace(pc, estimator=EstimatorConfig(floor=0.2))
         assert resolve_t_star(pc) == 0.349609375  # 0.279296875 at the default floor 0.01
+
+
+class TestEvalBatchPlan:
+    """One batch plan per `eval_batch` call: the camera geometry of the BEV stages
+    is built once per camera, read-only, and the outputs keep their bytes."""
+
+    def dirs(self, tmp_path, heights=(1.4, 1.4, 1.4)):
+        return [
+            scene_dir(tmp_path, f"s{idx}", seed=idx, camera_height=height)
+            for idx, height in enumerate(heights)
+        ]
+
+    def count_geometry(self, monkeypatch, results=None):
+        return {
+            "pool": counting(monkeypatch, nightbev.bev, "_pool_geometry", results),
+            "feature columns": counting(monkeypatch, nightbev.bev, "column_blocks", results),
+            "image columns": counting(monkeypatch, nightbev.geometry, "column_blocks", results),
+        }
+
+    @pytest.mark.parametrize(
+        "heights, builds", [((1.4, 1.4, 1.4), 1), ((1.4, 1.6, 1.4), 3)], ids=["aaa", "aba"]
+    )
+    def test_geometry_built_once_per_camera(self, tmp_path, monkeypatch, heights, builds):
+        calls = self.count_geometry(monkeypatch)
+        eval_batch(self.dirs(tmp_path, heights), PipelineConfig(), tmp_path / "eval")
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, builds)
+        # One map size per column stage: the 16x24 feature map and the 64x96 image.
+        assert {c[3:] for c in calls["feature columns"]} == {(16, 24)}
+        assert {c[3:] for c in calls["image columns"]} == {(64, 96)}
+
+    def test_pooled_kernels_derived_once_per_batch(self, tmp_path, monkeypatch):
+        calls = counting(monkeypatch, nightbev.guided_sampling, "_pool2_kernel")
+        eval_batch(self.dirs(tmp_path), PipelineConfig(), tmp_path / "eval")
+        assert [c[0].shape for c in calls] == [(8, 3, 3, 3), (8, 8, 3, 3)]  # enc1, enc2
+
+    def test_camera_changes_keep_every_scene_byte(self, tmp_path):
+        dirs = self.dirs(tmp_path, (1.4, 1.6, 1.4))
+        cameras = [(d / "camera.json").read_bytes() for d in dirs]
+        assert cameras[0] == cameras[2] != cameras[1]
+        pc = PipelineConfig()
+        eval_batch(dirs, pc, tmp_path / "eval")
+        for idx, sdir in enumerate(dirs):
+            single = tmp_path / f"single{idx}"
+            run_pipeline(pc, load_scene(sdir), single)
+            batch = tmp_path / "eval" / f"scene_{idx:03d}"
+            names = sorted(p.name for p in single.iterdir())
+            assert sorted(p.name for p in batch.iterdir()) == names
+            for name in names:
+                a, b = (batch / name).read_bytes(), (single / name).read_bytes()
+                if name == "report.json":
+                    a, b = ({**json.loads(x), "timings": None} for x in (a, b))
+                assert a == b, (idx, name)
+
+    def test_held_geometry_is_read_only(self, tmp_path, monkeypatch):
+        held = []
+        self.count_geometry(monkeypatch, held)
+        eval_batch(self.dirs(tmp_path), PipelineConfig(), tmp_path / "eval")
+        arrays = [a for item in held for a in item if isinstance(a, np.ndarray)]
+        assert len(arrays) == 2 + 2  # the pool's cells and points, one block per column stage
+        assert [a.shape for a in arrays if a.flags.writeable] == []
+
+    def test_each_batch_builds_its_own_plan(self, tmp_path, monkeypatch):
+        params = counting(monkeypatch, nightbev.pipeline, "build_params")
+        calls = self.count_geometry(monkeypatch)
+        dirs = self.dirs(tmp_path)
+        eval_batch(dirs, PipelineConfig(), tmp_path / "first")
+        eval_batch(dirs, PipelineConfig(), tmp_path / "second")
+        assert len(params) == 2
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 2)
+
