@@ -177,14 +177,6 @@ def bev_pool(
     return Tensor3.take_over(out)
 
 
-def _channel_sum(weights: np.ndarray, q_in: np.ndarray) -> np.ndarray:
-    """weights @ q_in, adding the query channels one by one from +0.0."""
-    out = np.zeros((weights.shape[0], q_in.shape[1]))
-    for c in range(q_in.shape[0]):
-        out += weights[:, c, None] * q_in[c]
-    return out
-
-
 def residual_query(
     q: Tensor3,
     f_ctx: Tensor3,
@@ -248,8 +240,10 @@ def residual_query(
             lit = cells[starts[:-1]]
             ref = np.repeat(np.arange(lit.size), np.diff(starts))  # each reference's column in lit
             q_in = q_flat[:, lit]
-            off = _channel_sum(params.offset_weights, q_in)  # (2K, lit cells)
-            attn = _softmax(_channel_sum(params.attn_weights, q_in))  # (K, lit cells)
+            # (2K, lit cells) offsets and (K, lit cells) attention
+            off = ordered_sum(w[:, None] * x for w, x in zip(params.offset_weights.T, q_in))
+            logits = ordered_sum(w[:, None] * x for w, x in zip(params.attn_weights.T, q_in))
+            attn = _softmax(logits)
 
             us = u[:, None] + off[0::2, ref].T  # (refs, K)
             vs = v[:, None] + off[1::2, ref].T

@@ -14,11 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from .formats import read_ppm, write_artifacts
-from .geometry import field_to_tensor, illumination_field
-from .pipeline import PipelineConfig, StageError, _Stages, _with_fixed_t_star, build_params
-from .pipeline import check_image_size, encode_image, enhance_stage, eval_batch
-from .pipeline import igs_stage, illumination_map, injected_map, offset_magnitude
-from .pipeline import population_factors, run_pipeline
+from .geometry import field_to_tensor
+from .pipeline import PipelineConfig, StageError, _Stages, _with_fixed_t_star, encode_image
+from .pipeline import enhance_stage, eval_batch, field_stage, igs_stage, illumination_map
+from .pipeline import injected_map, offset_magnitude, population_factors, run_pipeline
+from .pipeline import scene_inputs
 from .scene import SceneConfig, gen_scene, load_scene, save_scene
 from .selective import FactorPopulation, factor_histogram, otsu_threshold
 
@@ -73,10 +73,7 @@ def _cmd_threshold(args) -> int:
 def _cmd_igs(args) -> int:
     pc = _config(PipelineConfig, args)
     bundle = load_scene(args.scene)
-    check_image_size(bundle.image.height, bundle.image.width)
-    injected = injected_map(pc.illumination_file, pc.estimator.floor, bundle.image)
-    params = build_params(pc, len(bundle.classes), bundle.bev.nz)
-    pc = _with_fixed_t_star(pc)
+    pc, injected, params = scene_inputs(pc, bundle)
     stages = _Stages()
     illum, _, _, enhanced_img, _ = stages.run("enhance", enhance_stage, pc, bundle.image, injected)
     f_img = stages.run("encode", encode_image, enhanced_img, params.enc1, params.enc2)
@@ -98,9 +95,7 @@ def _cmd_illum_field(args) -> int:
     injected = injected_map(pc.illumination_file, pc.estimator.floor, bundle.image)
     stages = _Stages()
     illum = stages.run("enhance", illumination_map, pc, bundle.image, injected)
-    field = stages.run(
-        "illumination_field", illumination_field, illum, bundle.camera, bundle.bev, pc.n_z
-    )
+    field = stages.run("illumination_field", field_stage, pc, illum, bundle.camera, bundle.bev)
     write_artifacts(args.out, [("s_field.rt", field_to_tensor(field)), ("s_field.pgm", field)])
     print(f"illumination field written to {args.out}")
     return 0
@@ -141,49 +136,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Illumination-guided nighttime BEV occupancy pipeline (desk scale)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The options several subcommands share, each declared once.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="JSON config file")
+    config.add_argument("--seed", type=int, default=None, help="seed override")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True, help="output directory")
+    scene = argparse.ArgumentParser(add_help=False)
+    scene.add_argument("--scene", required=True, help="scene directory")
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="JSON config file")
-            p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--out", required=True, help="output directory")
+    def command(name, fn, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("gen-scene", help="generate a synthetic night scene")
-    common(p)
-    p.set_defaults(fn=_cmd_gen_scene)
-
-    p = sub.add_parser("enhance", help="selective enhancement of one image")
-    common(p)
+    command("gen-scene", _cmd_gen_scene, "generate a synthetic night scene", config, out)
+    p = command("enhance", _cmd_enhance, "selective enhancement of one image", config, out)
     p.add_argument("--image", required=True, help="input PPM image")
     p.add_argument("--illum", default=None, help="optional illumination map file")
-    p.set_defaults(fn=_cmd_enhance)
-
-    p = sub.add_parser("threshold", help="derive the enhancement threshold")
-    common(p, config=False)
+    p = command("threshold", _cmd_threshold, "derive the enhancement threshold", out)
     p.add_argument("--maps", required=True, help="directory of illumination maps")
     p.add_argument("--bins", type=int, default=256)
-    p.set_defaults(fn=_cmd_threshold)
-
-    p = sub.add_parser("igs", help="dump guided-sampling intermediates")
-    common(p)
-    p.add_argument("--scene", required=True, help="scene directory")
-    p.set_defaults(fn=_cmd_igs)
-
-    p = sub.add_parser("illum-field", help="dump the BEV illumination field")
-    common(p)
-    p.add_argument("--scene", required=True, help="scene directory")
-    p.set_defaults(fn=_cmd_illum_field)
-
-    p = sub.add_parser("pipeline", help="run the full pipeline on one scene")
-    common(p)
-    p.add_argument("--scene", required=True, help="scene directory")
+    command("igs", _cmd_igs, "dump guided-sampling intermediates", config, out, scene)
+    command("illum-field", _cmd_illum_field, "dump the BEV illumination field", config, out, scene)
+    p = command("pipeline", _cmd_pipeline, "run the full pipeline on one scene", config, out, scene)
     p.add_argument("--dump-intermediates", action="store_true")
-    p.set_defaults(fn=_cmd_pipeline)
-
-    p = sub.add_parser("eval", help="evaluate the pipeline over many scenes")
-    common(p)
+    p = command("eval", _cmd_eval, "evaluate the pipeline over many scenes", config, out)
     p.add_argument("--scenes", required=True, help="directory of scene directories")
-    p.set_defaults(fn=_cmd_eval)
     return parser
 
 
@@ -192,7 +171,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except StageError as exc:
+    except (StageError, MemoryError) as exc:  # a MemoryError outside a stage, too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

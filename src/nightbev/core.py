@@ -17,7 +17,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -114,15 +114,16 @@ def planned(plan: BatchPlan | None, slot: str, build: Callable, *args):
     return build(*args) if plan is None else plan.get(slot, build, *args)
 
 
-def ordered_sum(a: np.ndarray) -> np.ndarray:
-    """`a.sum(axis=0)` with the terms added one by one from +0.0 in index order.
+def ordered_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
+    """The sum of equal-shaped float64 `terms`, added one by one from +0.0 in
+    order; an array's terms are its rows, so for one this is `a.sum(axis=0)`.
 
     numpy adds along a run that is contiguous in memory pairwise, so a (K, 1)
     array sums in another order than a (K, 2) one; here each element's bits do
     not depend on the sizes of the other axes.
     """
-    total = np.zeros(a.shape[1:])
-    for term in a:
+    total = 0.0  # the first term makes it a new float64 array
+    for term in terms:
         total += term
     return total
 

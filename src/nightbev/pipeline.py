@@ -22,7 +22,7 @@ from .bev import refine_bev, residual_query
 from .core import BatchPlan, Tensor3, frozen_array, json_block, json_list, json_path
 from .core import level_blocks, ordered_sum, planned, read_json, read_raw_tensor
 from .formats import ppm_samples, write_artifacts
-from .geometry import field_to_tensor, illumination_field
+from .geometry import BevSpec, CameraMatrix, field_to_tensor, illumination_field
 from .guided_sampling import ConvParams, build_guidance, conv2d_pool2, generate_offsets
 from .guided_sampling import guided_warp, kernel_grid, modulate_offsets
 from .illumination import ILLUMINATION_FLOOR, EstimatorConfig, estimate_illumination
@@ -307,11 +307,10 @@ def check_image_size(height: int, width: int) -> None:
         )
 
 
-def _check_scene(classes: tuple, height: int, width: int) -> None:
-    """Refuse a scene the head or the encoder cannot run."""
+def _check_classes(classes: tuple) -> None:
+    """Refuse a class table the head cannot run."""
     if len(classes) < 2:
         raise ValueError("pipeline needs at least 2 classes for the prediction head")
-    check_image_size(height, width)
 
 
 def _with_fixed_t_star(pc: PipelineConfig) -> PipelineConfig:
@@ -319,6 +318,19 @@ def _with_fixed_t_star(pc: PipelineConfig) -> PipelineConfig:
     if pc.t_star.fixed is not None:
         return pc
     return replace(pc, t_star=TStarSource(fixed=resolve_t_star(pc)))
+
+
+def scene_inputs(
+    pc: PipelineConfig, bundle: SceneBundle, plan: BatchPlan | None = None
+) -> tuple[PipelineConfig, Tensor3 | None, ResolvedParams]:
+    """A scene's input phase, before its first stage, in this order: the image
+    size checked, the injected map read and checked against the image, the
+    parameters built (through `plan`, if given) and t* fixed. Returns the
+    config with t* fixed, the injected map or None, and the parameters."""
+    check_image_size(bundle.image.height, bundle.image.width)
+    injected = injected_map(pc.illumination_file, pc.estimator.floor, bundle.image)
+    params = planned(plan, "params", build_params, pc, len(bundle.classes), bundle.bev.nz)
+    return _with_fixed_t_star(pc), injected, params
 
 
 def encode_image(x: Tensor3, enc1: ConvParams, enc2: ConvParams) -> Tensor3:
@@ -353,6 +365,15 @@ def igs_stage(
     dp_mod = modulate_offsets(dp, g)
     warped = guided_warp(f_img, dp_mod, dw, params.igs_point_weights)
     return i_prime, g, dp_mod, warped
+
+
+def field_stage(
+    pc: PipelineConfig, i: Tensor3, m: CameraMatrix, spec: BevSpec, plan: BatchPlan | None = None
+) -> np.ndarray:
+    """The (X, Y) BEV illumination field of 3D-IDP from map `i`, or zeros under `disable_idp`."""
+    if pc.disable_idp:
+        return np.zeros((spec.nx, spec.ny))
+    return illumination_field(i, m, spec, pc.n_z, plan)
 
 
 def _class_argmax(zgrid: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -493,18 +514,16 @@ def run_pipeline(
 ) -> RunReport:
     """Execute the full pipeline on one scene and write artifacts to out_dir.
 
-    First the scene is checked, the injected map read and checked against it,
-    the parameters built and t* resolved; then every stage runs; only then is
-    anything written, so a failure at any point leaves no output directory.
+    First the class table is checked and `scene_inputs` runs; then every stage
+    runs; only then is anything written, so a failure at any point leaves no
+    output directory.
     With `plan`, the parameters and the BEV stages' camera geometry come from
     it, built only where the plan holds none for this config and camera.
     """
     n_cla = len(bundle.classes)
     spec = bundle.bev
-    _check_scene(bundle.classes, bundle.image.height, bundle.image.width)
-    injected = injected_map(pc.illumination_file, pc.estimator.floor, bundle.image)
-    params = planned(plan, "params", build_params, pc, n_cla, spec.nz)
-    pc = _with_fixed_t_star(pc)
+    _check_classes(bundle.classes)
+    pc, injected, params = scene_inputs(pc, bundle, plan)
     stages = _Stages()
     # Selective enhancement.
     illum, t_star, lam, enhanced_img, enhanced = stages.run(
@@ -530,12 +549,7 @@ def run_pipeline(
     )
 
     # BEV illumination field.
-    def _field():
-        if pc.disable_idp:
-            return np.zeros((spec.nx, spec.ny))
-        return illumination_field(illum, bundle.camera, spec, pc.n_z, plan)
-
-    s_field = stages.run("illumination_field", _field)
+    s_field = stages.run("illumination_field", field_stage, pc, illum, bundle.camera, spec, plan)
     # Illumination-weighted refinement.
     f_bev = stages.run("refine", refine_bev, q, q_res, s_field)
     if not dump_intermediates:  # only the dump reads q and q_res after refine
@@ -640,7 +654,8 @@ def eval_batch(scene_dirs, pc: PipelineConfig, out_dir) -> IoUReport:
         try:
             if m["classes"] != classes:
                 raise ValueError("uses a different class table")
-            _check_scene(classes, m["height"], m["width"])
+            _check_classes(classes)
+            check_image_size(m["height"], m["width"])
         except ValueError as exc:
             raise ValueError(f"scene {d}: {exc}") from exc
     pc = _with_fixed_t_star(pc)

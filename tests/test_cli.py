@@ -11,6 +11,7 @@ import pytest
 import nightbev.cli
 import nightbev.illumination
 import nightbev.pipeline
+import nightbev.selective
 from nightbev.cli import build_parser, main
 from nightbev.core import Tensor3, read_raw_tensor, write_raw_tensor
 from nightbev.formats import write_pgm
@@ -380,6 +381,32 @@ class TestInternalError:
         assert not (tmp_path / "o").exists()
 
 
+class TestOutOfMemory:
+    """A MemoryError outside any stage, as t*'s bin edges raise for a huge
+    `bins`, is a runtime failure: exit 1 and `error: ...`, not an internal
+    error, and no --out. Patched, never a real huge allocation, which a host
+    that always overcommits would try to page in."""
+
+    @pytest.mark.parametrize("command", ["threshold", "pipeline"])
+    def test_exits_1_as_a_runtime_error(self, tmp_path, capsys, monkeypatch, scene, command):
+        def no_memory(bins):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(nightbev.selective, "bin_edges", no_memory)
+        maps = _population(tmp_path)
+        if command == "threshold":
+            args = ["threshold", "--maps", str(maps), "--bins", "10000000000000"]
+        else:
+            cfg = tmp_path / "pc.json"
+            cfg.write_text(json.dumps({"t_star": {"population_dir": "maps", "bins": 10**13}}))
+            args = ["pipeline", "--config", str(cfg), "--scene", str(scene)]
+        out = tmp_path / "out"
+        assert main([*args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: Unable to allocate 72.8 TiB" in err and "internal error" not in err
+        assert not out.exists()
+
+
 class TestReadOnce:
     """An injected illumination map is read once per run: once per command, and
     once per scene under `eval`."""
@@ -425,17 +452,45 @@ class TestEntryPoint:
             assert sub in proc.stdout
 
 
+def _population(tmp_path):
+    """A t* population directory `maps` of two 64x96 maps of different levels."""
+    maps = tmp_path / "maps"
+    maps.mkdir()
+    for name, level in (("dark.rt", 0.15), ("lit.rt", 0.7)):
+        write_raw_tensor(Tensor3.full(1, 64, 96, level), maps / name, dtype="f32")
+    return maps
+
+
+def _no_idp_config(tmp_path) -> tuple:
+    """A config with `disable_idp`, an injected raw-tensor map and a population
+    t*, and the injected map's path, which `enhance` takes as `--illum`."""
+    rng = np.random.default_rng(11)
+    _population(tmp_path)
+    injected = tmp_path / "injected.rt"
+    write_raw_tensor(Tensor3(rng.uniform(0.05, 0.7, (1, 64, 96))), injected, dtype="f32")
+    path = tmp_path / "no_idp.json"
+    path.write_text(json.dumps({
+        "seed": 0,
+        "t_star": {"population_dir": "maps"},
+        "illumination_file": injected.name,
+        "disable_idp": True,
+    }))
+    return path, injected
+
+
 class TestSubcommandsMatchPipeline:
-    def test_outputs_equal_pipeline_intermediates(self, tmp_path, pipeline_config, scene):
+    @pytest.mark.parametrize("case", ["default", "disable_idp"])
+    def test_outputs_equal_pipeline_intermediates(self, tmp_path, pipeline_config, scene, case):
+        enhance = ["--image", str(scene / "image.ppm")]
+        if case == "disable_idp":
+            pipeline_config, injected = _no_idp_config(tmp_path)
+            enhance += ["--illum", str(injected)]
         full = tmp_path / "full"
         common = ["--config", str(pipeline_config), "--out"]
         dump = ["--scene", str(scene), "--dump-intermediates"]
         assert main(["pipeline", *common, str(full), *dump]) == 0
         runs = {
-            "enhance": (
-                ["--image", str(scene / "image.ppm")],
-                ("enhanced.ppm", "illumination.pgm", "illumination.rt"),
-            ),
+            "enhance": (enhance, ("enhanced.ppm", "illumination.pgm", "illumination.rt")),
             "igs": (["--scene", str(scene)], ("guidance.pgm", "offset_mag.pgm", "f_warped.rt")),
             "illum-field": (["--scene", str(scene)], ("s_field.rt", "s_field.pgm")),
         }
@@ -739,7 +794,7 @@ STAGE_FAILURE_PROBES = [
     ("igs", "igs", nightbev.pipeline, "guided_warp", "guided_sampling"),
     ("enhance", "enhance", nightbev.pipeline, "selective_enhance", "enhance"),
     ("illum_field_estimate", "illum-field", nightbev.pipeline, "estimate_illumination", "enhance"),
-    ("illum_field", "illum-field", nightbev.cli, "illumination_field", "illumination_field"),
+    ("illum_field", "illum-field", nightbev.pipeline, "illumination_field", "illumination_field"),
 ]
 
 

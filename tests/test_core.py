@@ -292,6 +292,20 @@ class TestOrderedSum:
         assert ordered_sum(terms)[:, :1].tobytes() == np.array([[total]]).tobytes()
         assert not np.signbit(ordered_sum(np.array([-0.0, -0.0])))
 
+    @given(
+        data=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 4)),
+            elements=st.one_of(st.just(-0.0), st.floats(-1e3, 1e3, allow_nan=False)),
+        )
+    )
+    def test_a_generator_of_terms_gives_the_bytes_of_the_stacked_array(self, data):
+        want = np.zeros(data.shape[1:])
+        for term in data:
+            want += term
+        assert ordered_sum(term for term in data).tobytes() == want.tobytes()
+        assert ordered_sum(data).tobytes() == want.tobytes()
+
 
 class TestBilinearSample:
     def test_exact_grid_point(self, quad):
